@@ -27,19 +27,6 @@ uniformIndex(std::mt19937_64 &rng, size_t n)
     return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
 }
 
-/** Fold one evaluation's compiled-backend counters into a running
- *  total (merged in child order, like the outcome counts). */
-static void
-accumCompiled(sim::CompiledStats &into, const sim::CompiledStats &s)
-{
-    into.modulesCompiled += s.modulesCompiled;
-    into.modulesFallback += s.modulesFallback;
-    into.combItems += s.combItems;
-    into.seqItems += s.seqItems;
-    into.twoStateEvals += s.twoStateEvals;
-    into.fourStateFallbacks += s.fourStateFallbacks;
-}
-
 RepairEngine::RepairEngine(std::shared_ptr<const SourceFile> faulty,
                            std::string tb_module, std::string dut_module,
                            ProbeConfig probe, Trace oracle,
@@ -138,11 +125,9 @@ RepairEngine::evaluateUncached(const Patch &patch,
         sim::SimGuards guards;
         guards.memBudgetBytes = config_.evalMemoryBudget;
         guards.faultPlan = config_.faultPlan;
-        guards.backend = config_.backend;
         design = sim::elaborate(
             std::shared_ptr<const SourceFile>(patched), tbModule_,
             guards);
-        v.compiled = design->compiledStats();
         TraceRecorder rec(*design, probe_);
         std::optional<StreamingFitness> scorer;
         if (hints.streaming) {
@@ -183,7 +168,6 @@ RepairEngine::evaluateUncached(const Patch &patch,
         if (limits.maxWallSeconds <= 0)
             limits.maxWallSeconds = config_.evalDeadlineSeconds;
         auto rr = design->run(limits);
-        v.compiled = design->compiledStats();
         switch (rr.status) {
           case SimStatus::Runaway:
             v.outcome = EvalOutcome::Runaway;
@@ -359,7 +343,6 @@ RepairEngine::evaluate(const Patch &patch)
     if (v.valid)
         ++evals_;
     outcomes_.add(v.outcome);
-    accumCompiled(compiledStats_, v.compiled);
     if (v.outcome == EvalOutcome::LintReject)
         // Never cached or quarantined: the decision is a pure function
         // of the patch and recomputing it is cheaper than a cache slot.
@@ -525,7 +508,6 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
           case Source::Fresh:
             simulated_out[i] = out[i].valid;
             outcomes_.add(out[i].outcome);
-            accumCompiled(compiledStats_, out[i].compiled);
             if (out[i].valid) {
                 rowsScored_ += out[i].rowsScored;
                 rowsSkipped_ += oracle_.rows().size() -
@@ -694,7 +676,6 @@ RepairEngine::captureState(
     st.rowsScored = rowsScored_;
     st.rowsSkipped = rowsSkipped_;
     st.lintRejects = lintRejects_;
-    st.compiled = compiledStats_;
     st.elapsedSeconds = elapsed_seconds;
     st.bestSeen = best_seen;
     st.trajectory = trajectory;
@@ -816,7 +797,6 @@ RepairEngine::runInternal(const EngineState *restore)
         result.rowsScored = rowsScored_;
         result.rowsSkipped = rowsSkipped_;
         result.lintRejects = lintRejects_;
-        result.compiled = compiledStats_;
         result.fleetCacheHits = fleetCacheHits_;
         result.fleetQuarantineHits = fleetQuarantineHits_;
         result.migrantLedger = migrantLedger_;
@@ -840,7 +820,6 @@ RepairEngine::runInternal(const EngineState *restore)
         rowsScored_ = restore->rowsScored;
         rowsSkipped_ = restore->rowsSkipped;
         lintRejects_ = restore->lintRejects;
-        compiledStats_ = restore->compiled;
         outcomes_ = restore->outcomes;
         best_seen = restore->bestSeen;
         result.fitnessTrajectory = restore->trajectory;
@@ -1085,7 +1064,6 @@ RepairEngine::runInternal(const EngineState *restore)
             gs.quarantined = quarantine_.size();
             gs.lintRejects = lintRejects_;
             gs.witnessBenches = static_cast<int>(witnessRt_.size());
-            gs.compiled = compiledStats_;
             gs.elapsedSeconds = elapsed();
             gs.fleetCacheHits = fleetCacheHits_;
             gs.island = config_.islandIndex;

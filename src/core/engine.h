@@ -59,9 +59,6 @@ struct Variant
     /** Oracle rows actually scored against simulation output when the
      *  evaluation used the streaming scorer (0 otherwise). */
     uint64_t rowsScored = 0;
-    /** Compiled-backend counters of this evaluation's design (all
-     *  zero under the event backend or when elaboration failed). */
-    sim::CompiledStats compiled;
 };
 
 /** Why a quarantined patch key is never re-simulated. */
@@ -159,15 +156,7 @@ struct EngineConfig
     bool lintPrescreen = true;
     /** Severity overrides / waivers applied by the pre-screen. */
     lint::Options lintOptions;
-    /**
-     * Simulation backend for candidate evaluations (see
-     * sim::SimBackend). Compiled/Auto lower DUT modules inside the
-     * compilable subset to levelized cycle-based bytecode and fall
-     * back to the event interpreter per module; sampled outputs are
-     * bit-identical, so fitness values — and therefore the whole
-     * search trajectory — do not depend on this knob. Witness benches
-     * always run event-driven (reference semantics).
-     */
+    /** Unread; kept for bench/e2e/replay.cc (see sim::SimBackend). */
     sim::SimBackend backend = sim::SimBackend::Event;
     /** Snapshot file path; non-empty enables checkpointing. */
     std::string snapshotPath;
@@ -279,8 +268,6 @@ struct GenerationStats
     size_t quarantined = 0;   //!< condemned patch keys so far
     long lintRejects = 0;     //!< candidates rejected by the pre-screen
     int witnessBenches = 0;   //!< witness benches active this run
-    /** Cumulative compiled-backend counters (all zero under Event). */
-    sim::CompiledStats compiled;
     double elapsedSeconds = 0.0;
     /** Evaluations satisfied by the fleet-shared cache so far. */
     long fleetCacheHits = 0;
@@ -324,9 +311,6 @@ struct RepairResult
     /** Overfit patches demoted by a witness before this result (only
      *  set by the hardened repair loop; 0 for plain runs). */
     int overfitKills = 0;
-    /** Cumulative compiled-backend counters over every fresh
-     *  evaluation of the trial (all zero under Event). */
-    sim::CompiledStats compiled;
     /** Evaluations satisfied by the fleet-shared cache (island runs;
      *  0 without a fleetLookup hook). Work accounting, not part of the
      *  deterministic search fingerprint. */
@@ -496,9 +480,6 @@ class RepairEngine
     uint64_t rowsScored_ = 0;
     uint64_t rowsSkipped_ = 0;
     long lintRejects_ = 0;
-    /** Compiled-backend counters accumulated over fresh evaluations,
-     *  merged in child order like the outcome counts. */
-    sim::CompiledStats compiledStats_;
     /** Baseline design's error-severity lint fingerprint; immutable
      *  after construction (worker threads read it). */
     lint::Fingerprint baselineLintFp_;

@@ -301,15 +301,6 @@ encodeSnapshot(const EngineState &state)
     }
     {
         std::ostringstream os;
-        os << "compiled " << state.compiled.modulesCompiled << " "
-           << state.compiled.modulesFallback << " "
-           << state.compiled.combItems << " " << state.compiled.seqItems
-           << " " << state.compiled.twoStateEvals << " "
-           << state.compiled.fourStateFallbacks;
-        w.line(os.str());
-    }
-    {
-        std::ostringstream os;
         os << "island " << state.islandIndex << " " << state.islandCount
            << " " << state.migrationEpoch;
         w.line(os.str());
@@ -468,15 +459,8 @@ decodeSnapshot(const std::string &text)
         st.rowsSkipped = r.parseU64(s[3]);
         st.lintRejects = r.parseLong(s[4]);
     }
-    {
-        auto c = r.tokens("compiled", 7);
-        st.compiled.modulesCompiled = r.parseU64(c[1]);
-        st.compiled.modulesFallback = r.parseU64(c[2]);
-        st.compiled.combItems = r.parseU64(c[3]);
-        st.compiled.seqItems = r.parseU64(c[4]);
-        st.compiled.twoStateEvals = r.parseU64(c[5]);
-        st.compiled.fourStateFallbacks = r.parseU64(c[6]);
-    }
+    if (version < 9)
+        r.tokens("compiled", 7); // retired compiled-backend counters
     if (version >= 8) {
         auto isl = r.tokens("island", 4);
         st.islandIndex = static_cast<int>(r.parseLong(isl[1]));

@@ -78,8 +78,9 @@ struct EngineState
      *  still load (a plain single-population run is island -1 of 0 with
      *  an empty ledger); snapshots NEWER than this build are rejected
      *  with both versions named so the fix (upgrade the binary) is
-     *  obvious. */
-    static constexpr int kVersion = 8;
+     *  obvious. Version 9 dropped the "compiled" line along with the
+     *  compiled backend; decoding a v7/v8 file skips it. */
+    static constexpr int kVersion = 9;
     /** Oldest version decodeSnapshot() still accepts. */
     static constexpr int kOldestReadableVersion = 7;
 
@@ -104,8 +105,6 @@ struct EngineState
     uint64_t rowsScored = 0;
     uint64_t rowsSkipped = 0;
     long lintRejects = 0;
-    /** Cumulative compiled-backend counters at snapshot time. */
-    sim::CompiledStats compiled;
     double elapsedSeconds = 0.0;
     double bestSeen = -1.0;
     /** Witness benches installed when the snapshot was taken. Every

@@ -206,17 +206,13 @@ Server::start()
 {
     if (started_)
         return;
-    if ((cfg_.socketPath.empty() && cfg_.listenAddress.empty()) ||
-        cfg_.stateDir.empty())
+    if (cfg_.listenAddress.empty() || cfg_.stateDir.empty())
         throw std::runtime_error(
             "server needs a listen address and a state dir");
     fs::create_directories(cfg_.stateDir);
     recoverStateDir();
 
-    Address addr = Address::parse(cfg_.listenAddress.empty()
-                                      ? cfg_.socketPath
-                                      : cfg_.listenAddress);
-    listener_ = Listener::bind(addr);
+    listener_ = Listener::bind(Address::parse(cfg_.listenAddress));
     if (::pipe(stopPipe_) != 0) {
         listener_.close();
         sysError("pipe");

@@ -49,10 +49,8 @@ namespace cirfix::service {
 
 struct ServerConfig
 {
-    /** Legacy Unix socket path (used when listenAddress is empty). */
-    std::string socketPath;
-    /** Listen address ("unix:PATH" / "tcp:host:port"); overrides
-     *  socketPath. TCP port 0 binds an ephemeral port — read it back
+    /** Listen address ("unix:PATH" / "tcp:host:port" / bare Unix
+     *  socket path). TCP port 0 binds an ephemeral port — read it back
      *  with Server::boundAddress(). */
     std::string listenAddress;
     std::string stateDir;

@@ -2,7 +2,6 @@
 
 #include <thread>
 
-#include "sim/compiled.h"
 #include "sim/interp.h"
 
 namespace cirfix::sim {
@@ -127,7 +126,6 @@ Design::setGuards(const SimGuards &guards)
     memBudget_ = guards.memBudgetBytes;
     fault_ = guards.faultPlan;
     faultArmed_ = fault_.throwAtStmt != 0 || fault_.stallAtStmt != 0;
-    backend_ = guards.backend;
 }
 
 void
@@ -207,12 +205,6 @@ void
 Design::adoptProcess(std::unique_ptr<Process> p)
 {
     processes_.push_back(std::move(p));
-}
-
-void
-Design::adoptCompiled(std::unique_ptr<CompiledModule> m)
-{
-    compiled_.push_back(std::move(m));
 }
 
 } // namespace cirfix::sim

@@ -26,7 +26,6 @@ namespace cirfix::sim {
 
 class Process;
 class Design;
-class CompiledModule;
 
 /** Thrown when a design cannot be elaborated (bad widths, ports...). */
 struct ElabError : std::runtime_error
@@ -68,30 +67,17 @@ struct FaultPlan
     }
 };
 
-/** Which simulation engine drives the elaborated design. */
+/**
+ * Simulation engine selection. Only the event-driven interpreter
+ * remains; the type survives as a one-value placeholder because the
+ * end-to-end benchmark still assigns it (bench/e2e/replay.cc:
+ * `guards.backend = cfg.backend;`). Nothing reads it; delete it
+ * together with that line.
+ */
 enum class SimBackend
 {
-    /** Coroutine-per-process event-driven interpreter (reference). */
+    /** Coroutine-per-process event-driven interpreter. */
     Event,
-    /**
-     * Levelized cycle-based bytecode for every DUT module inside the
-     * compilable subset; modules outside it fall back to the event
-     * interpreter per module. The testbench top always runs event-driven.
-     */
-    Compiled,
-    /** Alias of Compiled today: compile what fits, interpret the rest. */
-    Auto,
-};
-
-/** Per-design counters reported by the compiled backend. */
-struct CompiledStats
-{
-    uint64_t modulesCompiled = 0;   //!< module instances running bytecode
-    uint64_t modulesFallback = 0;   //!< instances kept on the interpreter
-    uint64_t combItems = 0;         //!< compiled comb assigns/blocks
-    uint64_t seqItems = 0;          //!< compiled edge-triggered blocks
-    uint64_t twoStateEvals = 0;     //!< expressions run on the fast path
-    uint64_t fourStateFallbacks = 0;//!< fast-path bails due to x/z
 };
 
 /**
@@ -104,7 +90,7 @@ struct SimGuards
     /** Allocation budget in bytes (0 = unlimited). */
     uint64_t memBudgetBytes = 0;
     FaultPlan faultPlan;
-    /** Simulation engine selection (see SimBackend). */
+    /** Unread; kept for bench/e2e/replay.cc (see SimBackend). */
     SimBackend backend = SimBackend::Event;
 };
 
@@ -219,13 +205,6 @@ class Design
                        int64_t last);
     NamedEvent *makeEvent(const std::string &name);
     void adoptProcess(std::unique_ptr<Process> p);
-    void adoptCompiled(std::unique_ptr<CompiledModule> m);
-
-    /** Backend requested at elaboration (SimGuards::backend). */
-    SimBackend backend() const { return backend_; }
-    /** Compiled-backend counters (zero under the event backend). */
-    CompiledStats &compiledStats() { return cstats_; }
-    const CompiledStats &compiledStats() const { return cstats_; }
     void setTop(std::unique_ptr<InstanceScope> top) { top_ = std::move(top); }
     /** Keep the (cloned) AST alive for the lifetime of the design. */
     void holdAst(std::shared_ptr<const verilog::SourceFile> ast)
@@ -249,9 +228,6 @@ class Design
     std::vector<std::unique_ptr<Memory>> memories_;
     std::vector<std::unique_ptr<NamedEvent>> events_;
     std::vector<std::unique_ptr<Process>> processes_;
-    std::vector<std::unique_ptr<CompiledModule>> compiled_;
-    SimBackend backend_ = SimBackend::Event;
-    CompiledStats cstats_;
     std::vector<std::string> log_;
     std::shared_ptr<const verilog::SourceFile> ast_;
     uint64_t rngState_ = 0x2545F4914F6CDD1Dull;

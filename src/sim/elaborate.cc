@@ -3,7 +3,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "sim/compiled.h"
 #include "sim/eval.h"
 #include "sim/interp.h"
 
@@ -286,32 +285,9 @@ class Elaborator
         }
 
         // 4. Behavioral items and children.
-        //
-        // Under the compiled backend, DUT modules (everything below the
-        // testbench top) inside the compilable subset get their cont
-        // assigns and always blocks lowered to bytecode; placeItem()
-        // registers each item's runtime hooks at the same elaboration
-        // position Process::start/makeContAssign would have used, so
-        // t=0 event ordering is preserved. compile() returning null
-        // keeps the whole module on the event interpreter.
-        CompiledModule *cm = nullptr;
-        if (design_.backend() != SimBackend::Event && parent != nullptr) {
-            auto compiled = CompiledModule::compile(design_, *scope, mod);
-            if (compiled) {
-                cm = compiled.get();
-                design_.adoptCompiled(std::move(compiled));
-                ++design_.compiledStats().modulesCompiled;
-            } else {
-                ++design_.compiledStats().modulesFallback;
-            }
-        }
         for (auto &item : mod.items) {
             switch (item->kind) {
               case NodeKind::ContAssign: {
-                if (cm) {
-                    cm->placeItem(*item);
-                    break;
-                }
                 auto *ca = item->as<ContAssign>();
                 makeContAssign(*scope, *ca->lhs, *ca->rhs);
                 break;
@@ -320,10 +296,6 @@ class Elaborator
                 auto *b = item->as<AlwaysBlock>();
                 if (!b->body)
                     break;
-                if (cm) {
-                    cm->placeItem(*item);
-                    break;
-                }
                 auto proc = std::make_unique<Process>(
                     design_, *scope, Process::Kind::Always, *b->body,
                     (path.empty() ? "" : path + ".") + "always@" +

@@ -73,6 +73,25 @@ evalDelay(Design &design, InstanceScope &scope, const Expr &e)
     return v.hasUnknown() ? 0 : v.toUint64();
 }
 
+bool
+caseLabelMatches(CaseType type, const LogicVec &subj, const LogicVec &lab)
+{
+    int w = std::max(subj.width(), lab.width());
+    LogicVec s = subj.resized(w), l = lab.resized(w);
+    for (int i = 0; i < w; ++i) {
+        Bit sb = s.bit(i), lb = l.bit(i);
+        if (type == CaseType::CaseZ && (sb == Bit::Z || lb == Bit::Z))
+            continue;
+        if (type == CaseType::CaseX &&
+            (sb == Bit::Z || sb == Bit::X || lb == Bit::Z ||
+             lb == Bit::X))
+            continue;
+        if (sb != lb)
+            return false;
+    }
+    return true;
+}
+
 /** Resolve the sensitivity of an event control in @p scope. */
 void
 resolveEvents(Design &design, InstanceScope &scope, const EventCtrl &ec,
@@ -209,25 +228,6 @@ runDisplay(Design &design, InstanceScope &scope, const SysTask &task)
 }
 
 } // namespace
-
-bool
-caseLabelMatches(CaseType type, const LogicVec &subj, const LogicVec &lab)
-{
-    int w = std::max(subj.width(), lab.width());
-    LogicVec s = subj.resized(w), l = lab.resized(w);
-    for (int i = 0; i < w; ++i) {
-        Bit sb = s.bit(i), lb = l.bit(i);
-        if (type == CaseType::CaseZ && (sb == Bit::Z || lb == Bit::Z))
-            continue;
-        if (type == CaseType::CaseX &&
-            (sb == Bit::Z || sb == Bit::X || lb == Bit::Z ||
-             lb == Bit::X))
-            continue;
-        if (sb != lb)
-            return false;
-    }
-    return true;
-}
 
 /**
  * Conservative "can this statement suspend the process?" analysis,

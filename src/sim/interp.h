@@ -148,9 +148,4 @@ void execStmtSync(Design &design, InstanceScope &scope,
 /** Can executing @p stmt suspend the process? (cached analysis) */
 bool mightSuspend(const verilog::Stmt &stmt);
 
-/** IEEE case/casez/casex label comparison (shared with the compiled
- *  backend so both engines agree bit-for-bit). */
-bool caseLabelMatches(verilog::CaseType type, const LogicVec &subj,
-                      const LogicVec &lab);
-
 } // namespace cirfix::sim

@@ -107,6 +107,8 @@ TEST(CliExitCodes, UsageErrorsExitThree)
     EXPECT_EQ(runCli("serve --socket s --state-dir d "
                      "--workers banana"),
               3);                                   // non-numeric flag
+    EXPECT_EQ(runCli("serve --socket s --listen unix:l --state-dir d"),
+              3);                                   // two addresses
     // Missing oracle/golden choice is a usage error, not an I/O one.
     std::string design = tmpFile("cli_u.v", faultyDesign());
     EXPECT_EQ(

@@ -488,7 +488,7 @@ TEST(ServiceQueue, EventStreamDeliversHistoryThenTerminates)
 TEST(ServiceServer, RejectsVersionMismatchOnHandshake)
 {
     ServerConfig cfg;
-    cfg.socketPath = sockPath("svc-hs");
+    cfg.listenAddress = sockPath("svc-hs");
     cfg.stateDir = tmpDir("svc-hs-state");
     cfg.workers = 0;
     Server server(cfg);
@@ -499,7 +499,7 @@ TEST(ServiceServer, RejectsVersionMismatchOnHandshake)
     ASSERT_GE(fd, 0);
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, cfg.socketPath.c_str(),
+    std::strncpy(addr.sun_path, cfg.listenAddress.c_str(),
                  sizeof addr.sun_path - 1);
     ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                         sizeof addr),
@@ -521,14 +521,14 @@ TEST(ServiceServer, RejectsVersionMismatchOnHandshake)
 TEST(ServiceServer, AdmissionErrorsTravelTheWire)
 {
     ServerConfig cfg;
-    cfg.socketPath = sockPath("svc-adm");
+    cfg.listenAddress = sockPath("svc-adm");
     cfg.stateDir = tmpDir("svc-adm-state");
     cfg.workers = 0;  // admit-only: nothing ever runs
     cfg.limits.queueDepth = 1;
     Server server(cfg);
     server.start();
 
-    Client client(cfg.socketPath);
+    Client client(cfg.listenAddress);
     EXPECT_EQ(client.serverHello().str("server"), kServerName);
     long id = client.submit(unrepairableSpec(2));
     EXPECT_GT(id, 0);
@@ -565,7 +565,7 @@ TEST(ServiceServer, AdmissionErrorsTravelTheWire)
 TEST(ServiceServer, MalformedFramesGetBadRequest)
 {
     ServerConfig cfg;
-    cfg.socketPath = sockPath("svc-bad");
+    cfg.listenAddress = sockPath("svc-bad");
     cfg.stateDir = tmpDir("svc-bad-state");
     cfg.workers = 0;
     Server server(cfg);
@@ -575,7 +575,7 @@ TEST(ServiceServer, MalformedFramesGetBadRequest)
     ASSERT_GE(fd, 0);
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, cfg.socketPath.c_str(),
+    std::strncpy(addr.sun_path, cfg.listenAddress.c_str(),
                  sizeof addr.sun_path - 1);
     ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                         sizeof addr),
@@ -614,20 +614,20 @@ TEST(ServiceServer, MalformedFramesGetBadRequest)
 TEST(ServiceServer, CancelStopsARunningJobMidGeneration)
 {
     ServerConfig cfg;
-    cfg.socketPath = sockPath("svc-cancel");
+    cfg.listenAddress = sockPath("svc-cancel");
     cfg.stateDir = tmpDir("svc-cancel-state");
     cfg.workers = 1;
     Server server(cfg);
     server.start();
 
-    Client watcher(cfg.socketPath);
+    Client watcher(cfg.listenAddress);
     long id = watcher.submit(unrepairableSpec(500));
     watcher.subscribe(id);
 
     // Wait for the first completed generation, then cancel from a
     // second connection: the engine must stop mid-search, hundreds of
     // generations short of its budget.
-    Client controller(cfg.socketPath);
+    Client controller(cfg.listenAddress);
     bool canceled = false;
     std::string final_state;
     Json ev;
@@ -682,7 +682,7 @@ TEST(ServiceServer, EndToEndKillResumeMatchesUninterruptedRun)
         if (pid == 0) {
             // Child: run the daemon until killed. No gtest teardown.
             ServerConfig cfg;
-            cfg.socketPath = socket;
+            cfg.listenAddress = socket;
             cfg.stateDir = state;
             cfg.workers = 1;
             try {
@@ -781,7 +781,7 @@ TEST(ServiceServer, EndToEndKillResumeMatchesUninterruptedRun)
     // Recovery must re-queue the killed running job and the untouched
     // queued job, and keep the canceled one terminal.
     ServerConfig cfg;
-    cfg.socketPath = socket;
+    cfg.listenAddress = socket;
     cfg.stateDir = state;
     cfg.workers = 1;
     Server server(cfg);
@@ -837,17 +837,17 @@ TEST(ServiceServer, EndToEndKillResumeMatchesUninterruptedRun)
 TEST(ServiceServer, TwoWorkersDrainTheQueue)
 {
     ServerConfig cfg;
-    cfg.socketPath = sockPath("svc-two");
+    cfg.listenAddress = sockPath("svc-two");
     cfg.stateDir = tmpDir("svc-two-state");
     cfg.workers = 2;
     Server server(cfg);
     server.start();
 
-    Client client(cfg.socketPath);
+    Client client(cfg.listenAddress);
     long a = client.submit(unrepairableSpec(2));
     long b = client.submit(unrepairableSpec(2));
     for (long id : {a, b}) {
-        Client watcher(cfg.socketPath);
+        Client watcher(cfg.listenAddress);
         watcher.subscribe(id);
         Json ev;
         while (watcher.recv(&ev))
@@ -864,16 +864,16 @@ TEST(ServiceServer, StatusCarriesLeaseStatsSchema)
     // status reply carries daemon-wide lease totals, all five
     // members present (zero on a classic daemon that never leased).
     ServerConfig cfg;
-    cfg.socketPath = sockPath("svc-leasestats");
+    cfg.listenAddress = sockPath("svc-leasestats");
     cfg.stateDir = tmpDir("svc-leasestats-state");
     cfg.workers = 1;
     Server server(cfg);
     server.start();
 
-    Client client(cfg.socketPath);
+    Client client(cfg.listenAddress);
     long id = client.submit(unrepairableSpec(1));
     {
-        Client watcher(cfg.socketPath);
+        Client watcher(cfg.listenAddress);
         watcher.subscribe(id);
         Json ev;
         while (watcher.recv(&ev))
@@ -940,12 +940,12 @@ TEST(ServiceClient, WritesToDeadServerAreTypedNotSigpipe)
     // would kill this whole test binary, which is the regression this
     // test is standing guard against.
     ServerConfig cfg;
-    cfg.socketPath = sockPath("svc-dead");
+    cfg.listenAddress = sockPath("svc-dead");
     cfg.stateDir = tmpDir("svc-dead-state");
     cfg.workers = 1;
     Server server(cfg);
     server.start();
-    Client client(cfg.socketPath);
+    Client client(cfg.listenAddress);
     server.stop();
 
     Json msg = Json::object();

@@ -184,7 +184,7 @@ TEST(Snapshot, RejectsGarbageAndWrongVersion)
     auto engine = sc.engine(cfg);
     engine.run();
     std::string bytes = slurp(cfg.snapshotPath);
-    ASSERT_EQ(bytes.rfind("CIRFIX-SNAPSHOT 8\n", 0), 0u);
+    ASSERT_EQ(bytes.rfind("CIRFIX-SNAPSHOT 9\n", 0), 0u);
     std::string wrong = bytes;
     wrong.replace(0, 18, "CIRFIX-SNAPSHOT 99\n");
     try {
@@ -195,7 +195,7 @@ TEST(Snapshot, RejectsGarbageAndWrongVersion)
         // readable range) and tells the user the remedy.
         std::string what = e.what();
         EXPECT_NE(what.find("version 99"), std::string::npos) << what;
-        EXPECT_NE(what.find("7..8"), std::string::npos) << what;
+        EXPECT_NE(what.find("7..9"), std::string::npos) << what;
         EXPECT_NE(what.find("newer cirfix"), std::string::npos)
             << what;
     }
@@ -251,47 +251,68 @@ TEST(Snapshot, IslandProvenanceAndLedgerRoundTrip)
 
 TEST(Snapshot, V7FileLoadsAsPlainRun)
 {
-    // Forward compat: a v7 snapshot (no island records) still loads,
-    // and comes back as "not an island run" — island -1 of 0, empty
-    // ledger — rather than garbage or a rejection.
+    // Forward compat: v7 (no island records) and v8 snapshots still
+    // load. Both carry the retired "compiled" counters line, which the
+    // decoder must skip; a v7 file comes back as "not an island run" —
+    // island -1 of 0, empty ledger — rather than garbage or a
+    // rejection. Each old stream is synthesized from a fresh v9 one,
+    // so it must decode to exactly the same state and resume to the
+    // same result.
     MiniScenario sc;
     EngineConfig cfg = baseConfig();
     cfg.maxGenerations = 1;
     cfg.snapshotPath = tmpPath("v7compat.snap");
     auto engine = sc.engine(cfg);
     engine.run();
-    std::string v8 = slurp(cfg.snapshotPath);
-    ASSERT_EQ(v8.rfind("CIRFIX-SNAPSHOT 8\n", 0), 0u);
+    std::string v9 = slurp(cfg.snapshotPath);
+    ASSERT_EQ(v9.rfind("CIRFIX-SNAPSHOT 9\n", 0), 0u);
+    EXPECT_EQ(v9.find("\ncompiled "), std::string::npos);
 
-    // Synthesize the v7 byte stream: drop the island + ledger
-    // records, stamp the old version, and re-seal the checksum.
-    std::string body = v8;
+    // Stamp @p version and re-seal the checksum.
+    auto reseal = [](std::string body, const std::string &version) {
+        body.replace(0, 18, "CIRFIX-SNAPSHOT " + version + "\n");
+        size_t seal = body.rfind("\nchecksum ");
+        EXPECT_NE(seal, std::string::npos);
+        body.erase(seal + 1);
+        return body + "checksum " +
+               std::to_string(fingerprintSource(body)) + "\nend\n";
+    };
+    // v8: the retired counters line sat right before the island record.
+    std::string body = v9;
     size_t isl = body.find("\nisland ");
     ASSERT_NE(isl, std::string::npos);
+    body.insert(isl + 1, "compiled 3 1 7 2 4096 5\n");
+    std::string v8 = reseal(body, "8");
+    // v7: additionally drop the island + ledger records.
+    isl = body.find("\nisland ");
     size_t ledger = body.find("\nledger ", isl);
     ASSERT_NE(ledger, std::string::npos);
     size_t ledgerEnd = body.find('\n', ledger + 1);
     ASSERT_NE(ledgerEnd, std::string::npos);
     body.erase(isl, ledgerEnd - isl);
-    body.replace(0, 18, "CIRFIX-SNAPSHOT 7\n");
-    size_t seal = body.rfind("\nchecksum ");
-    ASSERT_NE(seal, std::string::npos);
-    body.erase(seal + 1);
-    body += "checksum " + std::to_string(fingerprintSource(body)) +
-            "\nend\n";
+    std::string v7 = reseal(body, "7");
 
-    EngineState st = decodeSnapshot(body);
-    EXPECT_EQ(st.islandIndex, -1);
-    EXPECT_EQ(st.islandCount, 0);
-    EXPECT_EQ(st.migrationEpoch, 0);
-    EXPECT_TRUE(st.migrantLedger.empty());
-    EXPECT_EQ(st.seed, cfg.seed);
+    auto fresh = sc.engine(baseConfig());
+    RepairResult want = fresh.resume(decodeSnapshot(v9));
+    ASSERT_TRUE(want.found);
+    for (const std::string *old : {&v7, &v8}) {
+        SCOPED_TRACE(old->substr(0, 17));
+        EngineState st = decodeSnapshot(*old);
+        EXPECT_EQ(st.islandIndex, -1);
+        EXPECT_EQ(st.islandCount, 0);
+        EXPECT_EQ(st.migrationEpoch, 0);
+        EXPECT_TRUE(st.migrantLedger.empty());
+        EXPECT_EQ(st.seed, cfg.seed);
+        EXPECT_EQ(encodeSnapshot(st), v9);
 
-    // And a plain engine resumes it: v7 files stay usable across the
-    // format bump.
-    auto resumer = sc.engine(baseConfig());
-    RepairResult resumed = resumer.resume(st);
-    EXPECT_TRUE(resumed.found);
+        auto resumer = sc.engine(baseConfig());
+        RepairResult resumed = resumer.resume(st);
+        EXPECT_TRUE(resumed.found);
+        EXPECT_EQ(resumed.patch.key(), want.patch.key());
+        EXPECT_EQ(resumed.repairedSource, want.repairedSource);
+        EXPECT_EQ(resumed.generations, want.generations);
+        EXPECT_EQ(resumed.fitnessEvals, want.fitnessEvals);
+    }
     std::remove(cfg.snapshotPath.c_str());
 }
 

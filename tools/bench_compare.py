@@ -24,9 +24,7 @@ Usage:
         [--fleet-baseline BENCH_fleet_baseline.json] \
         [--fleet-current BENCH_fleet.json] \
         [--island-baseline BENCH_island_baseline.json] \
-        [--island-current BENCH_island.json] \
-        [--compiled-baseline BENCH_compiled_baseline.json] \
-        [--compiled-current BENCH_compiled.json] [--threshold 0.15]
+        [--island-current BENCH_island.json] [--threshold 0.15]
 
 Exit status: 0 = pass (possibly with warnings), 1 = gated regression.
 """
@@ -382,70 +380,6 @@ def compare_island(baseline, current, threshold):
     return failures, warnings
 
 
-def compare_compiled(baseline, current, threshold):
-    """BENCH_compiled.json: backend-equivalence quantities are pure
-    functions of the design sources and seeds, so they gate exactly.
-    Two hard invariants fail outright regardless of the baseline:
-    sample_mismatches must be 0 (one diverging sample means the
-    compiled backend could change a repair verdict) and
-    repair_identical must be 1 (same seed, same scenario, same winner
-    patch under both backends). Throughput warns only."""
-    failures, warnings = [], []
-
-    cur_counters = current.get("counters", {})
-    base_counters = baseline.get("counters", {})
-
-    if cur_counters.get("sample_mismatches", 1) != 0:
-        failures.append(
-            "sample_mismatches="
-            f"{cur_counters.get('sample_mismatches')}: the compiled "
-            "backend diverged from the event-driven reference on a "
-            "sampled output (bit-identity violation — never "
-            "baseline-relative)")
-    if cur_counters.get("repair_identical", 0) != 1:
-        failures.append(
-            "repair_identical="
-            f"{cur_counters.get('repair_identical')}: the same seeded "
-            "repair produced a different winner patch or generation "
-            "count under the compiled backend (determinism violation "
-            "— never baseline-relative)")
-
-    for name in sorted(set(base_counters) | set(cur_counters)):
-        if name in base_counters and name not in cur_counters:
-            failures.append(
-                f"compiled counter {name} present in baseline but "
-                "missing from current (producer stopped emitting a "
-                "gated counter)")
-            continue
-        if name not in base_counters:
-            warnings.append(f"compiled counter {name} missing from "
-                            "baseline; skipped (regenerate the "
-                            "baseline)")
-            continue
-        if base_counters[name] != cur_counters[name]:
-            failures.append(
-                f"compiled counter {name} changed: "
-                f"baseline={base_counters[name]} "
-                f"current={cur_counters[name]} (deterministic — a "
-                "designs_compiled drop means modules silently fell "
-                "back to the interpreter; regenerate "
-                "BENCH_compiled_baseline.json if intentional)")
-
-    base_timing = baseline.get("timing", {})
-    cur_timing = current.get("timing", {})
-    # Every compiled timing metric (evals/sec, speedup_x) is
-    # higher-is-better.
-    for name in sorted(set(base_timing) & set(cur_timing)):
-        reg = regression(base_timing[name], cur_timing[name], "higher")
-        if reg > threshold:
-            warnings.append(
-                f"timing {name}: baseline={base_timing[name]:.4g} "
-                f"current={cur_timing[name]:.4g} ({reg:+.1%}) "
-                "[warn-only: machine-dependent]")
-
-    return failures, warnings
-
-
 def compare_micro(baseline, current, threshold):
     """google-benchmark JSON: match by name, warn on real_time."""
     warnings = []
@@ -479,8 +413,6 @@ def main():
     ap.add_argument("--fleet-current")
     ap.add_argument("--island-baseline")
     ap.add_argument("--island-current")
-    ap.add_argument("--compiled-baseline")
-    ap.add_argument("--compiled-current")
     ap.add_argument("--threshold", type=float, default=0.15)
     args = ap.parse_args()
 
@@ -521,13 +453,6 @@ def main():
             args.threshold)
         failures += island_failures
         warnings += island_warnings
-
-    if args.compiled_baseline and args.compiled_current:
-        compiled_failures, compiled_warnings = compare_compiled(
-            load(args.compiled_baseline), load(args.compiled_current),
-            args.threshold)
-        failures += compiled_failures
-        warnings += compiled_warnings
 
     for w in warnings:
         print(f"WARN  {w}")

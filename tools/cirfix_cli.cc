@@ -13,14 +13,6 @@
  *
  *   cirfix simulate --design design.v --tb <tb_module>
  *                   [--vcd out.vcd] [--trace out.csv]
- *                   [--backend event|compiled|auto]
- *
- *   cirfix diffsim  [--project NAME] [--defect ID]
- *                   [--design f.v --tb <tb_module>]
- *                   (differential harness: run every benchmark design
- *                   and defect variant under both the event-driven
- *                   and compiled backends, fail on any sampled-trace
- *                   mismatch with a minimized reproducer)
  *
  *   cirfix localize --design faulty.v --tb <tb_module> --dut <module>
  *                   (--golden golden.v | --oracle trace.csv)
@@ -102,7 +94,6 @@
 #include "service/client.h"
 #include "service/fleet.h"
 #include "service/server.h"
-#include "sim/difftest.h"
 #include "sim/elaborate.h"
 #include "sim/probe.h"
 #include "sim/vcd.h"
@@ -285,31 +276,6 @@ testbenchOnlySource(const std::string &combined_src,
     return out;
 }
 
-/** --backend event|compiled|auto (default event). */
-sim::SimBackend
-backendFromArgs(const Args &args)
-{
-    std::string name = args.get("backend", "event");
-    if (name == "event")
-        return sim::SimBackend::Event;
-    if (name == "compiled")
-        return sim::SimBackend::Compiled;
-    if (name == "auto")
-        return sim::SimBackend::Auto;
-    throw UsageError("--backend wants event|compiled|auto, got '" +
-                     name + "'");
-}
-
-void
-printCompiledStats(const sim::CompiledStats &cs)
-{
-    std::cout << "compiled backend: " << cs.modulesCompiled
-              << " module(s) compiled, fallback_count="
-              << cs.modulesFallback << ", two-state evals "
-              << cs.twoStateEvals << ", 4-state bails "
-              << cs.fourStateFallbacks << "\n";
-}
-
 int
 cmdSimulate(const Args &args)
 {
@@ -318,9 +284,7 @@ cmdSimulate(const Args &args)
     std::shared_ptr<const verilog::SourceFile> file =
         verilog::parse(src);
     sim::ProbeConfig probe = sim::deriveProbeConfig(*file, tb);
-    sim::SimGuards guards;
-    guards.backend = backendFromArgs(args);
-    auto design = sim::elaborate(file, tb, guards);
+    auto design = sim::elaborate(file, tb);
     sim::TraceRecorder rec(*design, probe);
     std::unique_ptr<sim::VcdRecorder> vcd;
     if (args.flags.count("vcd"))
@@ -340,95 +304,7 @@ cmdSimulate(const Args &args)
         writeFile(args.get("vcd"), vcd->document());
         std::cout << "vcd written to " << args.get("vcd") << "\n";
     }
-    if (guards.backend != sim::SimBackend::Event)
-        printCompiledStats(design->compiledStats());
     return 0;
-}
-
-/**
- * Differential backend harness: every benchmark design (11 golden
- * projects) and every defect variant (32), or a user-supplied design,
- * simulated under both backends and compared sample-for-sample.
- * Exits nonzero on any mismatch, printing the minimized reproducer.
- */
-int
-cmdDiffsim(const Args &args)
-{
-    struct Case
-    {
-        std::string name;
-        std::shared_ptr<const verilog::SourceFile> file;
-        std::string top;
-    };
-    std::vector<Case> cases;
-
-    if (args.flags.count("design")) {
-        std::string src = gatherSources(args);
-        cases.push_back({args.get("design"),
-                         std::shared_ptr<const verilog::SourceFile>(
-                             verilog::parse(src)),
-                         args.need("tb")});
-    } else {
-        std::string only_project = args.get("project");
-        std::string only_defect = args.get("defect");
-        if (only_defect.empty())
-            for (const core::ProjectSpec &p : bench::allProjects()) {
-                if (!only_project.empty() && p.name != only_project)
-                    continue;
-                cases.push_back(
-                    {"project " + p.name,
-                     std::shared_ptr<const verilog::SourceFile>(
-                         verilog::parse(p.goldenSource + "\n" +
-                                        p.testbenchSource)),
-                     p.tbModule});
-            }
-        for (const core::DefectSpec &d : bench::allDefects()) {
-            if (!only_defect.empty() && d.id != only_defect)
-                continue;
-            const core::ProjectSpec &p = bench::getProject(d.project);
-            if (!only_project.empty() && p.name != only_project)
-                continue;
-            std::string faulty =
-                core::applyRewrites(p.goldenSource, d.rewrites);
-            cases.push_back(
-                {"defect " + d.id,
-                 std::shared_ptr<const verilog::SourceFile>(
-                     verilog::parse(faulty + "\n" +
-                                    p.testbenchSource)),
-                 p.tbModule});
-        }
-        if (cases.empty())
-            throw UsageError("no benchmark matches the given filter");
-    }
-
-    sim::CompiledStats total;
-    int mismatches = 0;
-    for (const Case &c : cases) {
-        sim::ProbeConfig probe = sim::deriveProbeConfig(*c.file, c.top);
-        sim::DiffResult r = sim::diffBackends(c.file, c.top, probe);
-        total.modulesCompiled += r.stats.modulesCompiled;
-        total.modulesFallback += r.stats.modulesFallback;
-        total.twoStateEvals += r.stats.twoStateEvals;
-        total.fourStateFallbacks += r.stats.fourStateFallbacks;
-        if (r.match) {
-            std::cout << "  ok  " << c.name << " ("
-                      << r.eventTrace.rows().size() << " samples, "
-                      << r.stats.modulesCompiled << " compiled/"
-                      << r.stats.modulesFallback << " fallback)\n";
-        } else {
-            ++mismatches;
-            std::cout << "MISMATCH " << c.name << "\n  reproducer: "
-                      << r.mismatch << "\n";
-        }
-    }
-    std::cout << cases.size() << " design(s), " << mismatches
-              << " mismatch(es); designs_compiled="
-              << total.modulesCompiled
-              << " fallback_count=" << total.modulesFallback
-              << " two_state_evals=" << total.twoStateEvals
-              << " four_state_fallbacks=" << total.fourStateFallbacks
-              << "\n";
-    return mismatches == 0 ? 0 : 1;
 }
 
 int
@@ -729,7 +605,6 @@ cmdRepair(const Args &args)
     cfg.snapshotPath = args.get("snapshot");
     cfg.snapshotEvery =
         static_cast<int>(args.getLong("snapshot-every", 1));
-    cfg.backend = backendFromArgs(args);
     int trials = static_cast<int>(args.getLong("trials", 5));
     uint64_t seed0 =
         static_cast<uint64_t>(args.getLong("seed", 1000));
@@ -752,15 +627,6 @@ cmdRepair(const Args &args)
         if (res.lintRejects > 0)
             std::cout << "  lint rejects: " << res.lintRejects
                       << " (candidates never simulated)\n";
-        if (cfg.backend != sim::SimBackend::Event)
-            std::cout << "  compiled backend: "
-                      << res.compiled.modulesCompiled
-                      << " module(s) compiled, fallback_count="
-                      << res.compiled.modulesFallback
-                      << ", two-state evals "
-                      << res.compiled.twoStateEvals
-                      << ", 4-state bails "
-                      << res.compiled.fourStateFallbacks << "\n";
         if (!res.found)
             return kExitNoRepair;
         std::cout << "repair found: " << res.patch.describe() << "\n";
@@ -996,10 +862,13 @@ int
 cmdServe(const Args &args)
 {
     service::ServerConfig cfg;
-    cfg.socketPath = args.get("socket");
+    std::string socket = args.get("socket");
     cfg.listenAddress = args.get("listen");
-    if (cfg.socketPath.empty() && cfg.listenAddress.empty())
-        throw UsageError("serve needs --socket PATH or --listen ADDR");
+    if (socket.empty() == cfg.listenAddress.empty())
+        throw UsageError(
+            "serve needs exactly one of --socket PATH and --listen ADDR");
+    if (!socket.empty())
+        cfg.listenAddress = socket;
     cfg.stateDir = args.need("state-dir");
     cfg.workers = static_cast<int>(args.getLong("workers", 1));
     admissionFromArgs(args, &cfg.limits);
@@ -1264,15 +1133,10 @@ usage(std::ostream &os)
         "[--resume f.snap]\n"
         "           [--harden 0|1 --verify-tb v.v --verify-module MOD "
         "[--tries N] [--cycles N] [--rounds N]]\n"
-        "           [--backend event|compiled|auto]\n"
         "           [--islands K] [--migration-interval N] "
         "[--migrants M]   (island-model evolution)\n"
         "  simulate --design f.v --tb TB [--vcd o.vcd] "
-        "[--trace o.csv] [--backend event|compiled|auto]\n"
-        "  diffsim  [--project NAME] [--defect ID] "
-        "[--design f.v --tb TB]\n"
-        "           (event-vs-compiled differential over the "
-        "benchmark suite; exit 1 on any sample mismatch)\n"
+        "[--trace o.csv]\n"
         "  localize --design f.v --tb TB --dut MOD "
         "(--golden g.v | --oracle t.csv)\n"
         "  lint     <file.v>... [--json] [--Werror] "
@@ -1337,8 +1201,6 @@ main(int argc, char **argv)
         }
         if (args.command == "repair")
             return cmdRepair(args);
-        if (args.command == "diffsim")
-            return cmdDiffsim(args);
         if (args.command == "simulate")
             return cmdSimulate(args);
         if (args.command == "localize")
