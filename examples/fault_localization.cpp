@@ -9,6 +9,7 @@
  */
 
 #include <iostream>
+#include <set>
 
 #include "benchmarks/registry.h"
 #include "core/faultloc.h"
@@ -49,8 +50,10 @@ main()
 
     std::cout << "fixed point reached after " << fl.iterations
               << " iterations\n";
+    // Sorted: the set's iteration order is not part of the result.
     std::cout << "final mismatch set:";
-    for (auto &name : fl.mismatchNames)
+    for (auto &name : std::set<std::string>(fl.mismatchNames.begin(),
+                                            fl.mismatchNames.end()))
         std::cout << " " << name;
     std::cout << "\nimplicated AST nodes: " << fl.nodeIds.size()
               << "\n\n";

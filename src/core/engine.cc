@@ -589,17 +589,6 @@ RepairEngine::tournament(const std::vector<Variant> &popn)
     return *best;
 }
 
-FaultLocResult
-RepairEngine::localize(const Variant &v, const SourceFile &ast) const
-{
-    const Module *dut = ast.findModule(dutModule_);
-    if (!dut)
-        return FaultLocResult{};
-    if (!v.evaluated || !v.valid)
-        return faultLocalize(*dut, Trace{}, oracle_);
-    return faultLocalize(*dut, v.trace, oracle_);
-}
-
 RepairResult
 RepairEngine::run()
 {
@@ -911,6 +900,24 @@ RepairEngine::runInternal(const EngineState *restore)
         std::vector<Patch> planned;
         int attempts = 0;
         const int max_attempts = offspring * 16 + 16;
+        // Fault localization of each parent slot, computed on first
+        // use: popn is fixed while planning, so a parent drawn again
+        // this generation reuses its result.
+        std::vector<std::optional<FaultLocResult>> slot_fl(popn.size());
+        const Trace no_trace;
+        auto parentFl = [&](const Variant &parent,
+                            const Module &dut) -> const FaultLocResult & {
+            if (!config_.relocalize)
+                return static_fl;
+            std::optional<FaultLocResult> &fl =
+                slot_fl[static_cast<size_t>(&parent - popn.data())];
+            if (!fl)
+                fl = faultLocalize(
+                    dut, parent.evaluated && parent.valid ? parent.trace
+                                                          : no_trace,
+                    oracle_);
+            return *fl;
+        };
         while (static_cast<int>(planned.size()) < offspring &&
                attempts++ < max_attempts) {
             if (elapsed() >= config_.maxSeconds || stopRequested())
@@ -920,23 +927,22 @@ RepairEngine::runInternal(const EngineState *restore)
             const Module *dut = parent_ast->findModule(dutModule_);
             if (!dut)
                 break;
-            FaultLocResult fl =
-                config_.relocalize ? localize(parent, *parent_ast)
-                                   : static_fl;
 
+            // Localization draws no randomness, so it runs after the
+            // operator draw and only for the operators that use it.
             if (uniform(rng_) <= config_.rtThreshold) {
                 // Repair templates.
                 Patch p = parent.patch;
-                if (auto e = mutator.templateEdit(*parent_ast, *dut,
-                                                  fl.nodeIds)) {
+                if (auto e = mutator.templateEdit(
+                        *parent_ast, *dut, parentFl(parent, *dut).nodeIds)) {
                     p.edits.push_back(std::move(*e));
                     planned.push_back(std::move(p));
                 }
             } else if (uniform(rng_) <= config_.mutThreshold) {
                 // Mutation operators.
                 Patch p = parent.patch;
-                if (auto e =
-                        mutator.mutate(*parent_ast, *dut, fl.nodeIds)) {
+                if (auto e = mutator.mutate(
+                        *parent_ast, *dut, parentFl(parent, *dut).nodeIds)) {
                     p.edits.push_back(std::move(*e));
                     planned.push_back(std::move(p));
                 }

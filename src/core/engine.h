@@ -434,8 +434,6 @@ class RepairEngine
                   const std::vector<double> *elite_fitness = nullptr);
     EvalPool &pool();
     const Variant &tournament(const std::vector<Variant> &popn);
-    FaultLocResult localize(const Variant &v,
-                            const verilog::SourceFile &ast) const;
 
     /**
      * Simulate @p patched under every configured witness bench and fold

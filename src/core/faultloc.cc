@@ -1,5 +1,9 @@
 #include "core/faultloc.h"
 
+#include <cstdint>
+#include <string_view>
+#include <unordered_map>
+
 namespace cirfix::core {
 
 using namespace verilog;
@@ -15,38 +19,16 @@ leafName(const std::string &path)
     return dot == std::string::npos ? path : path.substr(dot + 1);
 }
 
-/** Base identifier names written by an lvalue expression. */
-void
-lhsNames(const Expr &lhs, std::vector<std::string> &out)
+/** The identifier a reference node names, or null for other nodes. */
+const std::string *
+refName(const Node &n)
 {
-    switch (lhs.kind) {
-      case NodeKind::Ident:
-        out.push_back(lhs.as<Ident>()->name);
-        break;
-      case NodeKind::Index:
-        out.push_back(lhs.as<Index>()->name);
-        break;
-      case NodeKind::RangeSel:
-        out.push_back(lhs.as<RangeSel>()->name);
-        break;
-      case NodeKind::Concat:
-        for (auto &p : lhs.as<Concat>()->parts)
-            lhsNames(*p, out);
-        break;
-      default:
-        break;
+    switch (n.kind) {
+      case NodeKind::Ident: return &n.as<Ident>()->name;
+      case NodeKind::Index: return &n.as<Index>()->name;
+      case NodeKind::RangeSel: return &n.as<RangeSel>()->name;
+      default: return nullptr;
     }
-}
-
-/** True if any identifier beneath @p e is in @p names. */
-bool
-mentionsAny(const Expr &e,
-            const std::unordered_set<std::string> &names)
-{
-    for (auto &n : collectIdents(e))
-        if (names.count(n))
-            return true;
-    return false;
 }
 
 /** The controlling expression of a conditional-like node, if any. */
@@ -73,6 +55,94 @@ assignTarget(const Node &n)
       default: return nullptr;
     }
 }
+
+/**
+ * The DUT flattened once per localization: identifier names interned
+ * to ints, nodes in pre-order, and one site per assignment or
+ * conditional. A site is implicated when any of its trigger names
+ * (assignment targets, or the names its condition reads) is in the
+ * mismatch set; it then adds its subtree [begin, end) to the FL set and
+ * pulls in the names beneath it and those of its enclosing conditions.
+ */
+struct FlatDut
+{
+    struct Site
+    {
+        int begin = 0, end = 0;                //!< pre-order subtree
+        int triggerBegin = 0, triggerEnd = 0;  //!< range of triggers
+        int enclosingCond = -1;  //!< nearest enclosing conditional site
+    };
+
+    std::unordered_map<std::string_view, int> ids;
+    std::vector<const std::string *> names;  //!< id -> name
+    std::vector<int> nodeIds;  //!< pre-order position -> AST node id
+    std::vector<int> nameAt;   //!< position -> non-empty name id or -1
+    std::vector<Site> sites;
+    std::vector<int> triggers;
+
+    explicit FlatDut(const Module &dut)
+    {
+        flatten(const_cast<Module &>(dut), -1);
+    }
+
+    int
+    intern(const std::string &name)
+    {
+        auto [it, fresh] =
+            ids.try_emplace(name, static_cast<int>(names.size()));
+        if (fresh)
+            names.push_back(&name);
+        return it->second;
+    }
+
+    /** Trigger the base identifier names an lvalue writes. */
+    void
+    addTargets(const Expr &lhs)
+    {
+        if (lhs.kind == NodeKind::Concat) {
+            for (auto &p : lhs.as<Concat>()->parts)
+                addTargets(*p);
+        } else if (const std::string *name = refName(lhs)) {
+            triggers.push_back(intern(*name));
+        }
+    }
+
+    void
+    flatten(Node &node, int enclosing_cond)
+    {
+        const int pos = static_cast<int>(nodeIds.size());
+        nodeIds.push_back(node.id);
+        const std::string *ref = refName(node);
+        nameAt.push_back(ref && !ref->empty() ? intern(*ref) : -1);
+
+        const Expr *target = assignTarget(node);
+        const Expr *ctrl = controlExpr(node);
+        int site = -1;
+        if (target || ctrl) {
+            site = static_cast<int>(sites.size());
+            Site s;
+            s.begin = pos;
+            s.enclosingCond = enclosing_cond;
+            s.triggerBegin = static_cast<int>(triggers.size());
+            if (target)
+                addTargets(*target);
+            if (ctrl)
+                visitAll(const_cast<Expr &>(*ctrl), [&](Node &sub) {
+                    if (const std::string *n = refName(sub))
+                        triggers.push_back(intern(*n));
+                });
+            s.triggerEnd = static_cast<int>(triggers.size());
+            sites.push_back(s);
+        }
+        const int inner = ctrl ? site : enclosing_cond;
+        node.forEachChild([&](Node *c) {
+            if (c)
+                flatten(*c, inner);
+        });
+        if (site >= 0)
+            sites[site].end = static_cast<int>(nodeIds.size());
+    }
+};
 
 } // namespace
 
@@ -108,76 +178,82 @@ faultLocalize(const Module &dut,
               std::unordered_set<std::string> mismatch_seed)
 {
     FaultLocResult res;
-    std::unordered_set<std::string> &mismatch = res.mismatchNames;
-    std::unordered_set<std::string> next = std::move(mismatch_seed);
+    if (mismatch_seed.empty())
+        return res;
+    const FlatDut flat(dut);
+
+    // Pending names join the mismatch set at the next iteration. Sites
+    // test only Mismatch, so each iteration applies the rules to the
+    // set as it stood when the iteration began; that fixes the
+    // iteration count `cirfix localize` reports.
+    enum : uint8_t { Clean, Mismatch, Pending };
+    std::vector<uint8_t> state(flat.names.size(), Clean);
+    std::vector<int> pending;
+    auto add = [&](int name) {
+        if (state[name] == Clean) {
+            state[name] = Pending;
+            pending.push_back(name);
+        }
+    };
+    for (const std::string &n : mismatch_seed)
+        if (auto it = flat.ids.find(n); it != flat.ids.end())
+            add(it->second);
+    // Seed names the DUT never mentions stay in the result as given.
+    res.mismatchNames = std::move(mismatch_seed);
+
+    // An implicated site stays implicated (the mismatch set only
+    // grows) and has already contributed everything it can, so later
+    // iterations skip it.
+    std::vector<uint8_t> implicated(flat.sites.size(), 0);
+    std::vector<uint8_t> in_fl(flat.nodeIds.size(), 0);
 
     // Fixed point: iterate while the mismatch set grows.
-    while (!next.empty()) {
+    do {
         ++res.iterations;
-        bool grew = false;
-        for (const std::string &n : next)
-            grew |= mismatch.insert(n).second;
-        next.clear();
-        if (!grew && res.iterations > 1)
-            break;
+        for (int n : pending)
+            state[n] = Mismatch;
+        pending.clear();
 
-        // Walk with the stack of enclosing controlling expressions so
-        // implicated assignments also pull in their *control
-        // dependencies*: the conditions an assignment executes under
-        // (Section 3.1: the analysis "transitively captures data and
-        // control dependencies").
-        std::vector<const Expr *> ctrl_stack;
-        std::function<void(Node &)> walk = [&](Node &node) {
-            bool implicated = false;
-            if (const Expr *target = assignTarget(node)) {
-                std::vector<std::string> names;
-                lhsNames(*target, names);
-                for (auto &n : names)
-                    implicated |= (mismatch.count(n) > 0);
+        for (size_t s = 0; s < flat.sites.size(); ++s) {
+            if (implicated[s])
+                continue;
+            const FlatDut::Site &site = flat.sites[s];
+            bool hit = false;
+            for (int t = site.triggerBegin; t < site.triggerEnd && !hit;
+                 ++t)
+                hit = state[flat.triggers[t]] == Mismatch;
+            if (!hit)
+                continue;
+            implicated[s] = 1;
+            // (Add-Child): the node and its whole subtree join FL;
+            // identifiers beneath it join the mismatch set.
+            for (int k = site.begin; k < site.end; ++k) {
+                in_fl[k] = 1;
+                if (int n = flat.nameAt[k]; n >= 0)
+                    add(n);
             }
-            if (!implicated) {
-                if (const Expr *ctrl = controlExpr(node))
-                    implicated = mentionsAny(*ctrl, mismatch);
+            // Control dependencies: names read by every enclosing
+            // condition flow into the mismatch set too (Section 3.1:
+            // the analysis "transitively captures data and control
+            // dependencies").
+            for (int c = site.enclosingCond; c >= 0;
+                 c = flat.sites[c].enclosingCond) {
+                const FlatDut::Site &cond = flat.sites[c];
+                for (int t = cond.triggerBegin; t < cond.triggerEnd; ++t)
+                    add(flat.triggers[t]);
             }
-            if (implicated) {
-                // (Add-Child): the node and its whole subtree join FL;
-                // identifiers beneath it join the mismatch set.
-                visitAll(node, [&](Node &sub) {
-                    res.nodeIds.insert(sub.id);
-                    std::string name;
-                    if (sub.kind == NodeKind::Ident)
-                        name = sub.as<Ident>()->name;
-                    else if (sub.kind == NodeKind::Index)
-                        name = sub.as<Index>()->name;
-                    else if (sub.kind == NodeKind::RangeSel)
-                        name = sub.as<RangeSel>()->name;
-                    if (!name.empty() && !mismatch.count(name))
-                        next.insert(name);
-                });
-                // Control dependencies: names read by every enclosing
-                // condition flow into the mismatch set too.
-                for (const Expr *cond : ctrl_stack)
-                    for (auto &n : collectIdents(*cond))
-                        if (!mismatch.count(n))
-                            next.insert(n);
-            }
-            bool pushed = false;
-            if (const Expr *ctrl = controlExpr(node)) {
-                ctrl_stack.push_back(ctrl);
-                pushed = true;
-            }
-            node.forEachChild([&](Node *c) {
-                if (c)
-                    walk(*c);
-            });
-            if (pushed)
-                ctrl_stack.pop_back();
-        };
-        walk(const_cast<Module &>(dut));
+        }
 
         if (res.iterations > 64)
             break;  // defensive bound; |names| is finite so unreachable
-    }
+    } while (!pending.empty());
+
+    for (size_t k = 0; k < in_fl.size(); ++k)
+        if (in_fl[k])
+            res.nodeIds.insert(flat.nodeIds[k]);
+    for (size_t n = 0; n < state.size(); ++n)
+        if (state[n] == Mismatch)
+            res.mismatchNames.insert(*flat.names[n]);
     return res;
 }
 

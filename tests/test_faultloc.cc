@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "benchmarks/registry.h"
 #include "core/faultloc.h"
+#include "core/scenario.h"
 #include "verilog/parser.h"
 
 using namespace cirfix;
@@ -39,6 +43,153 @@ traceOf(const std::vector<std::string> &vars,
         t.addRow(time, std::move(vv));
     }
     return t;
+}
+
+// ---------------------------------------------------------------------
+// Reference implementation: the direct recursive form of Algorithm 2,
+// which re-walks the whole DUT on every fixed-point iteration. The
+// production kernel flattens the DUT once and must agree with it
+// exactly (node ids, mismatch names and iteration count).
+// ---------------------------------------------------------------------
+
+void
+refLhsNames(const Expr &lhs, std::vector<std::string> &out)
+{
+    switch (lhs.kind) {
+      case NodeKind::Ident:
+        out.push_back(lhs.as<Ident>()->name);
+        break;
+      case NodeKind::Index:
+        out.push_back(lhs.as<Index>()->name);
+        break;
+      case NodeKind::RangeSel:
+        out.push_back(lhs.as<RangeSel>()->name);
+        break;
+      case NodeKind::Concat:
+        for (auto &p : lhs.as<Concat>()->parts)
+            refLhsNames(*p, out);
+        break;
+      default:
+        break;
+    }
+}
+
+bool
+refMentionsAny(const Expr &e, const std::unordered_set<std::string> &names)
+{
+    for (auto &n : collectIdents(e))
+        if (names.count(n))
+            return true;
+    return false;
+}
+
+const Expr *
+refControlExpr(const Node &n)
+{
+    switch (n.kind) {
+      case NodeKind::If: return n.as<If>()->cond.get();
+      case NodeKind::While: return n.as<While>()->cond.get();
+      case NodeKind::For: return n.as<For>()->cond.get();
+      case NodeKind::Case: return n.as<Case>()->subject.get();
+      case NodeKind::Ternary: return n.as<Ternary>()->cond.get();
+      default: return nullptr;
+    }
+}
+
+const Expr *
+refAssignTarget(const Node &n)
+{
+    switch (n.kind) {
+      case NodeKind::Assign: return n.as<Assign>()->lhs.get();
+      case NodeKind::ContAssign: return n.as<ContAssign>()->lhs.get();
+      default: return nullptr;
+    }
+}
+
+FaultLocResult
+referenceFaultLocalize(const Module &dut,
+                       std::unordered_set<std::string> mismatch_seed)
+{
+    FaultLocResult res;
+    std::unordered_set<std::string> &mismatch = res.mismatchNames;
+    std::unordered_set<std::string> next = std::move(mismatch_seed);
+
+    // Fixed point: iterate while the mismatch set grows.
+    while (!next.empty()) {
+        ++res.iterations;
+        bool grew = false;
+        for (const std::string &n : next)
+            grew |= mismatch.insert(n).second;
+        next.clear();
+        if (!grew && res.iterations > 1)
+            break;
+
+        // Walk with the stack of enclosing controlling expressions so
+        // implicated assignments also pull in their *control
+        // dependencies*: the conditions an assignment executes under
+        // (Section 3.1: the analysis "transitively captures data and
+        // control dependencies").
+        std::vector<const Expr *> ctrl_stack;
+        std::function<void(Node &)> walk = [&](Node &node) {
+            bool implicated = false;
+            if (const Expr *target = refAssignTarget(node)) {
+                std::vector<std::string> names;
+                refLhsNames(*target, names);
+                for (auto &n : names)
+                    implicated |= (mismatch.count(n) > 0);
+            }
+            if (!implicated) {
+                if (const Expr *ctrl = refControlExpr(node))
+                    implicated = refMentionsAny(*ctrl, mismatch);
+            }
+            if (implicated) {
+                // (Add-Child): the node and its whole subtree join FL;
+                // identifiers beneath it join the mismatch set.
+                visitAll(node, [&](Node &sub) {
+                    res.nodeIds.insert(sub.id);
+                    std::string name;
+                    if (sub.kind == NodeKind::Ident)
+                        name = sub.as<Ident>()->name;
+                    else if (sub.kind == NodeKind::Index)
+                        name = sub.as<Index>()->name;
+                    else if (sub.kind == NodeKind::RangeSel)
+                        name = sub.as<RangeSel>()->name;
+                    if (!name.empty() && !mismatch.count(name))
+                        next.insert(name);
+                });
+                // Control dependencies: names read by every enclosing
+                // condition flow into the mismatch set too.
+                for (const Expr *cond : ctrl_stack)
+                    for (auto &n : collectIdents(*cond))
+                        if (!mismatch.count(n))
+                            next.insert(n);
+            }
+            bool pushed = false;
+            if (const Expr *ctrl = refControlExpr(node)) {
+                ctrl_stack.push_back(ctrl);
+                pushed = true;
+            }
+            node.forEachChild([&](Node *c) {
+                if (c)
+                    walk(*c);
+            });
+            if (pushed)
+                ctrl_stack.pop_back();
+        };
+        walk(const_cast<Module &>(dut));
+
+        if (res.iterations > 64)
+            break;  // defensive bound; |names| is finite so unreachable
+    }
+    return res;
+}
+
+/** Last path component: "dut.counter_out" -> "counter_out". */
+std::string
+leafOf(const std::string &path)
+{
+    size_t dot = path.rfind('.');
+    return dot == std::string::npos ? path : path.substr(dot + 1);
 }
 
 TEST(FaultLoc, OutputMismatchDetectsDifferences)
@@ -287,6 +438,50 @@ endmodule
     auto fl = faultLocalize(*p.mod, s, o);
     EXPECT_TRUE(fl.mismatchNames.count("bad"));
     EXPECT_FALSE(fl.mismatchNames.count("good"));
+}
+
+TEST(FaultLoc, KernelMatchesReferenceOnEveryDefect)
+{
+    // Seeds per DUT: the real faulty-vs-oracle mismatch, each oracle
+    // output alone, every identifier of the DUT alone, and a name the
+    // DUT never mentions.
+    int compared = 0, nontrivial = 0;
+    for (const DefectSpec &d : bench::allDefects()) {
+        const ProjectSpec &p = bench::getProject(d.project);
+        Scenario sc = buildScenario(p, d);
+        const std::string &dut_name =
+            d.repairModule.empty() ? p.dutModule : d.repairModule;
+        const Module *dut = sc.faulty->findModule(dut_name);
+        ASSERT_NE(dut, nullptr) << d.id;
+
+        std::vector<std::unordered_set<std::string>> seeds;
+        Variant faulty = sc.makeEngine(EngineConfig{}).evaluate(Patch{});
+        seeds.push_back(outputMismatch(faulty.trace, sc.oracle));
+        for (const std::string &var : sc.oracle.vars())
+            seeds.push_back({leafOf(var)});
+        for (const std::string &name :
+             collectIdents(const_cast<Module &>(*dut)))
+            seeds.push_back({name});
+        seeds.push_back({"no_such_name_anywhere"});
+
+        for (const auto &seed : seeds) {
+            FaultLocResult want = referenceFaultLocalize(*dut, seed);
+            FaultLocResult got = faultLocalize(*dut, seed);
+            std::string label = d.id + " seed {";
+            for (const auto &n : seed)
+                label += " " + n;
+            label += " }";
+            ASSERT_EQ(got.iterations, want.iterations) << label;
+            ASSERT_EQ(got.mismatchNames, want.mismatchNames) << label;
+            ASSERT_EQ(got.nodeIds, want.nodeIds) << label;
+            ++compared;
+            nontrivial += want.iterations > 2;
+        }
+    }
+    // The suite must exercise multi-step fixed points, not just seeds
+    // that stop after one pass.
+    EXPECT_GT(compared, 1000);
+    EXPECT_GT(nontrivial, 100);
 }
 
 } // namespace

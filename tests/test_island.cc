@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -108,10 +109,13 @@ baseConfig()
     return cfg;
 }
 
+/** Per-process directory: the asan.-prefixed copy of this test runs
+ *  in another process at the same time and must not share it. */
 std::string
 tmpDir(const std::string &name)
 {
-    std::string d = ::testing::TempDir() + name;
+    std::string d =
+        ::testing::TempDir() + name + "." + std::to_string(::getpid());
     std::filesystem::remove_all(d);
     std::filesystem::create_directories(d);
     return d;

@@ -102,10 +102,12 @@ struct MiniScenario
     }
 };
 
+/** Per-process path: the asan.-prefixed copy of this test runs in
+ *  another process at the same time and must not share the file. */
 std::string
 tmpPath(const std::string &name)
 {
-    return ::testing::TempDir() + name;
+    return ::testing::TempDir() + name + "." + std::to_string(::getpid());
 }
 
 std::string

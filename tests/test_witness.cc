@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unistd.h>
 
 #include "benchmarks/registry.h"
 #include "core/oracle.h"
@@ -109,10 +110,12 @@ fastConfig(uint64_t seed = 42)
     return cfg;
 }
 
+/** Per-process path: the asan.-prefixed copy of this test runs in
+ *  another process at the same time and must not share the file. */
 std::string
 tmpPath(const std::string &name)
 {
-    return ::testing::TempDir() + name;
+    return ::testing::TempDir() + name + "." + std::to_string(::getpid());
 }
 
 /** The golden design must score a perfect fitness under @p bench. */
