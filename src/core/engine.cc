@@ -1,7 +1,9 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -76,6 +78,26 @@ RepairEngine::pool()
     return *pool_;
 }
 
+double
+RepairEngine::abortCutoff(double threshold) const
+{
+    // With witness benches installed the survival threshold is a
+    // COMBINED fitness, but the streaming scorer only bounds the main
+    // bench. combined_ub <= (main_ub*Tm + Tw)/(Tm+Tw) (every witness
+    // bit assumed to match), so aborting when
+    // main_ub < (threshold*(Tm+Tw) - Tw)/Tm is sound: even a perfect
+    // witness score could not lift the candidate back to the
+    // threshold.
+    if (witnessTotal_ <= 0 || !std::isfinite(threshold))
+        return threshold;
+    const double tm = oracleProfile_.suffixWeight.empty()
+                          ? 0.0
+                          : oracleProfile_.suffixWeight[0];
+    return tm > 0 ? (threshold * (tm + witnessTotal_) - witnessTotal_) /
+                        tm
+                  : -std::numeric_limits<double>::infinity();
+}
+
 Variant
 RepairEngine::evaluateUncached(const Patch &patch) const
 {
@@ -91,6 +113,8 @@ RepairEngine::evaluateUncached(const Patch &patch,
     Variant v;
     v.patch = patch;
     v.evaluated = true;
+    if (hints.lowestBound)
+        *hints.lowestBound = std::numeric_limits<double>::infinity();
 
     std::shared_ptr<SourceFile> patched =
         applyPatch(*faulty_, patch);
@@ -133,33 +157,20 @@ RepairEngine::evaluateUncached(const Patch &patch,
         if (hints.streaming) {
             scorer.emplace(oracle_, probe_.signals, config_.fitness,
                            &oracleProfile_);
-            // With witness benches installed the survival threshold is
-            // a COMBINED fitness, but the streaming scorer only bounds
-            // the main bench. combined_ub <= (main_ub*Tm + Tw)/(Tm+Tw)
-            // (every witness bit assumed to match), so aborting when
-            // main_ub < (cutoff*(Tm+Tw) - Tw)/Tm is sound: even a
-            // perfect witness score could not lift the candidate back
-            // to the cutoff.
-            double cutoff = hints.abortThreshold;
-            if (witnessTotal_ > 0 && std::isfinite(cutoff)) {
-                const double tm = oracleProfile_.suffixWeight.empty()
-                                      ? 0.0
-                                      : oracleProfile_.suffixWeight[0];
-                cutoff = tm > 0
-                             ? (cutoff * (tm + witnessTotal_) -
-                                witnessTotal_) /
-                                   tm
-                             : -std::numeric_limits<double>::infinity();
-            }
+            const double cutoff = abortCutoff(hints.abortThreshold);
+            double *lowest = hints.lowestBound;
             rec.setSampleCallback(
-                [&scorer, cutoff](sim::SimTime t,
-                                  const std::vector<sim::LogicVec>
-                                      &values) {
+                [&scorer, cutoff, lowest](
+                    sim::SimTime t,
+                    const std::vector<sim::LogicVec> &values) {
                     scorer->onSample(t, values);
+                    const double ub = scorer->upperBound();
+                    if (lowest)
+                        *lowest = std::min(*lowest, ub);
                     // Strictly below: a candidate that can still TIE
                     // the survival threshold must finish (ties can
                     // survive the truncation merge).
-                    return scorer->upperBound() < cutoff
+                    return ub < cutoff
                                ? TraceRecorder::SampleAction::Stop
                                : TraceRecorder::SampleAction::Continue;
                 });
@@ -472,31 +483,64 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
         fresh = std::move(still);
     }
 
-    // Fresh simulations run in fixed-size chunks. Each chunk's jobs
-    // carry the threshold snapshotted at dispatch (by value), and the
-    // tracker is updated only at chunk boundaries, in child order, on
-    // this thread — so the aborted set depends on the seed alone, not
-    // on the thread count or scheduling.
+    // One dispatch for every fresh simulation; the tracker is still fed
+    // in fixed-size chunks, in child order (see evaluateBatch in
+    // engine.h). A job's started-with threshold is at most its chunk's
+    // exact T_k: chunk k cannot settle before the job finishes, chunks
+    // settle in order, and thresholds never decrease. Upper bounds
+    // never increase, so a run that neither aborted nor saw a bound
+    // below abortCutoff(T_k) is the run under T_k, bit for bit;
+    // settlement re-runs every other child that ran under a threshold
+    // other than T_k. The aborted set thus depends on the seed alone.
     constexpr size_t kAbortChunk = 16;
-    for (size_t c = 0; c < fresh.size(); c += kAbortChunk) {
-        const size_t end = std::min(fresh.size(), c + kAbortChunk);
-        EvalHints hints;
-        hints.streaming = true;
-        if (abort_armed)
-            hints.abortThreshold = tracker.threshold();
-        std::vector<std::function<void()>> jobs;
-        jobs.reserve(end - c);
-        for (size_t j = c; j < end; ++j) {
-            const size_t i = fresh[j];
-            jobs.push_back([this, &patches, &out, i, hints] {
-                out[i] = evaluateUncached(patches[i], hints);
-            });
+    const size_t chunks = (fresh.size() + kAbortChunk - 1) / kAbortChunk;
+    std::atomic<double> settled{tracker.threshold()};
+    std::vector<double> ran_under(fresh.size());
+    std::vector<double> lowest(fresh.size());
+    std::vector<size_t> open(chunks, 0);  // unfinished jobs per chunk
+    std::mutex settle_mu;
+    size_t next_unsettled = 0;  // guarded by settle_mu
+    auto settle = [&](size_t c) {
+        const double exact = tracker.threshold();
+        const double cutoff = abortCutoff(exact);
+        const size_t end = std::min(fresh.size(), (c + 1) * kAbortChunk);
+        for (size_t j = c * kAbortChunk; j < end; ++j) {
+            Variant &v = out[fresh[j]];
+            if (ran_under[j] != exact &&
+                (v.outcome == EvalOutcome::EarlyAbort ||
+                 lowest[j] < cutoff)) {
+                EvalHints hints;
+                hints.streaming = true;
+                hints.abortThreshold = exact;
+                v = evaluateUncached(patches[fresh[j]], hints);
+            }
+            tracker.submit(v.fit.fitness);
         }
-        pool().run(jobs);
-        if (abort_armed)
-            for (size_t j = c; j < end; ++j)
-                tracker.submit(out[fresh[j]].fit.fitness);
+        settled.store(tracker.threshold(), std::memory_order_release);
+    };
+    std::vector<std::function<void()>> jobs;
+    jobs.reserve(fresh.size());
+    for (size_t j = 0; j < fresh.size(); ++j) {
+        ++open[j / kAbortChunk];
+        jobs.push_back([&, j] {
+            EvalHints hints;
+            hints.streaming = true;
+            if (abort_armed) {
+                hints.abortThreshold =
+                    settled.load(std::memory_order_acquire);
+                hints.lowestBound = &lowest[j];
+            }
+            ran_under[j] = hints.abortThreshold;
+            out[fresh[j]] = evaluateUncached(patches[fresh[j]], hints);
+            if (!abort_armed)
+                return;
+            std::lock_guard<std::mutex> lock(settle_mu);
+            --open[j / kAbortChunk];
+            while (next_unsettled < chunks && open[next_unsettled] == 0)
+                settle(next_unsettled++);
+        });
     }
+    pool().run(jobs);
 
     // Merge in child order; only this thread touches the cache, the
     // quarantine and the outcome counters.
@@ -537,9 +581,9 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
                 FitnessCache::Entry entry{out[i].valid, out[i].fit,
                                           out[i].trace, out[i].outcome,
                                           out[i].error};
-                cache_.insert(keys[i], entry);
                 if (config_.fleetPublish)
-                    publish_scored.emplace_back(keys[i], std::move(entry));
+                    publish_scored.emplace_back(keys[i], entry);
+                cache_.insert(keys[i], std::move(entry));
             }
             break;
           case Source::FleetCached:
@@ -881,6 +925,9 @@ RepairEngine::runInternal(const EngineState *restore)
     auto stopRequested = [&] {
         return config_.shouldStop && config_.shouldStop();
     };
+    // Patches never add or remove modules: the DUT is in every
+    // parent's AST exactly when it is in the original.
+    const bool has_dut = faulty_->findModule(dutModule_) != nullptr;
 
     for (int gen = start_gen; gen < config_.maxGenerations; ++gen) {
         if (elapsed() >= config_.maxSeconds)
@@ -923,26 +970,23 @@ RepairEngine::runInternal(const EngineState *restore)
             if (elapsed() >= config_.maxSeconds || stopRequested())
                 break;
             const Variant &parent = tournament(popn);
-            auto parent_ast = applyPatch(*faulty_, parent.patch);
-            const Module *dut = parent_ast->findModule(dutModule_);
-            if (!dut)
+            if (!has_dut)
                 break;
 
-            // Localization draws no randomness, so it runs after the
-            // operator draw and only for the operators that use it.
-            if (uniform(rng_) <= config_.rtThreshold) {
-                // Repair templates.
-                Patch p = parent.patch;
-                if (auto e = mutator.templateEdit(
-                        *parent_ast, *dut, parentFl(parent, *dut).nodeIds)) {
-                    p.edits.push_back(std::move(*e));
-                    planned.push_back(std::move(p));
-                }
-            } else if (uniform(rng_) <= config_.mutThreshold) {
-                // Mutation operators.
-                Patch p = parent.patch;
-                if (auto e = mutator.mutate(
-                        *parent_ast, *dut, parentFl(parent, *dut).nodeIds)) {
+            // Patching and localization draw no randomness, so they
+            // run after the operator draw and only for the operators
+            // that read the parent's AST: repair templates and
+            // mutation operators.
+            const bool use_template = uniform(rng_) <= config_.rtThreshold;
+            if (use_template || uniform(rng_) <= config_.mutThreshold) {
+                auto parent_ast = applyPatch(*faulty_, parent.patch);
+                const Module &dut = *parent_ast->findModule(dutModule_);
+                const auto &sites = parentFl(parent, dut).nodeIds;
+                if (auto e = use_template
+                                 ? mutator.templateEdit(*parent_ast, dut,
+                                                        sites)
+                                 : mutator.mutate(*parent_ast, dut, sites)) {
+                    Patch p = parent.patch;
                     p.edits.push_back(std::move(*e));
                     planned.push_back(std::move(p));
                 }

@@ -369,6 +369,12 @@ class RepairEngine
          *  streaming. */
         double abortThreshold =
             -std::numeric_limits<double>::infinity();
+        /** When non-null (and streaming), receives the lowest
+         *  streaming upper bound the run saw (+inf when no sample
+         *  arrived). A run under a threshold t <= T that did not stop
+         *  and whose lowest bound is not below abortCutoff(T) is
+         *  bit-identical to the run under T. */
+        double *lowestBound = nullptr;
     };
 
     /**
@@ -415,24 +421,37 @@ class RepairEngine
 
     /**
      * Evaluate a batch of candidate patches: cache lookups and
-     * in-batch deduplication on the calling thread, cache misses
-     * fanned out to the pool, results merged (and the cache updated)
-     * in child order. @p simulated_out receives, per child, whether a
-     * real simulation ran (the caller charges evals_ in order).
+     * in-batch deduplication on the calling thread, every cache miss
+     * fanned out to the pool in one dispatch, results merged (and the
+     * cache updated) in child order. @p simulated_out receives, per
+     * child, whether a real simulation ran (the caller charges evals_
+     * in order).
      *
      * @p elite_fitness, when non-null, arms the early-abort cutoff:
      * the values seed a SurvivalTracker (they are the merge-pool
-     * members already known — the generation's elites), offspring
-     * results feed it in child order at fixed-size chunk boundaries,
-     * and each chunk's jobs run with the threshold snapshotted at
-     * dispatch. Chunk size is a constant, so the aborted set is
-     * deterministic for a seed at any thread count.
+     * members already known — the generation's elites), and offspring
+     * results feed it in child order, one fixed-size chunk at a time.
+     * Chunk k's exact threshold T_k is the tracker's value before its
+     * results go in. Chunks are units of settlement, not dispatch
+     * barriers: a job runs under the newest settled threshold (a
+     * lower bound on its T_k), and when a chunk's last job finishes
+     * the chunk is settled — every child whose run could differ under
+     * T_k is re-simulated under T_k — before its results feed the
+     * tracker. The aborted set is therefore a function of the seed
+     * alone, at any thread count; at one thread every job already
+     * runs under its T_k and nothing is re-simulated.
      */
     std::vector<Variant>
     evaluateBatch(const std::vector<Patch> &patches,
                   std::vector<bool> &simulated_out,
                   const std::vector<double> *elite_fitness = nullptr);
     EvalPool &pool();
+    /** The main-bench streaming upper bound below which a run under
+     *  survival threshold @p threshold stops. Equal to @p threshold
+     *  without witness benches; otherwise rescaled so that even a
+     *  perfect witness score could not lift the combined fitness back
+     *  to it. Non-decreasing in @p threshold. */
+    double abortCutoff(double threshold) const;
     const Variant &tournament(const std::vector<Variant> &popn);
 
     /**

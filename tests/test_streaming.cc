@@ -2,13 +2,18 @@
  * @file
  * Tests for streaming fitness scoring and the early-abort cutoff:
  * bit-identity between the streaming and batch scorers, soundness of
- * the fitness upper bound, SurvivalTracker semantics, and the headline
- * contract — a repair run with the cutoff enabled produces the same
- * repair as full evaluation at any thread count.
+ * the fitness upper bound, SurvivalTracker semantics, the lemma chunk
+ * settlement rests on (the lowest upper bound decides every threshold),
+ * abort counters pinned across commits, and the headline contract — a
+ * repair run with the cutoff enabled produces the same repair as full
+ * evaluation at any thread count.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <set>
 #include <sstream>
@@ -20,6 +25,8 @@
 #include "core/evaloutcome.h"
 #include "core/fitness.h"
 #include "core/scenario.h"
+#include "core/witness.h"
+#include "verilog/parser.h"
 
 using namespace cirfix::core;
 using cirfix::sim::LogicVec;
@@ -355,5 +362,199 @@ TEST(EarlyAbort, AbortedVariantHoldsPartialScore)
     EXPECT_EQ(full.fit.fitness, batch.fit.fitness);
     EXPECT_EQ(full.rowsScored, sc.oracle.rows().size());
 }
+
+
+void
+expectSameTrace(const Trace &a, const Trace &b)
+{
+    EXPECT_EQ(a.vars(), b.vars());
+    ASSERT_EQ(a.rows().size(), b.rows().size());
+    for (size_t r = 0; r < a.rows().size(); ++r) {
+        EXPECT_EQ(a.rows()[r].time, b.rows()[r].time);
+        EXPECT_EQ(a.rows()[r].values, b.rows()[r].values);
+    }
+}
+
+/** Streaming evaluation of the unpatched design under @p threshold;
+ *  @p lowest (optional) receives the lowest upper bound seen. */
+Variant
+runUnder(const RepairEngine &engine, double threshold,
+         double *lowest = nullptr)
+{
+    RepairEngine::EvalHints hints;
+    hints.streaming = true;
+    hints.abortThreshold = threshold;
+    hints.lowestBound = lowest;
+    return engine.evaluateUncached(Patch{}, hints);
+}
+
+/** The −inf run and a run under a threshold that did not abort must
+ *  be the same run. */
+void
+expectSameRun(const Variant &ref, const Variant &v)
+{
+    EXPECT_EQ(v.outcome, ref.outcome);
+    expectSameResult(v.fit, ref.fit);
+    EXPECT_EQ(v.rowsScored, ref.rowsScored);
+    expectSameTrace(v.trace, ref.trace);
+}
+
+/**
+ * The lemma that lets the engine settle a chunk without re-running
+ * most of it: upper bounds never increase, so a run under threshold t
+ * whose lowest bound L was never below the cutoff is the very run it
+ * would have been under any threshold up to L, and any threshold above
+ * L stops it (abort needs a strict <).
+ */
+TEST(EarlyAbort, LowestBoundDecidesEveryThreshold)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const DefectSpec &d : cirfix::bench::allDefects()) {
+        SCOPED_TRACE(d.id);
+        Scenario sc =
+            buildScenario(cirfix::bench::getProject(d.project), d);
+        RepairEngine engine = sc.makeEngine(EngineConfig{});
+        double lowest = 0.0;
+        Variant ref = runUnder(engine, -inf, &lowest);
+        ASSERT_EQ(ref.outcome, EvalOutcome::Ok);
+        ASSERT_TRUE(std::isfinite(lowest));
+
+        for (double t : {std::nextafter(lowest, -inf), lowest}) {
+            double seen = 0.0;
+            Variant v = runUnder(engine, t, &seen);
+            expectSameRun(ref, v);
+            EXPECT_EQ(seen, lowest);
+        }
+        for (double t : {std::nextafter(lowest, inf), 2.0})
+            EXPECT_EQ(runUnder(engine, t).outcome, EvalOutcome::EarlyAbort)
+                << "threshold " << t;
+    }
+}
+
+TEST(EarlyAbort, LowestBoundDecidesEveryThresholdWithWitnessBench)
+{
+    // With a witness bench the threshold is a combined fitness and the
+    // run stops once the main-bench bound falls below
+    // (T*(Tm+Tw) - Tw)/Tm. Find the aborting boundary by bisection
+    // over the doubles in [0, 2] (abort is monotone in T) and check it
+    // sits exactly where that rescale puts L.
+    const ProjectSpec &p = cirfix::bench::getProject("counter");
+    const DefectSpec &d =
+        cirfix::bench::getDefect("counter_incorrect_reset");
+    Scenario sc = buildScenario(p, d);
+    auto golden = cirfix::verilog::parse(p.goldenSource);
+    WitnessInterface iface = deriveWitnessInterface(*golden, p.dutModule);
+    ASSERT_EQ(iface.inputs.size(), 2u);  // reset, enable
+    OracleBench bench;
+    bench.module = "wtb";
+    bench.source = makeWitnessBenchSource(
+        iface, {{1, 0}, {0, 1}, {0, 1}, {0, 1}, {0, 1}}, "wtb", 5);
+    bench.probe = witnessProbe(iface);
+    bench.oracle = runWitnessBench(p.goldenSource, bench);
+    EngineConfig cfg;
+    cfg.witnessBenches.push_back(bench);
+    RepairEngine engine = sc.makeEngine(cfg);
+
+    const double inf = std::numeric_limits<double>::infinity();
+    double lowest = 0.0;
+    Variant ref = runUnder(engine, -inf, &lowest);
+    ASSERT_EQ(ref.outcome, EvalOutcome::Ok);
+    ASSERT_TRUE(std::isfinite(lowest));
+
+    // Invariant: lo does not abort, hi does. Non-negative doubles
+    // order like their bit patterns.
+    auto bits = [](double x) {
+        uint64_t u;
+        std::memcpy(&u, &x, sizeof u);
+        return u;
+    };
+    auto fromBits = [](uint64_t u) {
+        double x;
+        std::memcpy(&x, &u, sizeof x);
+        return x;
+    };
+    uint64_t lo = bits(0.0), hi = bits(2.0);
+    ASSERT_NE(runUnder(engine, 0.0).outcome, EvalOutcome::EarlyAbort);
+    ASSERT_EQ(runUnder(engine, 2.0).outcome, EvalOutcome::EarlyAbort);
+    while (hi - lo > 1) {
+        const uint64_t mid = lo + (hi - lo) / 2;
+        Variant v = runUnder(engine, fromBits(mid));
+        if (v.outcome == EvalOutcome::EarlyAbort) {
+            hi = mid;
+        } else {
+            expectSameRun(ref, v);
+            lo = mid;
+        }
+    }
+    const double tm = OracleProfile::build(sc.oracle).suffixWeight[0];
+    const double tw = evaluateFitness(Trace{}, bench.oracle).total;
+    auto cutoff = [&](double t) { return (t * (tm + tw) - tw) / tm; };
+    EXPECT_LE(cutoff(fromBits(lo)), lowest);
+    EXPECT_GT(cutoff(fromBits(hi)), lowest);
+    // The rescale really moved the boundary off L.
+    EXPECT_GT(fromBits(lo), lowest);
+}
+
+/**
+ * The aborted set pinned across commits. EarlyAbort.* above compares
+ * thread counts of one build; these cases assert counters recorded from
+ * an earlier build, so a change to how the survival threshold is
+ * settled that aborts one candidate more or less fails here even when
+ * it is consistent across thread counts.
+ */
+struct AbortPin
+{
+    const char *defect;
+    int maxGenerations;
+    long earlyAborts;
+    uint64_t rowsScored;
+    uint64_t rowsSkipped;
+    long fitnessEvals;
+    long totalMutants;
+    long cacheHits;
+    long cacheMisses;
+};
+
+void
+PrintTo(const AbortPin &p, std::ostream *os)
+{
+    *os << p.defect;
+}
+
+class PinnedAborts : public ::testing::TestWithParam<AbortPin>
+{};
+
+TEST_P(PinnedAborts, CountersMatchRecordingAtOneAndFourThreads)
+{
+    const AbortPin &pin = GetParam();
+    const DefectSpec &d = cirfix::bench::getDefect(pin.defect);
+    Scenario sc = buildScenario(cirfix::bench::getProject(d.project), d);
+    for (int threads : {1, 4}) {
+        EngineConfig cfg;
+        cfg.popSize = 100;
+        cfg.offspringPerGen = 400;
+        cfg.maxGenerations = pin.maxGenerations;
+        cfg.maxSeconds = 1e9;  // the clock must not shape the search
+        cfg.seed = 1000;
+        cfg.numThreads = threads;
+        RepairResult r = sc.makeEngine(cfg).run();
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        EXPECT_EQ(r.earlyAborts, pin.earlyAborts);
+        EXPECT_EQ(r.rowsScored, pin.rowsScored);
+        EXPECT_EQ(r.rowsSkipped, pin.rowsSkipped);
+        EXPECT_EQ(r.fitnessEvals, pin.fitnessEvals);
+        EXPECT_EQ(r.totalMutants, pin.totalMutants);
+        EXPECT_EQ(r.cache.hits, pin.cacheHits);
+        EXPECT_EQ(r.cache.misses, pin.cacheMisses);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, PinnedAborts,
+    ::testing::Values(
+        AbortPin{"counter_incorrect_reset", 6, 712, 43673, 4452, 1925, 2502,
+                 573, 1929},
+        AbortPin{"sha3_negation", 3, 353, 18459, 1666, 875, 1301, 390,
+                 911}));
 
 } // namespace
