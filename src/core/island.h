@@ -56,7 +56,8 @@ struct IslandConfig
 };
 
 /** Migration-machinery totals. The first two are volume counters; the
- *  last two are *hard invariants* (island_bench gates them at zero):
+ *  last two are *hard invariants* (tests/test_island.cc asserts them
+ *  at zero):
  *  a nonzero migrantDuplicates means the dedup merge emitted the same
  *  key twice in one broadcast, a nonzero elitesLost means a failover
  *  replay disagreed with the coordinator's ledger. */

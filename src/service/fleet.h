@@ -180,7 +180,7 @@ struct WorkerConfig
                       /*jitterSeed=*/0x9e3779b97f4a7c15ull};
 };
 
-/** Worker-side observability (fleet_bench and the chaos tests). */
+/** Worker-side observability (the chaos tests read it). */
 struct WorkerStats
 {
     uint64_t jobsCompleted = 0;  //!< done frames accepted

@@ -130,7 +130,7 @@ struct Job
 };
 
 /** Lease-machinery totals since construction (fleet observability;
- *  fleet_bench gates staleRejections == duplicates prevented). */
+ *  staleRejections counts the duplicate commits prevented). */
 struct LeaseStats
 {
     uint64_t assignments = 0;     //!< tryClaim() grants

@@ -16,8 +16,8 @@
  *    operation and never again — for surgical tests ("drop the 3rd
  *    frame the worker writes");
  *  - periodic (every = true): the hook fires at every Nth operation
- *    (modulo) — for sustained chaos (fleet_bench runs whole repair
- *    fleets with every-7th-frame drops).
+ *    (modulo) — for sustained chaos (the fleet chaos tests run whole
+ *    repair fleets under periodic frame drops).
  *
  * Disarmed (the default and production state) the hooks are a single
  * relaxed atomic load — the transport pays nothing for the harness.

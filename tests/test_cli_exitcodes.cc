@@ -115,6 +115,38 @@ TEST(CliExitCodes, UsageErrorsExitThree)
         runCli("repair --design " + design + " --tb tb --dut dut"), 3);
 }
 
+TEST(CliExitCodes, UnknownFlagsExitThree)
+{
+    std::string clean = tmpFile(
+        "cli_flags_clean.v",
+        "module m(input a, output y); assign y = a; endmodule\n");
+    EXPECT_EQ(runCli("lint --Werror --bogus-flag 7 " + clean), 3);
+    EXPECT_EQ(runCli("lint --pop 10 " + clean), 3);  // another command's
+    EXPECT_EQ(runCli("lint-bench --json"), 3);
+    EXPECT_EQ(runCli("lint-bench " + clean), 3);    // takes no files
+    EXPECT_EQ(runCli("help --pop 10"), 3);
+    EXPECT_EQ(runCli("status --socket /nonexistent/sock --id 1 "
+                     "--out r.v"),
+              3);                                   // not exit 4: no dial
+    // A misspelt flag must not run the search with the default pop.
+    std::string design = tmpFile("cli_flags.v", faultyDesign());
+    std::string golden = tmpFile("cli_flags_g.v", kGolden);
+    EXPECT_EQ(runCli("repair --design " + design + " --tb tb --dut dut "
+                     "--golden " + golden +
+                     " --pops 10 --gens 1 --trials 1"),
+              3);
+}
+
+TEST(CliExitCodes, ServeAcceptsSocketStateDirAndWorkers)
+{
+    // The flags are accepted; the daemon then fails to create its
+    // state directory under a regular file, an internal error.
+    std::string file = tmpFile("cli_serve_file", "");
+    EXPECT_EQ(runCli("serve --socket " + file + ".sock --state-dir " +
+                     file + "/state --workers 2"),
+              4);
+}
+
 TEST(CliExitCodes, InternalErrorsExitFour)
 {
     // Unreadable input file.

@@ -9,6 +9,7 @@
  * fingerprint as an uninterrupted run.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -468,7 +469,7 @@ TEST(Island, KOneEqualsPlainEngineRun)
     EXPECT_EQ(solo.migration.elitesExported, 0);
 
     // The K=1 fingerprint is itself reproducible — the invariant
-    // island_bench gates on.
+    // PinnedAccelerationOverTenSeeds pins across commits.
     IslandOutcome again = sc.islands(base, one);
     EXPECT_EQ(again.fingerprint, solo.fingerprint);
     EXPECT_NE(solo.fingerprint, 0u);
@@ -551,6 +552,66 @@ TEST(Island, WindDownThenResumeMatchesUninterruptedFingerprint)
               reference.result.patch.key());
     EXPECT_EQ(resumed.migration.elitesLost, 0);
     std::filesystem::remove_all(dir);
+}
+
+/**
+ * The island model's payoff on the two-fault toggle, pinned from an
+ * earlier build over seeds 1-10 at a 48-generation budget: a single
+ * population repairs 2 seeds, 4 islands (migration every generation, 2
+ * migrants each) repair 9, in a median of 48 against 20 generations (a
+ * repaired island run counts its winning island's generations; an
+ * unrepaired run counts the whole budget). Beyond the pins: the
+ * median-generation speedup must stay at least 2x, no elite may be
+ * lost and no broadcast may carry a duplicate migrant. The K=1 seed-7
+ * fingerprint pins the plain search itself.
+ */
+TEST(Island, PinnedAccelerationOverTenSeeds)
+{
+    constexpr int kBudget = 48;
+    MiniScenario sc;
+    auto config = [&](uint64_t seed) {
+        EngineConfig cfg = baseConfig();
+        cfg.maxGenerations = kBudget;
+        cfg.maxSeconds = 600.0;
+        cfg.seed = seed;
+        return cfg;
+    };
+    IslandConfig single;
+    single.islands = 1;
+    IslandConfig multi;
+    multi.islands = 4;
+    multi.migrationInterval = 1;
+    multi.migrantsPerIsland = 2;
+
+    int single_found = 0, island_found = 0;
+    long elites_lost = 0, migrant_duplicates = 0;
+    std::vector<int> single_gens, island_gens;
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+        IslandOutcome one = sc.islands(config(seed), single);
+        single_found += one.found;
+        single_gens.push_back(one.found ? one.result.generations
+                                        : kBudget);
+        IslandOutcome four = sc.islands(config(seed), multi);
+        island_found += four.found;
+        island_gens.push_back(
+            four.found ? four.islands[four.winnerIsland].generations
+                       : kBudget);
+        elites_lost += four.migration.elitesLost;
+        migrant_duplicates += four.migration.migrantDuplicates;
+    }
+    auto median = [](std::vector<int> xs) {
+        std::sort(xs.begin(), xs.end());
+        return (xs[4] + xs[5]) / 2.0;
+    };
+    EXPECT_EQ(single_found, 2);
+    EXPECT_EQ(island_found, 9);
+    EXPECT_EQ(median(single_gens), 48.0);
+    EXPECT_EQ(median(island_gens), 20.0);
+    EXPECT_GE(median(single_gens), 2.0 * median(island_gens));
+    EXPECT_EQ(elites_lost, 0);
+    EXPECT_EQ(migrant_duplicates, 0);
+    EXPECT_EQ(sc.islands(config(7), single).fingerprint,
+              1863527920894756523u);
 }
 
 TEST(Island, CorruptLedgerRestartsFromScratchDeterministically)

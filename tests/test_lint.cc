@@ -8,6 +8,7 @@
  */
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -480,6 +481,48 @@ TEST(GoldenLint, GoldenDesignsAreClean)
         EXPECT_EQ(r.errors, 0) << p.name << ":\n" << renderText(r);
         EXPECT_EQ(r.warnings, 0) << p.name << ":\n" << renderText(r);
     }
+}
+
+/**
+ * Diagnostic counts over all 43 suite designs (11 goldens and 32
+ * defects, each with its repair testbench), pinned exactly from an
+ * earlier build. A check that starts firing more (a new false
+ * positive) or less (lost coverage) on the suite moves one of them.
+ */
+TEST(GoldenLint, SuiteDiagnosticCountsArePinned)
+{
+    int golden_errors = 0, golden_warnings = 0;
+    int defect_errors = 0, defect_warnings = 0;
+    std::map<std::string, int> by_check;
+    size_t designs = 0;
+    auto sweep = [&](const std::string &src, int &errors, int &warnings) {
+        Result r = run(*verilog::parse(src));
+        errors += r.errors;
+        warnings += r.warnings;
+        for (const std::string &id : checkIds(r))
+            ++by_check[id];
+        ++designs;
+    };
+    for (const core::ProjectSpec &p : bench::allProjects())
+        sweep(p.goldenSource + "\n" + p.testbenchSource, golden_errors,
+              golden_warnings);
+    for (const core::DefectSpec &d : bench::allDefects()) {
+        const core::ProjectSpec &p = bench::getProject(d.project);
+        sweep(core::applyRewrites(p.goldenSource, d.rewrites) + "\n" +
+                  p.testbenchSource,
+              defect_errors, defect_warnings);
+    }
+    EXPECT_EQ(designs, 43u);
+    EXPECT_EQ(golden_errors, 0);
+    EXPECT_EQ(golden_warnings, 0);
+    EXPECT_EQ(defect_errors, 0);
+    EXPECT_EQ(defect_warnings, 14);
+    EXPECT_EQ(by_check, (std::map<std::string, int>{
+                            {"incomplete-sens", 2},
+                            {"inferred-latch", 3},
+                            {"mixed-assign", 3},
+                            {"width-mismatch", 6},
+                        }));
 }
 
 /**

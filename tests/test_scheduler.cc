@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the stratified event scheduler.
+ * Unit tests for the stratified event scheduler, plus the per-simulation
+ * allocation profile of a whole candidate simulation.
  */
 
 #include <string>
@@ -9,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include "benchmarks/registry.h"
 #include "sim/elaborate.h"
+#include "sim/logic.h"
 #include "sim/probe.h"
 #include "sim/scheduler.h"
 #include "verilog/parser.h"
@@ -259,6 +262,45 @@ endmodule
     for (int t = 0; t < kThreads; ++t)
         EXPECT_EQ(traces[static_cast<size_t>(t)], expected)
             << "thread " << t << " diverged";
+}
+
+/**
+ * The allocation cost of one candidate simulation, pinned exactly from
+ * an earlier build: elaborating, probing and running the counter
+ * golden design with its testbench makes no LogicVec or EventFn heap
+ * allocation once a warm-up run has done the one-time lazy setup, and
+ * the scheduler creates 3 time-slot nodes and recycles the rest. A
+ * change that puts the simulation hot path back on the heap (a wider
+ * callback capture, a vector that outgrows its inline words) fails
+ * here.
+ */
+TEST(SchedulerAllocs, CounterSimulationStaysOffTheHeap)
+{
+    const cirfix::core::ProjectSpec &p =
+        cirfix::bench::getProject("counter");
+    std::shared_ptr<const cirfix::verilog::SourceFile> file =
+        cirfix::verilog::parse(p.goldenSource + "\n" + p.testbenchSource);
+    ProbeConfig probe = deriveProbeConfig(*file, p.tbModule);
+    auto simulate = [&] {
+        auto design = elaborate(file, p.tbModule);
+        TraceRecorder rec(*design, probe);
+        design->run();
+        return design->scheduler().allocStats();
+    };
+    simulate();
+
+    // The heap counters are thread-local, and every simulation here
+    // runs on this thread.
+    const uint64_t logic0 = logicHeapAllocs();
+    const uint64_t event0 = EventFn::heapAllocs();
+    for (int i = 0; i < 32; ++i) {
+        Scheduler::AllocStats st = simulate();
+        EXPECT_EQ(st.slotsAllocated, 3u);
+        EXPECT_EQ(st.slotsRecycled, 72u);
+        EXPECT_EQ(st.eventsScheduled, 164u);
+    }
+    EXPECT_EQ(logicHeapAllocs() - logic0, 0u);
+    EXPECT_EQ(EventFn::heapAllocs() - event0, 0u);
 }
 
 } // namespace

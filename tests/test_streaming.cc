@@ -505,6 +505,9 @@ TEST(EarlyAbort, LowestBoundDecidesEveryThresholdWithWitnessBench)
 struct AbortPin
 {
     const char *defect;
+    int popSize;
+    int offspring;
+    uint64_t seed;
     int maxGenerations;
     long earlyAborts;
     uint64_t rowsScored;
@@ -519,6 +522,10 @@ void
 PrintTo(const AbortPin &p, std::ostream *os)
 {
     *os << p.defect;
+    // Pins at the original configuration keep their original names.
+    if (p.popSize != 100 || p.offspring != 400 || p.seed != 1000)
+        *os << "/pop" << p.popSize << "_lambda" << p.offspring << "_seed"
+            << p.seed;
 }
 
 class PinnedAborts : public ::testing::TestWithParam<AbortPin>
@@ -531,11 +538,11 @@ TEST_P(PinnedAborts, CountersMatchRecordingAtOneAndFourThreads)
     Scenario sc = buildScenario(cirfix::bench::getProject(d.project), d);
     for (int threads : {1, 4}) {
         EngineConfig cfg;
-        cfg.popSize = 100;
-        cfg.offspringPerGen = 400;
+        cfg.popSize = pin.popSize;
+        cfg.offspringPerGen = pin.offspring;
         cfg.maxGenerations = pin.maxGenerations;
         cfg.maxSeconds = 1e9;  // the clock must not shape the search
-        cfg.seed = 1000;
+        cfg.seed = pin.seed;
         cfg.numThreads = threads;
         RepairResult r = sc.makeEngine(cfg).run();
         SCOPED_TRACE("threads " + std::to_string(threads));
@@ -552,9 +559,12 @@ TEST_P(PinnedAborts, CountersMatchRecordingAtOneAndFourThreads)
 INSTANTIATE_TEST_SUITE_P(
     Recorded, PinnedAborts,
     ::testing::Values(
-        AbortPin{"counter_incorrect_reset", 6, 712, 43673, 4452, 1925, 2502,
-                 573, 1929},
-        AbortPin{"sha3_negation", 3, 353, 18459, 1666, 875, 1301, 390,
-                 911}));
+        AbortPin{"counter_incorrect_reset", 100, 400, 1000, 6, 712, 43673,
+                 4452, 1925, 2502, 573, 1929},
+        AbortPin{"sha3_negation", 100, 400, 1000, 3, 353, 18459, 1666, 875,
+                 1301, 390, 911},
+        // A small population: lambda is 2x mu rather than 4x.
+        AbortPin{"counter_incorrect_reset", 20, 40, 7, 6, 27, 4617, 233,
+                 194, 262, 68, 194}));
 
 } // namespace

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <unistd.h>
 
 #include "benchmarks/registry.h"
@@ -514,6 +515,66 @@ TEST(WitnessEndToEnd, HardensLshiftConditional)
 {
     hardenedEndToEnd("lshift_conditional", 42);
 }
+
+/**
+ * The hardening counters of the three end-to-end scenarios, pinned
+ * from an earlier build (pop 100, 12 generations, up to 4000 witness
+ * stimuli, 3 rounds). WitnessEndToEnd.* asserts the loop works; these
+ * cases fail when it kills, resumes or tries a different number of
+ * times, or installs witnesses of a different length.
+ */
+struct HardeningPin
+{
+    const char *defect;
+    uint64_t seed;
+    int overfitKills;
+    size_t witnesses;
+    int resumed;
+    int witnessTries;
+    size_t witnessCycles;  //!< oracle rows over every installed bench
+};
+
+void
+PrintTo(const HardeningPin &p, std::ostream *os)
+{
+    *os << p.defect;
+}
+
+class PinnedHardening : public ::testing::TestWithParam<HardeningPin>
+{};
+
+TEST_P(PinnedHardening, CountersMatchRecording)
+{
+    const HardeningPin &pin = GetParam();
+    Scenario sc = weakenedScenario(pin.defect);
+    EngineConfig cfg = fastConfig(pin.seed);
+    cfg.maxSeconds = 120.0;  // the generation budget must bind
+    cfg.snapshotPath =
+        tmpPath(std::string("pinned_harden_") + pin.defect + ".snap");
+    WitnessOptions wo = fastWitnessOptions(pin.seed);
+    wo.maxRounds = 3;
+    HardenedRepairResult hr = hardenedRepair(sc, cfg, wo);
+    std::remove(cfg.snapshotPath.c_str());
+
+    EXPECT_EQ(hr.overfitKills, pin.overfitKills);
+    EXPECT_EQ(hr.witnesses.size(), pin.witnesses);
+    EXPECT_EQ(hr.resumedFromSnapshot, pin.resumed);
+    EXPECT_EQ(hr.witnessTries, pin.witnessTries);
+    size_t cycles = 0;
+    for (const OracleBench &b : hr.witnesses) {
+        cycles += b.oracle.size();
+        expectGoldenPasses(sc.project->goldenSource, b);
+    }
+    EXPECT_EQ(cycles, pin.witnessCycles);
+    EXPECT_TRUE(hr.correct);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, PinnedHardening,
+    ::testing::Values(HardeningPin{"counter_sensitivity", 7, 1, 1, 1, 1, 1},
+                      HardeningPin{"lshift_sensitivity", 42, 2, 2, 2, 3, 3},
+                      HardeningPin{"lshift_conditional", 42, 1, 1, 1, 1,
+                                   1}));
 
 // ------------------------------------------------------------------
 // Determinism across thread counts

@@ -81,6 +81,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "benchmarks/registry.h"
@@ -123,7 +124,7 @@ struct Args
     std::string command;
     std::map<std::string, std::string> flags;
     std::vector<std::string> extras;
-    /** Bare (non-flag) arguments; only the lint commands take any. */
+    /** Bare (non-flag) arguments; only the lint command takes any. */
     std::vector<std::string> positional;
     /** Repeatable --check id=severity overrides, in order. */
     std::vector<std::string> checkOverrides;
@@ -174,6 +175,19 @@ struct Args
     }
 };
 
+/**
+ * What one command accepts: flags that take a value, valueless
+ * switches, and whether bare file operands are allowed.
+ */
+struct CommandFlags
+{
+    std::set<std::string> values = {};
+    std::set<std::string> switches = {};
+    bool files = false;
+};
+
+const CommandFlags *commandFlags(const std::string &command);
+
 Args
 parseArgs(int argc, char **argv)
 {
@@ -181,25 +195,24 @@ parseArgs(int argc, char **argv)
     if (argc < 2)
         throw UsageError("no subcommand");
     args.command = argv[1];
-    const bool lint_cmd =
-        args.command == "lint" || args.command == "lint-bench";
+    const CommandFlags *accepted = commandFlags(args.command);
+    if (!accepted)
+        throw UsageError("unknown subcommand '" + args.command + "'");
     for (int i = 2; i < argc; ++i) {
         std::string a = argv[i];
         if (a.rfind("--", 0) != 0) {
-            // Only the lint commands take bare file operands; for
-            // everything else a stray word is a usage error.
-            if (!lint_cmd)
+            if (!accepted->files)
                 throw UsageError("unexpected argument: " + a);
             args.positional.push_back(a);
             continue;
         }
         std::string key = a.substr(2);
-        // Boolean switches take no value.
-        if ((lint_cmd && (key == "json" || key == "Werror")) ||
-            (args.command == "witness" && key == "json")) {
+        if (accepted->switches.count(key)) {
             args.flags[key] = "1";
             continue;
         }
+        if (!accepted->values.count(key))
+            throw UsageError(args.command + " does not take --" + key);
         if (i + 1 >= argc)
             throw UsageError("flag --" + key + " needs a value");
         std::string value = argv[++i];
@@ -501,8 +514,6 @@ core::WitnessOptions
 witnessOptionsFromArgs(const Args &args)
 {
     core::WitnessOptions wo;
-    wo.seed = static_cast<uint64_t>(
-        args.getLong("wseed", static_cast<long>(wo.seed)));
     wo.maxTries =
         static_cast<int>(args.getLong("tries", wo.maxTries));
     wo.maxCycles =
@@ -1114,6 +1125,68 @@ cmdWatch(const Args &args)
         }
     }
     throw std::runtime_error("server closed the event stream early");
+}
+
+/**
+ * The flags of every command, as usage() lists them (nullptr for an
+ * unknown command). parseArgs rejects anything else with exit 3 before
+ * the command does any work, so a misspelt flag cannot silently run
+ * with a default.
+ */
+const CommandFlags *
+commandFlags(const std::string &command)
+{
+    using Set = std::set<std::string>;
+    auto join = [](std::initializer_list<Set> sets) {
+        Set all;
+        for (const Set &s : sets)
+            all.insert(s.begin(), s.end());
+        return all;
+    };
+    const Set inputs = {"design", "extra", "tb", "dut", "golden", "oracle"};
+    const Set search = {"pop",      "gens",       "budget",
+                        "seed",     "threads",    "phi",
+                        "deadline", "mem-budget", "islands",
+                        "migration-interval",     "migrants"};
+    const Set client = {"socket", "connect", "timeout", "retry"};
+    const Set admission = {"queue-depth", "max-eval-budget",
+                           "max-budget-seconds"};
+    const Set lint = {"waivers", "check"};
+    static const std::map<std::string, CommandFlags> kCommands = {
+        {"help", {}},
+        {"--help", {}},
+        {"-h", {}},
+        {"repair",
+         {join({inputs, search,
+                {"trials", "out", "log", "early-abort", "lint",
+                 "offspring", "snapshot", "snapshot-every", "resume",
+                 "harden", "verify-tb", "verify-module", "tries",
+                 "cycles", "rounds"}})}},
+        {"simulate", {{"design", "extra", "tb", "vcd", "trace"}}},
+        {"localize", {inputs}},
+        {"lint",
+         {join({lint, {"design", "extra"}}), {"json", "Werror"}, true}},
+        {"lint-bench", {lint, {"Werror"}}},
+        {"witness",
+         {{"golden", "patched", "dut", "seed", "tries", "cycles", "out"},
+          {"json"}}},
+        {"serve",
+         {join({admission,
+                {"socket", "listen", "state-dir", "workers"}})}},
+        {"coordinator",
+         {join({admission,
+                {"listen", "state-dir", "local-workers", "min-workers",
+                 "lease-seconds"}})}},
+        {"worker", {{"connect", "work-dir", "name"}}},
+        {"submit", {join({client, inputs, search, {"priority"}})}},
+        {"status", {join({client, {"id"}})}},
+        {"list", {client}},
+        {"cancel", {join({client, {"id"}})}},
+        {"result", {join({client, {"id", "out"}})}},
+        {"watch", {join({client, {"id"}})}},
+    };
+    auto it = kCommands.find(command);
+    return it == kCommands.end() ? nullptr : &it->second;
 }
 
 void
