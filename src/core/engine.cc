@@ -29,6 +29,17 @@ uniformIndex(std::mt19937_64 &rng, size_t n)
     return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
 }
 
+bool SearchCounters::operator==(const SearchCounters &) const = default;
+
+SearchCounters &
+SearchCounters::operator+=(const SearchCounters &other)
+{
+    forEachCounter([](const char *, const char *, auto &sum,
+                      const auto &add) { sum += add; },
+                   *this, other);
+    return *this;
+}
+
 RepairEngine::RepairEngine(std::shared_ptr<const SourceFile> faulty,
                            std::string tb_module, std::string dut_module,
                            ProbeConfig probe, Trace oracle,
@@ -336,7 +347,7 @@ RepairEngine::evaluate(const Patch &patch)
     std::string key = patch.key();
     auto q = quarantine_.find(key);
     if (q != quarantine_.end()) {
-        ++outcomes_.quarantineHits;
+        ++counters_.outcomes.quarantineHits;
         return quarantinedVariant(patch, q->second);
     }
     if (const FitnessCache::Entry *hit = cache_.find(key)) {
@@ -352,12 +363,12 @@ RepairEngine::evaluate(const Patch &patch)
     }
     Variant v = evaluateUncached(patch);
     if (v.valid)
-        ++evals_;
-    outcomes_.add(v.outcome);
+        ++counters_.fitnessEvals;
+    counters_.outcomes.add(v.outcome);
     if (v.outcome == EvalOutcome::LintReject)
         // Never cached or quarantined: the decision is a pure function
         // of the patch and recomputing it is cheaper than a cache slot.
-        ++lintRejects_;
+        ++counters_.lintRejects;
     else if (isQuarantineOutcome(v.outcome))
         quarantine_.emplace(key, QuarantineEntry{v.outcome, v.error});
     else
@@ -407,7 +418,7 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
         auto q = quarantine_.find(keys[i]);
         if (q != quarantine_.end()) {
             source[i] = Source::Quarantined;
-            ++outcomes_.quarantineHits;
+            ++counters_.outcomes.quarantineHits;
             out[i] = quarantinedVariant(patches[i], q->second);
             if (abort_armed)
                 tracker.submit(out[i].fit.fitness);
@@ -551,24 +562,25 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
         switch (source[i]) {
           case Source::Fresh:
             simulated_out[i] = out[i].valid;
-            outcomes_.add(out[i].outcome);
+            counters_.outcomes.add(out[i].outcome);
             if (out[i].valid) {
-                rowsScored_ += out[i].rowsScored;
-                rowsSkipped_ += oracle_.rows().size() -
-                                std::min<size_t>(oracle_.rows().size(),
-                                                 out[i].rowsScored);
+                counters_.rowsScored += out[i].rowsScored;
+                counters_.rowsSkipped +=
+                    oracle_.rows().size() -
+                    std::min<size_t>(oracle_.rows().size(),
+                                     out[i].rowsScored);
             }
             if (out[i].outcome == EvalOutcome::EarlyAbort) {
                 // Never cached: the partial score is only meaningful
                 // against this generation's threshold. A later
                 // encounter (possibly under a lower cutoff, or during
                 // minimization) must re-simulate in full.
-                ++earlyAborts_;
+                ++counters_.earlyAborts;
             } else if (out[i].outcome == EvalOutcome::LintReject) {
                 // Never cached (pure function of the patch) and never
                 // quarantined (the patch never simulated, so it earned
                 // no pathology verdict).
-                ++lintRejects_;
+                ++counters_.lintRejects;
             } else if (isQuarantineOutcome(out[i].outcome)) {
                 quarantine_.emplace(
                     keys[i],
@@ -593,15 +605,15 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
             // simulated candidate — the search trajectory is identical
             // either way, only the work counters differ.
             simulated_out[i] = out[i].valid;
-            outcomes_.add(out[i].outcome);
-            ++fleetCacheHits_;
+            counters_.outcomes.add(out[i].outcome);
+            ++counters_.fleetCacheHits;
             cache_.insert(keys[i],
                           FitnessCache::Entry{out[i].valid, out[i].fit,
                                               out[i].trace, out[i].outcome,
                                               out[i].error});
             break;
           case Source::FleetQuarantined:
-            ++fleetQuarantineHits_;
+            ++counters_.fleetQuarantineHits;
             quarantine_.emplace(
                 keys[i],
                 QuarantineEntry{out[i].outcome, out[i].error});
@@ -631,6 +643,14 @@ RepairEngine::tournament(const std::vector<Variant> &popn)
             best = &cand;
     }
     return *best;
+}
+
+SearchCounters
+RepairEngine::counters() const
+{
+    SearchCounters c = counters_;
+    c.cache = cache_.stats();
+    return c;
 }
 
 RepairResult
@@ -702,17 +722,10 @@ RepairEngine::captureState(
     }
     st.generationsDone = generations_done;
     st.witnesses = config_.witnessBenches;
-    st.evals = evals_;
-    st.invalid = invalid_;
-    st.mutants = mutants_;
-    st.earlyAborts = earlyAborts_;
-    st.rowsScored = rowsScored_;
-    st.rowsSkipped = rowsSkipped_;
-    st.lintRejects = lintRejects_;
+    st.counters = counters();
     st.elapsedSeconds = elapsed_seconds;
     st.bestSeen = best_seen;
     st.trajectory = trajectory;
-    st.outcomes = outcomes_;
     st.population = popn;
     st.islandIndex = config_.islandIndex;
     st.islandCount = config_.islandCount;
@@ -726,7 +739,6 @@ RepairEngine::captureState(
               [](const QuarantineRecord &a, const QuarantineRecord &b) {
                   return a.key < b.key;
               });
-    st.cacheStats = cache_.stats();
     // LRU-first so restore re-insert()s in an order that reproduces
     // the live list (and therefore future evictions) exactly.
     const auto &lru = cache_.entries();
@@ -758,7 +770,8 @@ RepairEngine::runInternal(const EngineState *restore)
     auto note = [&](const Variant &v) {
         if (v.fit.fitness > best_seen) {
             best_seen = v.fit.fitness;
-            result.fitnessTrajectory.emplace_back(evals_, best_seen);
+            result.fitnessTrajectory.emplace_back(counters_.fitnessEvals,
+                                                  best_seen);
         }
     };
 
@@ -775,11 +788,11 @@ RepairEngine::runInternal(const EngineState *restore)
         size_t winner = vs.size();
         size_t base = into.size();
         for (size_t i = 0; i < vs.size(); ++i) {
-            ++mutants_;
+            ++counters_.totalMutants;
             if (!vs[i].valid)
-                ++invalid_;
+                ++counters_.invalidMutants;
             if (simulated[i])
-                ++evals_;
+                ++counters_.fitnessEvals;
             into.push_back(std::move(vs[i]));
             note(into.back());
             if (winner == vs.size() && into.back().fit.plausible())
@@ -792,9 +805,6 @@ RepairEngine::runInternal(const EngineState *restore)
     int start_gen = 0;
 
     auto finish = [&](const Variant *winner) {
-        result.fitnessEvals = evals_;
-        result.invalidMutants = invalid_;
-        result.totalMutants = mutants_;
         result.witnessBenches = static_cast<int>(witnessRt_.size());
         result.seconds = elapsed();
         if (winner) {
@@ -821,17 +831,9 @@ RepairEngine::runInternal(const EngineState *restore)
             result.finalFitness = final_v.fit;
             auto repaired = applyPatch(*faulty_, minimized);
             result.repairedSource = print(*repaired);
-            result.fitnessEvals = evals_;
             result.seconds = elapsed();
         }
-        result.cache = cache_.stats();
-        result.outcomes = outcomes_;
-        result.earlyAborts = earlyAborts_;
-        result.rowsScored = rowsScored_;
-        result.rowsSkipped = rowsSkipped_;
-        result.lintRejects = lintRejects_;
-        result.fleetCacheHits = fleetCacheHits_;
-        result.fleetQuarantineHits = fleetQuarantineHits_;
+        static_cast<SearchCounters &>(result) = counters();
         result.migrantLedger = migrantLedger_;
         return result;
     };
@@ -846,14 +848,8 @@ RepairEngine::runInternal(const EngineState *restore)
                 throw std::runtime_error(
                     "corrupt snapshot: bad RNG state");
         }
-        evals_ = restore->evals;
-        invalid_ = restore->invalid;
-        mutants_ = restore->mutants;
-        earlyAborts_ = restore->earlyAborts;
-        rowsScored_ = restore->rowsScored;
-        rowsSkipped_ = restore->rowsSkipped;
-        lintRejects_ = restore->lintRejects;
-        outcomes_ = restore->outcomes;
+        counters_ = restore->counters;
+        counters_.cache = {};  // cache_ keeps these: setStats below
         best_seen = restore->bestSeen;
         result.fitnessTrajectory = restore->trajectory;
         result.generations = restore->generationsDone;
@@ -863,7 +859,7 @@ RepairEngine::runInternal(const EngineState *restore)
         cache_ = FitnessCache(config_.fitnessCacheSize);
         for (const CacheRecord &c : restore->cache)
             cache_.insert(c.key, c.entry);  // LRU-first, see snapshot.h
-        cache_.setStats(restore->cacheStats);
+        cache_.setStats(restore->counters.cache);
         popn = restore->population;
         start_gen = restore->generationsDone;
         migrantLedger_ = restore->migrantLedger;
@@ -1104,18 +1100,12 @@ RepairEngine::runInternal(const EngineState *restore)
                                       result.fitnessTrajectory));
         if (config_.onGeneration) {
             GenerationStats gs;
+            static_cast<SearchCounters &>(gs) = counters();
             gs.generation = gen + 1;
             gs.bestFitness = popn.empty() ? 0.0 : popn[0].fit.fitness;
-            gs.fitnessEvals = evals_;
-            gs.invalidMutants = invalid_;
-            gs.totalMutants = mutants_;
-            gs.outcomes = outcomes_;
-            gs.cache = cache_.stats();
             gs.quarantined = quarantine_.size();
-            gs.lintRejects = lintRejects_;
             gs.witnessBenches = static_cast<int>(witnessRt_.size());
             gs.elapsedSeconds = elapsed();
-            gs.fleetCacheHits = fleetCacheHits_;
             gs.island = config_.islandIndex;
             gs.epoch = config_.migrationInterval > 0
                            ? (gen + 1) / config_.migrationInterval

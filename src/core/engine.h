@@ -255,22 +255,82 @@ struct EngineConfig
         fleetPublish;
 };
 
-/** Per-generation progress report passed to EngineConfig::onGeneration. */
-struct GenerationStats
+/**
+ * The search's counters, declared once: fitness probes (the paper's
+ * RQ3 cost measure), mutants, pre-screen and streaming accounting,
+ * per-outcome and fitness-cache counts. The engine keeps one;
+ * GenerationStats, RepairResult and IslandStats extend it and
+ * EngineState stores it. forEachCounter() below lists every field
+ * with its wire name; operator+= and service::countersToJson() are
+ * built on it.
+ */
+struct SearchCounters
 {
-    int generation = 0;       //!< 1-based index of the finished generation
-    double bestFitness = 0.0; //!< best fitness in the new population
-    long fitnessEvals = 0;    //!< cumulative simulations so far
-    long invalidMutants = 0;  //!< cumulative structurally invalid mutants
-    long totalMutants = 0;    //!< cumulative children produced
-    OutcomeCounts outcomes;   //!< cumulative per-outcome counts
-    CacheStats cache;         //!< fitness-cache accounting so far
-    size_t quarantined = 0;   //!< condemned patch keys so far
-    long lintRejects = 0;     //!< candidates rejected by the pre-screen
-    int witnessBenches = 0;   //!< witness benches active this run
-    double elapsedSeconds = 0.0;
-    /** Evaluations satisfied by the fleet-shared cache so far. */
+    long fitnessEvals = 0;    //!< fitness probes (simulations)
+    long invalidMutants = 0;  //!< mutants rejected by validation
+    long totalMutants = 0;    //!< children produced
+    long earlyAborts = 0;     //!< stopped by the streaming cutoff
+    /** Oracle rows scored against simulation output (streaming). */
+    uint64_t rowsScored = 0;
+    /** Oracle rows the cutoff skipped (work saved by early abort). */
+    uint64_t rowsSkipped = 0;
+    long lintRejects = 0;     //!< rejected by the lint pre-screen
+    /** Evaluations this process satisfied from the fleet-shared cache
+     *  / quarantine (0 without a fleetLookup hook). Work accounting,
+     *  not part of the deterministic search: never snapshotted, so a
+     *  resumed run counts only its own hits. */
     long fleetCacheHits = 0;
+    long fleetQuarantineHits = 0;
+    OutcomeCounts outcomes;   //!< per-outcome evaluation counts
+    CacheStats cache;         //!< fitness-cache hits/misses/evictions
+
+    /** Field-wise; defaulted in engine.cc, like OutcomeCounts' and
+     *  CacheStats', so this header still compiles as C++17 (the
+     *  bench/e2e targets include it without asking for C++20). */
+    bool operator==(const SearchCounters &) const;
+    /** Field-wise sum (a K-island job's counters are its islands'). */
+    SearchCounters &operator+=(const SearchCounters &other);
+};
+
+/**
+ * Calls f(group, name, field...) once per counter, with that counter
+ * of each of @p c: @p name is its wire name, @p group "" for a
+ * top-level key, else the nested object ("cache", "outcomes") that
+ * holds it. The one list of SearchCounters' fields — a counter added
+ * to the struct is added here and nowhere else.
+ */
+template <class F, class... Counters>
+void
+forEachCounter(F &&f, Counters &...c)
+{
+    f("", "fitness_evals", c.fitnessEvals...);
+    f("", "invalid_mutants", c.invalidMutants...);
+    f("", "total_mutants", c.totalMutants...);
+    f("", "early_aborts", c.earlyAborts...);
+    f("", "rows_scored", c.rowsScored...);
+    f("", "rows_skipped", c.rowsSkipped...);
+    f("", "lint_rejects", c.lintRejects...);
+    f("", "fleet_cache_hits", c.fleetCacheHits...);
+    f("", "fleet_quarantine_hits", c.fleetQuarantineHits...);
+    f("cache", "hits", c.cache.hits...);
+    f("cache", "misses", c.cache.misses...);
+    f("cache", "evictions", c.cache.evictions...);
+    for (int i = 0; i < kEvalOutcomeCount; ++i)
+        f("outcomes", evalOutcomeName(static_cast<EvalOutcome>(i)),
+          c.outcomes.counts[static_cast<size_t>(i)]...);
+    f("outcomes", "quarantine_hits", c.outcomes.quarantineHits...);
+}
+
+/** Per-generation progress report passed to EngineConfig::onGeneration;
+ *  the counters are cumulative. */
+struct GenerationStats : SearchCounters
+{
+    int generation = 0;        //!< 1-based index of the finished generation
+    /** Best fitness in the new population (-1 before the first). */
+    double bestFitness = -1.0;
+    size_t quarantined = 0;    //!< condemned patch keys so far
+    int witnessBenches = 0;    //!< witness benches active this run
+    double elapsedSeconds = 0.0;
     /** Island id of this run (-1 for a plain, non-island run). */
     int island = -1;
     /** Migration epochs completed so far (0 without migration). */
@@ -278,45 +338,24 @@ struct GenerationStats
 };
 
 /** Outcome of one repair trial. */
-struct RepairResult
+struct RepairResult : SearchCounters
 {
     bool found = false;
     Patch patch;                    //!< minimized repair (when found)
     std::string repairedSource;     //!< regenerated Verilog
     FitnessResult finalFitness;
     int generations = 0;
-    long fitnessEvals = 0;          //!< fitness probes (simulations)
-    long invalidMutants = 0;        //!< mutants rejected by validation
-    long totalMutants = 0;
     double seconds = 0.0;
     /** True when EngineConfig::shouldStop ended the run early (the
      *  run was canceled, not exhausted). */
     bool stopped = false;
     /** (probe index, best fitness) at each improvement — RQ3 data. */
     std::vector<std::pair<long, double>> fitnessTrajectory;
-    /** Fitness-cache accounting for the trial (hits/misses/evictions). */
-    CacheStats cache;
-    /** Per-outcome evaluation counts (failure containment report). */
-    OutcomeCounts outcomes;
-    /** Candidates stopped by the streaming-fitness cutoff. */
-    long earlyAborts = 0;
-    /** Oracle rows scored against simulation output (streaming evals). */
-    uint64_t rowsScored = 0;
-    /** Oracle rows the cutoff skipped (work saved by early abort). */
-    uint64_t rowsSkipped = 0;
-    /** Candidates rejected by the lint pre-screen (not simulated). */
-    long lintRejects = 0;
     /** Witness benches the run's oracle was hardened with. */
     int witnessBenches = 0;
     /** Overfit patches demoted by a witness before this result (only
      *  set by the hardened repair loop; 0 for plain runs). */
     int overfitKills = 0;
-    /** Evaluations satisfied by the fleet-shared cache (island runs;
-     *  0 without a fleetLookup hook). Work accounting, not part of the
-     *  deterministic search fingerprint. */
-    long fleetCacheHits = 0;
-    /** Candidates condemned by a fleet-shared quarantine hit. */
-    long fleetQuarantineHits = 0;
     /** Per-epoch imported-migrant keys (island runs; empty without
      *  migration). Deterministic per (seed, K, migration schedule). */
     std::vector<MigrantRecord> migrantLedger;
@@ -391,10 +430,9 @@ class RepairEngine
 
     const EngineConfig &config() const { return config_; }
     const Trace &oracle() const { return oracle_; }
-    /** Fitness-cache accounting so far (also placed in RepairResult). */
-    const CacheStats &cacheStats() const { return cache_.stats(); }
-    /** Per-outcome evaluation counts so far. */
-    const OutcomeCounts &outcomes() const { return outcomes_; }
+    /** Counters so far, fitness-cache accounting included (the same
+     *  values RepairResult and GenerationStats report). */
+    SearchCounters counters() const;
     /** Keys condemned by a Runaway/Deadline/Oom/Crashed evaluation. */
     size_t quarantineSize() const { return quarantine_.size(); }
     /** Imported-migrant ledger so far (island runs; see MigrantRecord). */
@@ -424,8 +462,8 @@ class RepairEngine
      * in-batch deduplication on the calling thread, every cache miss
      * fanned out to the pool in one dispatch, results merged (and the
      * cache updated) in child order. @p simulated_out receives, per
-     * child, whether a real simulation ran (the caller charges evals_
-     * in order).
+     * child, whether a real simulation ran (the caller charges
+     * fitnessEvals in order).
      *
      * @p elite_fitness, when non-null, arms the early-abort cutoff:
      * the values seed a SurvivalTracker (they are the merge-pool
@@ -490,23 +528,14 @@ class RepairEngine
     std::mt19937_64 rng_;
     FitnessCache cache_;
     std::unique_ptr<EvalPool> pool_;  //!< created lazily by run()
-    long evals_ = 0;
-    long invalid_ = 0;
-    long mutants_ = 0;
-    long earlyAborts_ = 0;
-    uint64_t rowsScored_ = 0;
-    uint64_t rowsSkipped_ = 0;
-    long lintRejects_ = 0;
+    /** Every counter but cache, which cache_ keeps (see counters()). */
+    SearchCounters counters_;
     /** Baseline design's error-severity lint fingerprint; immutable
      *  after construction (worker threads read it). */
     lint::Fingerprint baselineLintFp_;
-    OutcomeCounts outcomes_;
     /** Patch keys that crashed/ran away once: never re-simulated.
      *  Main thread only, like the cache. */
     std::unordered_map<std::string, QuarantineEntry> quarantine_;
-    /** Evaluations satisfied by the fleet-shared cache / quarantine. */
-    long fleetCacheHits_ = 0;
-    long fleetQuarantineHits_ = 0;
     /** Imported-migrant keys per completed epoch (island runs). */
     std::vector<MigrantRecord> migrantLedger_;
 };

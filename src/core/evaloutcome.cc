@@ -33,6 +33,8 @@ evalOutcomeFromName(const std::string &name)
     throw std::runtime_error("unknown evaluation outcome: " + name);
 }
 
+bool OutcomeCounts::operator==(const OutcomeCounts &) const = default;
+
 long
 OutcomeCounts::failures() const
 {

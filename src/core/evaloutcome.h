@@ -69,6 +69,8 @@ struct OutcomeCounts
         return counts[static_cast<size_t>(o)];
     }
 
+    bool operator==(const OutcomeCounts &) const;
+
     /** Evaluations that did not end in EvalOutcome::Ok. */
     long failures() const;
     long total() const;

@@ -118,6 +118,8 @@ EvalPool::run(const std::vector<std::function<void()>> &jobs)
             std::rethrow_exception(err);
 }
 
+bool CacheStats::operator==(const CacheStats &) const = default;
+
 const FitnessCache::Entry *
 FitnessCache::find(const std::string &key)
 {

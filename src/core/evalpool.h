@@ -109,6 +109,8 @@ struct CacheStats
     long hits = 0;        //!< evaluations satisfied without simulating
     long misses = 0;      //!< evaluations that had to run for real
     long evictions = 0;   //!< entries dropped by the LRU bound
+
+    bool operator==(const CacheStats &) const;
 };
 
 /**

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -57,6 +56,8 @@ rankLess(const std::pair<std::string, const Variant *> &a,
     return a.first < b.first;
 }
 
+} // namespace
+
 std::string
 hexDouble(double d)
 {
@@ -64,8 +65,6 @@ hexDouble(double d)
     std::snprintf(buf, sizeof buf, "%a", d);
     return buf;
 }
-
-} // namespace
 
 std::vector<Variant>
 selectElites(const std::vector<Variant> &popn, int n)
@@ -587,14 +586,11 @@ fingerprintInput(const IslandOutcome &outcome, uint64_t seed,
     return in;
 }
 
-// ------------------------------------------------------- runIslands
-
-namespace {
-
 IslandStats
 digestFromResult(int island, const RepairResult &res)
 {
     IslandStats st;
+    static_cast<SearchCounters &>(st) = res;
     st.island = island;
     st.generations = res.generations;
     st.found = res.found;
@@ -605,11 +601,12 @@ digestFromResult(int island, const RepairResult &res)
     if (res.found)
         st.patchKey = res.patch.key();
     st.ledger = res.migrantLedger;
-    st.fitnessEvals = res.fitnessEvals;
-    st.fleetCacheHits = res.fleetCacheHits;
-    st.fleetQuarantineHits = res.fleetQuarantineHits;
     return st;
 }
+
+// ------------------------------------------------------- runIslands
+
+namespace {
 
 int
 epochOf(int generations, int interval)
@@ -660,12 +657,8 @@ runIslands(std::shared_ptr<const verilog::SourceFile> faulty,
             if (fs::exists(islandSnap(i)))
                 haveSnaps = true;
         bool ledgerOk = false;
-        if (fs::exists(ledgerPath)) {
-            std::ifstream in(ledgerPath, std::ios::binary);
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            ledgerOk = ledger.decode(buf.str());
-        }
+        if (fs::exists(ledgerPath))
+            ledgerOk = ledger.decode(readFileOrEmpty(ledgerPath));
         if (haveSnaps && !ledgerOk) {
             for (int i = 0; i < K; ++i)
                 fs::remove(islandSnap(i));
@@ -679,14 +672,12 @@ runIslands(std::shared_ptr<const verilog::SourceFile> faulty,
         if (ledgerPath.empty())
             return;
         std::lock_guard<std::mutex> lock(persistMu);
-        std::string data = ledger.encode();
-        std::string tmp = ledgerPath + ".tmp";
-        {
-            std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-            os.write(data.data(),
-                     static_cast<std::streamsize>(data.size()));
+        try {
+            writeFileAtomic(ledgerPath, ledger.encode());
+        } catch (const std::runtime_error &) {
+            // Best effort: the file only serves crash recovery, and a
+            // failed write leaves the previous ledger in place.
         }
-        std::rename(tmp.c_str(), ledgerPath.c_str());
     };
 
     std::mutex barrierMu;

@@ -69,10 +69,10 @@ struct MigrationStats
     long elitesLost = 0;        //!< replay/re-export mismatches
 };
 
-/** Per-island digest of a finished (or stopped) island run. Fields up
- *  to @c ledger are fingerprinted; the trailing counters are volatile
+/** Per-island digest of a finished (or stopped) island run. The
+ *  fields below are fingerprinted; the inherited counters are volatile
  *  work accounting (excluded — see the determinism contract above). */
-struct IslandStats
+struct IslandStats : SearchCounters
 {
     int island = 0;
     int generations = 0;
@@ -86,10 +86,6 @@ struct IslandStats
     std::string patchKey;
     /** Per-epoch keys of migrants actually injected. */
     std::vector<MigrantRecord> ledger;
-    // ---- volatile work counters (not fingerprinted) ----
-    long fitnessEvals = 0;
-    long fleetCacheHits = 0;
-    long fleetQuarantineHits = 0;
 };
 
 /** The whole K-island run: the winning island's full result plus the
@@ -279,6 +275,15 @@ struct IslandFingerprintInput
 };
 
 uint64_t islandFingerprint(const IslandFingerprintInput &in);
+
+/** Bit-exact double text ("%a" hexfloat): the form islandFingerprint()
+ *  hashes and island digests ship, so both round-trip exactly. */
+std::string hexDouble(double d);
+
+/** The digest of island @p island's finished run @p res: its counters,
+ *  generations, stop/found flags, best-seen fitness, minimized patch
+ *  key and migrant ledger. */
+IslandStats digestFromResult(int island, const RepairResult &res);
 
 /** Build the fingerprint input from a finished outcome. */
 IslandFingerprintInput fingerprintInput(const IslandOutcome &outcome,

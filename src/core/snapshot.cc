@@ -287,16 +287,19 @@ encodeSnapshot(const EngineState &state)
     w.blob("rng", state.rngState);
     {
         std::ostringstream os;
-        os << "progress " << state.generationsDone << " " << state.evals
-           << " " << state.invalid << " " << state.mutants << " "
+        const SearchCounters &c = state.counters;
+        os << "progress " << state.generationsDone << " "
+           << c.fitnessEvals << " " << c.invalidMutants << " "
+           << c.totalMutants << " "
            << doubleToken(state.elapsedSeconds) << " "
            << doubleToken(state.bestSeen);
         w.line(os.str());
     }
     {
         std::ostringstream os;
-        os << "stream " << state.earlyAborts << " " << state.rowsScored
-           << " " << state.rowsSkipped << " " << state.lintRejects;
+        const SearchCounters &c = state.counters;
+        os << "stream " << c.earlyAborts << " " << c.rowsScored << " "
+           << c.rowsSkipped << " " << c.lintRejects;
         w.line(os.str());
     }
     {
@@ -330,9 +333,9 @@ encodeSnapshot(const EngineState &state)
     {
         std::ostringstream os;
         os << "outcomes";
-        for (long c : state.outcomes.counts)
+        for (long c : state.counters.outcomes.counts)
             os << " " << c;
-        os << " " << state.outcomes.quarantineHits;
+        os << " " << state.counters.outcomes.quarantineHits;
         w.line(os.str());
     }
     w.line("population " + std::to_string(state.population.size()));
@@ -345,9 +348,10 @@ encodeSnapshot(const EngineState &state)
                std::string(evalOutcomeName(q.entry.outcome)));
         w.blob("error", q.entry.error);
     }
-    w.line("cachestats " + std::to_string(state.cacheStats.hits) + " " +
-           std::to_string(state.cacheStats.misses) + " " +
-           std::to_string(state.cacheStats.evictions));
+    const CacheStats &cs = state.counters.cache;
+    w.line("cachestats " + std::to_string(cs.hits) + " " +
+           std::to_string(cs.misses) + " " +
+           std::to_string(cs.evictions));
     w.line("cache " + std::to_string(state.cache.size()));
     for (const CacheRecord &c : state.cache) {
         w.blob("key", c.key);
@@ -446,18 +450,18 @@ decodeSnapshot(const std::string &text)
     {
         auto p = r.tokens("progress", 7);
         st.generationsDone = static_cast<int>(r.parseLong(p[1]));
-        st.evals = r.parseLong(p[2]);
-        st.invalid = r.parseLong(p[3]);
-        st.mutants = r.parseLong(p[4]);
+        st.counters.fitnessEvals = r.parseLong(p[2]);
+        st.counters.invalidMutants = r.parseLong(p[3]);
+        st.counters.totalMutants = r.parseLong(p[4]);
         st.elapsedSeconds = tokenToDouble(p[5]);
         st.bestSeen = tokenToDouble(p[6]);
     }
     {
         auto s = r.tokens("stream", 5);
-        st.earlyAborts = r.parseLong(s[1]);
-        st.rowsScored = r.parseU64(s[2]);
-        st.rowsSkipped = r.parseU64(s[3]);
-        st.lintRejects = r.parseLong(s[4]);
+        st.counters.earlyAborts = r.parseLong(s[1]);
+        st.counters.rowsScored = r.parseU64(s[2]);
+        st.counters.rowsSkipped = r.parseU64(s[3]);
+        st.counters.lintRejects = r.parseLong(s[4]);
     }
     if (version < 9)
         r.tokens("compiled", 7); // retired compiled-backend counters
@@ -506,9 +510,9 @@ decodeSnapshot(const std::string &text)
         auto o = r.tokens("outcomes",
                           static_cast<size_t>(kEvalOutcomeCount) + 2);
         for (int i = 0; i < kEvalOutcomeCount; ++i)
-            st.outcomes.counts[static_cast<size_t>(i)] =
+            st.counters.outcomes.counts[static_cast<size_t>(i)] =
                 r.parseLong(o[static_cast<size_t>(i) + 1]);
-        st.outcomes.quarantineHits =
+        st.counters.outcomes.quarantineHits =
             r.parseLong(o[static_cast<size_t>(kEvalOutcomeCount) + 1]);
     }
     size_t npop = r.parseSize(r.tokens("population", 2)[1]);
@@ -525,9 +529,9 @@ decodeSnapshot(const std::string &text)
     }
     {
         auto cs = r.tokens("cachestats", 4);
-        st.cacheStats.hits = r.parseLong(cs[1]);
-        st.cacheStats.misses = r.parseLong(cs[2]);
-        st.cacheStats.evictions = r.parseLong(cs[3]);
+        st.counters.cache.hits = r.parseLong(cs[1]);
+        st.counters.cache.misses = r.parseLong(cs[2]);
+        st.counters.cache.evictions = r.parseLong(cs[3]);
     }
     size_t ncache = r.parseSize(r.tokens("cache", 2)[1]);
     for (size_t i = 0; i < ncache; ++i) {
@@ -560,15 +564,23 @@ decodeSnapshot(const std::string &text)
 void
 saveSnapshot(const std::string &path, const EngineState &state)
 {
-    std::string data = encodeSnapshot(state);
-    // Write-then-rename in the same directory: a crash mid-write leaves
-    // the previous snapshot intact, never a torn file.
+    writeFileAtomic(path, encodeSnapshot(state));
+}
+
+EngineState
+loadSnapshot(const std::string &path)
+{
+    return decodeSnapshot(readFile(path));
+}
+
+void
+writeFileAtomic(const std::string &path, const std::string &data)
+{
     std::string tmp = path + ".tmp";
     {
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
         if (!os)
-            throw std::runtime_error("cannot write snapshot temp file " +
-                                     tmp);
+            throw std::runtime_error("cannot write " + tmp);
         os.write(data.data(),
                  static_cast<std::streamsize>(data.size()));
         os.flush();
@@ -581,15 +593,25 @@ saveSnapshot(const std::string &path, const EngineState &state)
     }
 }
 
-EngineState
-loadSnapshot(const std::string &path)
+std::string
+readFile(const std::string &path)
 {
     std::ifstream is(path, std::ios::binary);
     if (!is)
-        throw std::runtime_error("cannot read snapshot " + path);
+        throw std::runtime_error("cannot read " + path);
     std::ostringstream buf;
     buf << is.rdbuf();
-    return decodeSnapshot(buf.str());
+    return buf.str();
+}
+
+std::string
+readFileOrEmpty(const std::string &path)
+{
+    try {
+        return readFile(path);
+    } catch (const std::runtime_error &) {
+        return "";
+    }
 }
 
 std::string

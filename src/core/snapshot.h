@@ -98,13 +98,11 @@ struct EngineState
     /** mt19937_64 stream state (operator<< text form). */
     std::string rngState;
     int generationsDone = 0;
-    long evals = 0;
-    long invalid = 0;
-    long mutants = 0;
-    long earlyAborts = 0;
-    uint64_t rowsScored = 0;
-    uint64_t rowsSkipped = 0;
-    long lintRejects = 0;
+    /** The engine's counters at the checkpoint. The "progress",
+     *  "stream", "outcomes" and "cachestats" lines carry them; the two
+     *  fleet counters are not written (decode leaves them 0), because
+     *  they count one process's hits, not search state. */
+    SearchCounters counters;
     double elapsedSeconds = 0.0;
     double bestSeen = -1.0;
     /** Witness benches installed when the snapshot was taken. Every
@@ -113,7 +111,6 @@ struct EngineState
      *  witness set differs (see rehardenSnapshot for migration). */
     std::vector<OracleBench> witnesses;
     std::vector<std::pair<long, double>> trajectory;
-    OutcomeCounts outcomes;
     /** Island provenance (v8): which slot of a K-island run wrote this
      *  snapshot. A plain run is island -1 of 0. resume() refuses a
      *  snapshot whose slot differs from the engine's — the RNG stream
@@ -129,7 +126,6 @@ struct EngineState
     std::vector<Variant> population;
     /** Sorted by key (so snapshots are byte-stable). */
     std::vector<QuarantineRecord> quarantine;
-    CacheStats cacheStats;
     /** LRU-first: re-insert() in order to reproduce eviction order. */
     std::vector<CacheRecord> cache;
 };
@@ -151,6 +147,19 @@ void saveSnapshot(const std::string &path, const EngineState &state);
 /** Read and decode the snapshot at @p path.
  *  @throws std::runtime_error when unreadable or corrupt. */
 EngineState loadSnapshot(const std::string &path);
+
+/** Write @p data to @p path through "<path>.tmp" and a rename in the
+ *  same directory, so a crash mid-write leaves the previous file intact,
+ *  never a torn one. @throws std::runtime_error when the temp file
+ *  cannot be written or renamed (the temp file is then removed). */
+void writeFileAtomic(const std::string &path, const std::string &data);
+
+/** The whole file at @p path. @throws std::runtime_error when it
+ *  cannot be opened. */
+std::string readFile(const std::string &path);
+
+/** As readFile(), but "" when the file cannot be opened. */
+std::string readFileOrEmpty(const std::string &path);
 
 /** Serialize a list of variants (patch + fitness + validity) using the
  *  snapshot wire format. Used by the fleet to ship elite migrants and

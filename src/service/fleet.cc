@@ -5,8 +5,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "core/snapshot.h"
@@ -16,38 +14,6 @@
 namespace cirfix::service {
 
 namespace {
-
-void
-writeFileAtomic(const std::string &path, const std::string &data)
-{
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            throw std::runtime_error("cannot write " + tmp);
-        os.write(data.data(),
-                 static_cast<std::streamsize>(data.size()));
-        os.flush();
-        if (!os)
-            throw std::runtime_error("short write to " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw std::runtime_error("cannot rename " + tmp + " to " +
-                                 path);
-    }
-}
-
-std::string
-slurpFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return "";
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return buf.str();
-}
 
 /** Epoch that generation count @p generations belongs to. */
 int
@@ -158,7 +124,7 @@ IslandCoordinator::recover()
 {
     if (path_.empty() || !std::filesystem::exists(path_))
         return Recovery::Fresh;
-    std::string text = slurpFile(path_);
+    std::string text = core::readFileOrEmpty(path_);
     if (!ledger_.decode(text))
         return Recovery::Corrupt;
     std::lock_guard<std::mutex> lock(mu_);
@@ -179,7 +145,7 @@ IslandCoordinator::persist()
     std::lock_guard<std::mutex> lock(mu_);
     if (retired_)
         return;
-    writeFileAtomic(path_, text);
+    core::writeFileAtomic(path_, text);
 }
 
 void
@@ -458,7 +424,7 @@ Worker::execute(Conn &conn, const Assignment &a,
     JobSpec spec = jobSpecFromJson(Json::parse(a.specJson));
     std::string snapPath = snapshotPath(a.id);
     if (!a.snapshot.empty())
-        writeFileAtomic(snapPath, a.snapshot);  // resume hand-off
+        core::writeFileAtomic(snapPath, a.snapshot);  // resume hand-off
     else
         std::remove(snapPath.c_str());  // never resume a stale attempt
 
@@ -527,18 +493,13 @@ Worker::execute(Conn &conn, const Assignment &a,
     });
 
     auto onGeneration = [&](const core::GenerationStats &gs) {
-        Json req = Json::object();
+        Json req = generationToJson(gs);
         req["type"] = "progress";
         req["id"] = a.id;
         req["lease_id"] = static_cast<long long>(a.leaseId);
-        req["generation"] = gs.generation;
-        req["best_fitness"] = gs.bestFitness;
-        req["fitness_evals"] = gs.fitnessEvals;
-        req["invalid_mutants"] = gs.invalidMutants;
-        req["total_mutants"] = gs.totalMutants;
         // The checkpoint is durable before onGeneration fires; ship it
         // so the coordinator can resume the job anywhere on failover.
-        req["snapshot"] = slurpFile(snapPath);
+        req["snapshot"] = core::readFileOrEmpty(snapPath);
         Json reply;
         if (exchange(req, &reply))
             handleLeaseReply(reply);
@@ -607,7 +568,7 @@ Worker::executeShard(Conn &conn, const Assignment &a,
     JobSpec spec = jobSpecFromJson(Json::parse(a.specJson));
     std::string snapPath = snapshotPath(a.id, a.island);
     if (!a.snapshot.empty())
-        writeFileAtomic(snapPath, a.snapshot);  // resume hand-off
+        core::writeFileAtomic(snapPath, a.snapshot);  // resume hand-off
     else
         std::remove(snapPath.c_str());  // never resume a stale attempt
 
@@ -788,19 +749,11 @@ Worker::executeShard(Conn &conn, const Assignment &a,
         };
 
     auto onGeneration = [&](const core::GenerationStats &gs) {
-        Json req = Json::object();
+        Json req = generationToJson(gs);  // island + epoch included
         req["type"] = "progress";
         req["id"] = a.id;
         req["lease_id"] = static_cast<long long>(a.leaseId);
-        req["island"] = a.island;
-        req["epoch"] = gs.epoch;
-        req["generation"] = gs.generation;
-        req["best_fitness"] = gs.bestFitness;
-        req["fitness_evals"] = gs.fitnessEvals;
-        req["invalid_mutants"] = gs.invalidMutants;
-        req["total_mutants"] = gs.totalMutants;
-        req["fleet_cache_hits"] = gs.fleetCacheHits;
-        req["snapshot"] = slurpFile(snapPath);
+        req["snapshot"] = core::readFileOrEmpty(snapPath);
         Json reply;
         if (exchange(req, &reply))
             handleLeaseReply(reply);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "service/session.h"
+
 namespace cirfix::service {
 
 std::variant<long, Rejection>
@@ -271,53 +273,27 @@ void
 JobQueue::publishGeneration(Job &job, const core::GenerationStats &gs)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    if (gs.island >= 0 &&
-        gs.island < static_cast<int>(job.shards.size())) {
-        // Island shard: per-shard progress mirror; the job-level
-        // fields aggregate across islands for one-line status.
-        JobShard &sh = job.shards[static_cast<size_t>(gs.island)];
-        sh.generation = gs.generation;
-        sh.epoch = gs.epoch;
-        sh.bestFitness = gs.bestFitness;
-        sh.fitnessEvals = gs.fitnessEvals;
-        job.generation = std::max(job.generation, gs.generation);
-        job.bestFitness = std::max(job.bestFitness, gs.bestFitness);
-        long evals = 0;
-        for (const JobShard &s : job.shards)
-            evals += s.fitnessEvals;
-        job.fitnessEvals = evals;
+    int islands = job.spec.params.islands;
+    if (gs.island >= 0 && gs.island < islands) {
+        // One island of a K-island job, sharded or run whole: the
+        // job-level counters add up the islands' for one-line status.
+        job.islandProgress.resize(static_cast<size_t>(islands));
+        job.islandProgress[static_cast<size_t>(gs.island)] = gs;
+        core::SearchCounters sum;
+        for (const core::GenerationStats &each : job.islandProgress)
+            sum += each;
+        static_cast<core::SearchCounters &>(job.progress) = sum;
+        job.progress.generation =
+            std::max(job.progress.generation, gs.generation);
+        job.progress.bestFitness =
+            std::max(job.progress.bestFitness, gs.bestFitness);
     } else {
-        job.generation = gs.generation;
-        job.bestFitness = gs.bestFitness;
-        job.fitnessEvals = gs.fitnessEvals;
+        job.progress = gs;
     }
-    Json ev = Json::object();
+    Json ev = generationToJson(gs);
     ev["type"] = "event";
     ev["event"] = "generation";
     ev["id"] = job.id;
-    ev["generation"] = gs.generation;
-    ev["best_fitness"] = gs.bestFitness;
-    ev["fitness_evals"] = gs.fitnessEvals;
-    if (gs.island >= 0) {
-        ev["island"] = gs.island;
-        ev["epoch"] = gs.epoch;
-        ev["fleet_cache_hits"] = gs.fleetCacheHits;
-    }
-    ev["invalid_mutants"] = gs.invalidMutants;
-    ev["total_mutants"] = gs.totalMutants;
-    ev["quarantined"] = static_cast<long long>(gs.quarantined);
-    Json cache = Json::object();
-    cache["hits"] = gs.cache.hits;
-    cache["misses"] = gs.cache.misses;
-    cache["evictions"] = gs.cache.evictions;
-    ev["cache"] = std::move(cache);
-    Json outcomes = Json::object();
-    for (int i = 0; i < core::kEvalOutcomeCount; ++i)
-        outcomes[core::evalOutcomeName(
-            static_cast<core::EvalOutcome>(i))] =
-            gs.outcomes.counts[static_cast<size_t>(i)];
-    outcomes["quarantine_hits"] = gs.outcomes.quarantineHits;
-    ev["outcomes"] = std::move(outcomes);
     job.events.push_back(std::move(ev));
     eventsCv_.notify_all();
 }
@@ -499,6 +475,22 @@ JobQueue::renewLease(long id, uint64_t leaseId, double leaseSeconds,
     return true;
 }
 
+std::optional<int>
+JobQueue::leaseIsland(long id, uint64_t leaseId)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = jobs_.find(id);
+    if (it == jobs_.end() || it->second->state != JobState::Running)
+        return std::nullopt;
+    const Job &job = *it->second;
+    if (job.leaseId == leaseId)
+        return -1;
+    for (size_t k = 0; k < job.shards.size(); ++k)
+        if (!job.shards[k].done && job.shards[k].leaseId == leaseId)
+            return static_cast<int>(k);
+    return std::nullopt;
+}
+
 std::shared_ptr<Job>
 JobQueue::completeLeased(long id, uint64_t leaseId)
 {
@@ -670,9 +662,9 @@ jobSummary(const Job &job)
     j["state"] = jobStateName(job.state);
     j["priority"] = job.spec.priority;
     j["dut"] = job.spec.dutModule;
-    j["generation"] = job.generation;
-    j["best_fitness"] = job.bestFitness;
-    j["fitness_evals"] = job.fitnessEvals;
+    j["generation"] = job.progress.generation;
+    j["best_fitness"] = job.progress.bestFitness;
+    countersToJson(job.progress, j);
     if (!job.worker.empty())
         j["worker"] = job.worker;
     if (job.attempts > 0)
@@ -682,15 +674,19 @@ jobSummary(const Job &job)
     if (!job.shards.empty()) {
         j["island_count"] = static_cast<long long>(job.shards.size());
         Json islands = Json::array();
+        static const core::GenerationStats none;
         for (size_t k = 0; k < job.shards.size(); ++k) {
             const JobShard &sh = job.shards[k];
+            const core::GenerationStats &p =
+                k < job.islandProgress.size() ? job.islandProgress[k]
+                                              : none;
             Json s = Json::object();
             s["island"] = static_cast<long long>(k);
             s["done"] = sh.done;
-            s["generation"] = sh.generation;
-            s["epoch"] = sh.epoch;
-            s["best_fitness"] = sh.bestFitness;
-            s["fitness_evals"] = sh.fitnessEvals;
+            s["generation"] = p.generation;
+            s["epoch"] = p.epoch;
+            s["best_fitness"] = p.bestFitness;
+            countersToJson(p, s);
             s["attempts"] = sh.attempts;
             if (!sh.worker.empty())
                 s["worker"] = sh.worker;

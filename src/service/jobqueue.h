@@ -46,6 +46,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <variant>
@@ -88,12 +89,6 @@ struct JobShard
     std::string worker;
     int attempts = 0;
     bool done = false;  //!< digest committed; never re-leased
-
-    // Progress mirror (per-island status lines).
-    int generation = 0;
-    int epoch = 0;
-    double bestFitness = -1.0;
-    long fitnessEvals = 0;
 };
 
 /** One job, owned by the queue. Every field is guarded by the queue's
@@ -119,10 +114,13 @@ struct Job
      *  whole-job claim — only per-shard leases. */
     std::vector<JobShard> shards;
 
-    // Progress mirror of the engine's GenerationStats, for status.
-    int generation = 0;
-    double bestFitness = -1.0;
-    long fitnessEvals = 0;
+    /** Last published generation, for status. For a K-island job the
+     *  counters are the sum over islandProgress, the generation and
+     *  best fitness the highest any island reported. */
+    core::GenerationStats progress;
+    /** Each island's last published generation: a K-island job's,
+     *  whether sharded or run whole by one worker; empty otherwise. */
+    std::vector<core::GenerationStats> islandProgress;
 
     Json result;        //!< terminal payload (Done/Canceled)
     std::string error;  //!< diagnostic for Failed
@@ -240,6 +238,12 @@ class JobQueue
      *  honor. */
     bool renewLease(long id, uint64_t leaseId, double leaseSeconds,
                     bool *cancelOut);
+
+    /** The island whose shard lease @p leaseId is, -1 for a whole-job
+     *  lease; nullopt when the lease is stale. Read-only, so a frame
+     *  can be checked against its lease before renewLease() counts
+     *  it (a lease id never moves to another island). */
+    std::optional<int> leaseIsland(long id, uint64_t leaseId);
 
     /** Validate a lease for a terminal commit (done frame). On success
      *  the lease is cleared and the job returned still in Running state

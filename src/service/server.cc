@@ -2,15 +2,16 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 
 #include <poll.h>
 #include <unistd.h>
 
+#include "core/snapshot.h"
 #include "service/framing.h"
 #include "service/session.h"
 
@@ -24,49 +25,6 @@ namespace {
 sysError(const std::string &what)
 {
     throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-void
-writeFileAtomic(const std::string &path, const std::string &data)
-{
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            throw std::runtime_error("cannot write " + tmp);
-        os.write(data.data(),
-                 static_cast<std::streamsize>(data.size()));
-        os.flush();
-        if (!os)
-            throw std::runtime_error("short write to " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw std::runtime_error("cannot rename " + tmp + " to " +
-                                 path);
-    }
-}
-
-std::string
-slurpFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw std::runtime_error("cannot read " + path);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return buf.str();
-}
-
-std::string
-slurpFileOrEmpty(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return "";
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return buf.str();
 }
 
 /** How often the accept loop wakes with nothing to accept: this is
@@ -134,7 +92,7 @@ Server::persistJob(const Job &job)
         j["worker"] = job.worker;
     if (job.attempts > 0)
         j["attempts"] = job.attempts;
-    writeFileAtomic(jobFile(job.id), j.dump());
+    core::writeFileAtomic(jobFile(job.id), j.dump());
 }
 
 void
@@ -150,7 +108,7 @@ Server::persistResult(const Job &job)
     j["state"] = jobStateName(state);
     j["result"] = std::move(result);
     j["error"] = error;
-    writeFileAtomic(resultFile(job.id), j.dump());
+    core::writeFileAtomic(resultFile(job.id), j.dump());
 }
 
 void
@@ -169,7 +127,7 @@ Server::recoverStateDir()
     }
     for (const fs::path &path : jobFiles) {
         try {
-            Json j = Json::parse(slurpFile(path.string()));
+            Json j = Json::parse(core::readFile(path.string()));
             auto job = std::make_shared<Job>();
             job->id = j.num("id", -1);
             job->seq = j.num("seq", 0);
@@ -184,7 +142,7 @@ Server::recoverStateDir()
             job->attempts = static_cast<int>(j.num("attempts", 0));
             std::string rf = resultFile(job->id);
             if (fs::exists(rf)) {
-                Json r = Json::parse(slurpFile(rf));
+                Json r = Json::parse(core::readFile(rf));
                 job->state = jobStateFromName(r.str("state", "failed"));
                 if (const Json *res = r.find("result"))
                     job->result = *res;
@@ -643,15 +601,36 @@ Server::dispatchWorker(const Json &msg, const std::string &key)
             // migrate frame arrives.
             islandCoordinatorFor(job);
             resp["island"] = island;
-            resp["snapshot"] = slurpFileOrEmpty(
+            resp["snapshot"] = core::readFileOrEmpty(
                 shardSnapshotFile(job->id, island));
         } else {
             // Empty for a fresh job; the dead worker's last durable
             // checkpoint on failover — the claimant resumes from it
             // bit-identically.
-            resp["snapshot"] = slurpFileOrEmpty(snapshotFile(job->id));
+            resp["snapshot"] =
+                core::readFileOrEmpty(snapshotFile(job->id));
         }
         return resp;
+    }
+
+    // A shard lease speaks for its own island, never for another, and
+    // is checked before its frame renews or writes anything. A
+    // whole-job lease may run a K-island job in process, so its
+    // progress frames name every island; only a shard lease may
+    // migrate or sync a cache.
+    std::optional<int> held;  // nullopt: stale, renewLease refuses
+    if (type == "progress" || type == "migrate" || type == "cache_sync") {
+        held = queue_.leaseIsland(
+            msg.num("id", -1),
+            static_cast<uint64_t>(msg.num("lease_id", 0)));
+        long named = msg.num("island", -1);
+        if (held && (*held >= 0 ? named != *held : type != "progress"))
+            return makeError(
+                errc::kBadRequest,
+                "frame names island " + std::to_string(named) +
+                    " but its lease holds " +
+                    (*held < 0 ? std::string("the whole job")
+                               : "island " + std::to_string(*held)));
     }
 
     if (type == "progress") {
@@ -667,29 +646,20 @@ Server::dispatchWorker(const Json &msg, const std::string &key)
         if (!job)
             return makeError(errc::kUnknownJob,
                              "no job with id " + std::to_string(id));
-        int island = static_cast<int>(msg.num("island", -1));
+        int island = held.value_or(-1);
         std::string snapshot = msg.str("snapshot");
         if (!snapshot.empty()) {
             try {
-                writeFileAtomic(island >= 0
-                                    ? shardSnapshotFile(id, island)
-                                    : snapshotFile(id),
-                                snapshot);
+                core::writeFileAtomic(island >= 0
+                                          ? shardSnapshotFile(id, island)
+                                          : snapshotFile(id),
+                                      snapshot);
             } catch (const std::exception &) {
                 // Progress still counts; failover would just fall
                 // back to an older checkpoint.
             }
         }
-        core::GenerationStats gs;
-        gs.generation = static_cast<int>(msg.num("generation", 0));
-        gs.bestFitness = msg.real("best_fitness", -1.0);
-        gs.fitnessEvals = msg.num("fitness_evals", 0);
-        gs.invalidMutants = msg.num("invalid_mutants", 0);
-        gs.totalMutants = msg.num("total_mutants", 0);
-        gs.island = island;
-        gs.epoch = static_cast<int>(msg.num("epoch", 0));
-        gs.fleetCacheHits = msg.num("fleet_cache_hits", 0);
-        queue_.publishGeneration(*job, gs);
+        queue_.publishGeneration(*job, generationFromJson(msg));
         Json resp = Json::object();
         resp["type"] = "ok";
         resp["cancel"] = cancel;

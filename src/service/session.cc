@@ -1,6 +1,5 @@
 #include "service/session.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 
@@ -92,9 +91,6 @@ resultToJson(const core::RepairResult &res)
     j["found"] = res.found;
     j["stopped"] = res.stopped;
     j["generations"] = res.generations;
-    j["fitness_evals"] = res.fitnessEvals;
-    j["invalid_mutants"] = res.invalidMutants;
-    j["total_mutants"] = res.totalMutants;
     j["seconds"] = res.seconds;
     if (res.found) {
         j["patch"] = res.patch.describe();
@@ -113,34 +109,62 @@ resultToJson(const core::RepairResult &res)
         traj.push(std::move(point));
     }
     j["trajectory"] = std::move(traj);
-    Json cache = Json::object();
-    cache["hits"] = res.cache.hits;
-    cache["misses"] = res.cache.misses;
-    cache["evictions"] = res.cache.evictions;
-    j["cache"] = std::move(cache);
-    Json outcomes = Json::object();
-    for (int i = 0; i < core::kEvalOutcomeCount; ++i)
-        outcomes[core::evalOutcomeName(
-            static_cast<core::EvalOutcome>(i))] =
-            res.outcomes.counts[static_cast<size_t>(i)];
-    outcomes["quarantine_hits"] = res.outcomes.quarantineHits;
-    j["outcomes"] = std::move(outcomes);
+    countersToJson(res, j);
     return j;
 }
 
-namespace {
-
-/** Bit-exact double transport (JSON %.17g is exact too, but hexfloat
- *  text is what islandFingerprint() hashes — ship the same form). */
-std::string
-hexDouble(double d)
+void
+countersToJson(const core::SearchCounters &c, Json &j)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%a", d);
-    return buf;
+    core::forEachCounter(
+        [&j](const std::string &group, const char *key, auto value) {
+            (group.empty() ? j : j[group])[key] =
+                static_cast<long long>(value);
+        },
+        c);
 }
 
-} // namespace
+core::SearchCounters
+countersFromJson(const Json &j)
+{
+    core::SearchCounters c;
+    core::forEachCounter(
+        [&j](const std::string &group, const char *key, auto &value) {
+            const Json *from = group.empty() ? &j : j.find(group);
+            if (from)
+                value = from->num(key, 0);
+        },
+        c);
+    return c;
+}
+
+Json
+generationToJson(const core::GenerationStats &gs)
+{
+    Json j = Json::object();
+    j["generation"] = gs.generation;
+    j["best_fitness"] = gs.bestFitness;
+    j["quarantined"] = static_cast<long long>(gs.quarantined);
+    if (gs.island >= 0) {
+        j["island"] = gs.island;
+        j["epoch"] = gs.epoch;
+    }
+    countersToJson(gs, j);
+    return j;
+}
+
+core::GenerationStats
+generationFromJson(const Json &j)
+{
+    core::GenerationStats gs;
+    static_cast<core::SearchCounters &>(gs) = countersFromJson(j);
+    gs.generation = static_cast<int>(j.num("generation", 0));
+    gs.bestFitness = j.real("best_fitness", -1.0);
+    gs.quarantined = static_cast<size_t>(j.num("quarantined", 0));
+    gs.island = static_cast<int>(j.num("island", -1));
+    gs.epoch = static_cast<int>(j.num("epoch", 0));
+    return gs;
+}
 
 Json
 migrantRecordsToJson(const std::vector<core::MigrantRecord> &ledger)
@@ -184,12 +208,10 @@ islandDigestToJson(const core::IslandStats &st)
     j["found"] = st.found;
     j["stopped"] = st.stopped;
     j["best_fitness"] = st.bestFitness;
-    j["best_fitness_hex"] = hexDouble(st.bestFitness);
+    j["best_fitness_hex"] = core::hexDouble(st.bestFitness);
     j["patch_key"] = st.patchKey;
     j["ledger"] = migrantRecordsToJson(st.ledger);
-    j["fitness_evals"] = st.fitnessEvals;
-    j["fleet_cache_hits"] = st.fleetCacheHits;
-    j["fleet_quarantine_hits"] = st.fleetQuarantineHits;
+    countersToJson(st, j);
     return j;
 }
 
@@ -199,6 +221,7 @@ islandStatsFromDigest(const Json &digest)
     if (!digest.isObject())
         throw std::runtime_error("island digest must be an object");
     core::IslandStats st;
+    static_cast<core::SearchCounters &>(st) = countersFromJson(digest);
     st.island = static_cast<int>(digest.num("island", -1));
     if (st.island < 0)
         throw std::runtime_error("island digest missing 'island'");
@@ -211,9 +234,6 @@ islandStatsFromDigest(const Json &digest)
     st.patchKey = digest.str("patch_key");
     if (const Json *ledger = digest.find("ledger"))
         st.ledger = migrantRecordsFromJson(*ledger);
-    st.fitnessEvals = digest.num("fitness_evals", 0);
-    st.fleetCacheHits = digest.num("fleet_cache_hits", 0);
-    st.fleetQuarantineHits = digest.num("fleet_quarantine_hits", 0);
     return st;
 }
 
@@ -389,21 +409,8 @@ runIslandShard(const JobSpec &spec, int island,
         } else {
             res = engine.run();
         }
-        core::IslandStats st;
-        st.island = island;
-        st.generations = res.generations;
-        st.found = res.found;
-        st.stopped = res.stopped;
-        st.bestFitness = res.fitnessTrajectory.empty()
-                             ? 0.0
-                             : res.fitnessTrajectory.back().second;
-        if (res.found)
-            st.patchKey = res.patch.key();
-        st.ledger = res.migrantLedger;
-        st.fitnessEvals = res.fitnessEvals;
-        st.fleetCacheHits = res.fleetCacheHits;
-        st.fleetQuarantineHits = res.fleetQuarantineHits;
-        out.digest = islandDigestToJson(st);
+        out.digest =
+            islandDigestToJson(core::digestFromResult(island, res));
         out.session.result = resultToJson(res);
         out.session.state = JobState::Done;
         out.stopped = res.stopped;

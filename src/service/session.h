@@ -55,6 +55,23 @@ JobInputs buildJobInputs(const JobSpec &spec);
 /** Map a finished engine run to the wire result payload. */
 Json resultToJson(const core::RepairResult &res);
 
+/** Write every search counter into @p j under the wire name
+ *  core::forEachCounter() gives it (fitness_evals, ...,
+ *  cache{hits,misses,evictions}, outcomes{<outcome>...,
+ *  quarantine_hits}). Results, generation events, status summaries,
+ *  worker progress frames and island digests all go through it. */
+void countersToJson(const core::SearchCounters &c, Json &j);
+/** Inverse of countersToJson(); a missing or non-numeric key reads 0. */
+core::SearchCounters countersFromJson(const Json &j);
+
+/** One generation's progress on the wire: generation, best_fitness,
+ *  quarantined, island + epoch (island runs only) and the counters.
+ *  A worker's progress frame and the daemon's generation event both
+ *  carry it. */
+Json generationToJson(const core::GenerationStats &gs);
+/** Inverse of generationToJson() (best_fitness defaults to -1). */
+core::GenerationStats generationFromJson(const Json &j);
+
 // ---- island-model wire mappings (one schema for the in-process
 // ---- daemon path and the distributed coordinator path, so the two
 // ---- runs' fingerprints can be compared field by field) ----

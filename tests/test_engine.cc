@@ -372,9 +372,9 @@ TEST(Engine, ReportsCacheStatsInResult)
     // Whatever the outcome, the trial evaluated candidates, so the
     // cache saw traffic, and the result mirrors the engine's stats.
     EXPECT_GT(res.cache.misses, 0);
-    EXPECT_EQ(res.cache.hits, engine.cacheStats().hits);
-    EXPECT_EQ(res.cache.misses, engine.cacheStats().misses);
-    EXPECT_EQ(res.cache.evictions, engine.cacheStats().evictions);
+    EXPECT_EQ(res.cache.hits, engine.counters().cache.hits);
+    EXPECT_EQ(res.cache.misses, engine.counters().cache.misses);
+    EXPECT_EQ(res.cache.evictions, engine.counters().cache.evictions);
 }
 
 TEST(Engine, BruteForceRespectsTimeBudget)

@@ -267,10 +267,10 @@ TEST(EvalPoolDeterminism, IdenticalPatchDedup)
     auto engine = sc.engine(cfg);
 
     Variant v1 = engine.evaluate(Patch{});
-    long evals_after_first = engine.cacheStats().misses;
+    long evals_after_first = engine.counters().cache.misses;
     Variant v2 = engine.evaluate(Patch{});
-    EXPECT_EQ(engine.cacheStats().misses, evals_after_first);
-    EXPECT_EQ(engine.cacheStats().hits, 1);
+    EXPECT_EQ(engine.counters().cache.misses, evals_after_first);
+    EXPECT_EQ(engine.counters().cache.hits, 1);
     EXPECT_EQ(v1.valid, v2.valid);
     EXPECT_DOUBLE_EQ(v1.fit.fitness, v2.fit.fitness);
     EXPECT_EQ(v1.trace.toCsv(), v2.trace.toCsv());

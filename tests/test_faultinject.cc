@@ -103,7 +103,7 @@ TEST(FaultInjection, InjectedThrowDegradesToCrashedWorstFitness)
     EXPECT_DOUBLE_EQ(v.fit.fitness, 0.0);
     EXPECT_NE(v.error.find("injected fault"), std::string::npos)
         << v.error;
-    EXPECT_EQ(engine.outcomes().of(EvalOutcome::Crashed), 1);
+    EXPECT_EQ(engine.counters().outcomes.of(EvalOutcome::Crashed), 1);
 }
 
 TEST(FaultInjection, InjectedStallReapedByDeadlineWatchdog)
@@ -117,7 +117,7 @@ TEST(FaultInjection, InjectedStallReapedByDeadlineWatchdog)
     EXPECT_EQ(v.outcome, EvalOutcome::Deadline);
     EXPECT_FALSE(v.valid);
     EXPECT_DOUBLE_EQ(v.fit.fitness, 0.0);
-    EXPECT_EQ(engine.outcomes().of(EvalOutcome::Deadline), 1);
+    EXPECT_EQ(engine.counters().outcomes.of(EvalOutcome::Deadline), 1);
 }
 
 TEST(FaultInjection, InjectedAllocationFailureDegradesToOom)
@@ -187,7 +187,7 @@ TEST(FaultInjection, QuarantineAnswersRepeatLookupWithoutSimulating)
     Variant first = engine.evaluate(Patch{});
     ASSERT_EQ(first.outcome, EvalOutcome::Runaway);
     EXPECT_EQ(engine.quarantineSize(), 1u);
-    long misses_after_first = engine.cacheStats().misses;
+    long misses_after_first = engine.counters().cache.misses;
 
     Variant again = engine.evaluate(Patch{});
     EXPECT_EQ(again.outcome, EvalOutcome::Runaway);
@@ -195,9 +195,9 @@ TEST(FaultInjection, QuarantineAnswersRepeatLookupWithoutSimulating)
     EXPECT_DOUBLE_EQ(again.fit.fitness, 0.0);
     // Quarantine short-circuits before the cache: no new miss, no new
     // simulation, and the hit is accounted separately.
-    EXPECT_EQ(engine.cacheStats().misses, misses_after_first);
-    EXPECT_EQ(engine.outcomes().quarantineHits, 1);
-    EXPECT_EQ(engine.outcomes().of(EvalOutcome::Runaway), 1);
+    EXPECT_EQ(engine.counters().cache.misses, misses_after_first);
+    EXPECT_EQ(engine.counters().outcomes.quarantineHits, 1);
+    EXPECT_EQ(engine.counters().outcomes.of(EvalOutcome::Runaway), 1);
 }
 
 TEST(FaultInjection, RunawayRunFinishesEveryGenerationSerialAndParallel)

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <csignal>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -691,6 +692,50 @@ TEST(FleetServer, CoordinatorShardsJobToWorkerBitIdentically)
     EXPECT_FALSE(std::filesystem::exists(cfg.stateDir + "/job-" +
                                          std::to_string(id) + ".snap"));
     server.stop();
+}
+
+TEST(FleetServer, LocalAndFleetWatchStreamsAgree)
+{
+    // A plain job uses no fleet cache, so every counter of every
+    // generation is a function of the spec: watching it run on a
+    // local worker and on a fleet worker must show the same events.
+    JobSpec spec = unrepairableSpec(4);
+    auto generationEvents = [&](Server &server) {
+        Client client(server.boundAddress());
+        long id = client.submit(spec);
+        Client watcher(server.boundAddress());
+        watcher.subscribe(id);
+        std::vector<Json> events;
+        Json ev;
+        while (watcher.recv(&ev) && ev.str("type") != "end_of_stream")
+            if (ev.str("event") == "generation")
+                events.push_back(ev);
+        return events;
+    };
+
+    ServerConfig localCfg;
+    localCfg.listenAddress = "unix:" + sockPath("watch-local");
+    localCfg.stateDir = tmpDir("watch-local-state");
+    localCfg.workers = 1;
+    Server local(localCfg);
+    local.start();
+    std::vector<Json> localEvents = generationEvents(local);
+    local.stop();
+
+    Server fleet(coordinatorConfig("watch-fleet"));
+    fleet.start();
+    WorkerThread wt(workerConfig(fleet.boundAddress(), "wW"));
+    ASSERT_TRUE(eventually([&] { return fleet.workerCount() == 1; }));
+    std::vector<Json> fleetEvents = generationEvents(fleet);
+    fleet.stop();
+
+    ASSERT_EQ(localEvents.size(), 4u);
+    ASSERT_EQ(fleetEvents.size(), localEvents.size());
+    for (size_t g = 0; g < localEvents.size(); ++g) {
+        SCOPED_TRACE("generation " + std::to_string(g + 1));
+        EXPECT_EQ(fleetEvents[g].dump(), localEvents[g].dump());
+        EXPECT_GT(localEvents[g].find("cache")->num("misses"), 0);
+    }
 }
 
 TEST(FleetServer, WorkerDeathFailsOverAndResumesBitIdentically)
@@ -1423,5 +1468,116 @@ TEST(FleetIsland, SigkilledWorkerMidEpochPreservesFingerprint)
 
     for (auto &w : crew)
         w->stop();
+    server.stop();
+}
+
+TEST(FleetServer, ShardFrameForAnotherIslandIsRejected)
+{
+    ServerConfig cfg = coordinatorConfig("fleet-island-check");
+    Server server(cfg);
+    server.start();
+    std::unique_ptr<Conn> conn =
+        dial(Address::parse(server.boundAddress()), 5.0);
+    auto exchange = [&](const Json &req) {
+        conn->writeFrame(req.dump());
+        std::string payload;
+        EXPECT_TRUE(conn->readFrame(&payload));
+        return Json::parse(payload);
+    };
+    ASSERT_EQ(exchange(makeWorkerHello("raw")).str("type"), "hello");
+    ASSERT_TRUE(eventually([&] { return server.workerCount() == 1; }));
+
+    Client client(server.boundAddress());
+    long id = client.submit(islandSpec(2));
+    Json claim = Json::object();
+    claim["type"] = "claim";
+    claim["wait_ms"] = 2000;
+    Json job = exchange(claim);
+    ASSERT_EQ(job.str("type"), "job");
+    int held = static_cast<int>(job.num("island", -1));
+    ASSERT_TRUE(held == 0 || held == 1);
+    auto shardFile = [&](int island) {
+        return cfg.stateDir + "/job-" + std::to_string(id) + ".i" +
+               std::to_string(island) + ".snap";
+    };
+    std::string other = core::readFileOrEmpty(shardFile(1 - held));
+
+    // The lease holds one shard; frames naming the other shard or an
+    // island the job does not have are refused before anything lands,
+    // the lease's renewal count included.
+    uint64_t renewals = server.queue().leaseStats().renewals;
+    for (const char *type : {"progress", "migrate", "cache_sync"}) {
+        for (int island : {1 - held, 77}) {
+            Json req = Json::object();
+            req["type"] = type;
+            req["id"] = id;
+            req["lease_id"] = job.num("lease_id", 0);
+            req["island"] = island;
+            req["generation"] = 1;
+            req["snapshot"] = "BOGUS";
+            Json reply = exchange(req);
+            EXPECT_EQ(reply.str("type"), "error") << type << " " << island;
+            EXPECT_EQ(reply.str("code"), errc::kBadRequest)
+                << type << " " << island;
+        }
+    }
+    EXPECT_EQ(core::readFileOrEmpty(shardFile(1 - held)), other);
+    EXPECT_FALSE(std::filesystem::exists(shardFile(77)));
+    EXPECT_EQ(server.queue().leaseStats().renewals, renewals);
+
+    // The island the lease does hold still reports progress.
+    Json own = Json::object();
+    own["type"] = "progress";
+    own["id"] = id;
+    own["lease_id"] = job.num("lease_id", 0);
+    own["island"] = held;
+    own["generation"] = 1;
+    EXPECT_EQ(exchange(own).str("type"), "ok");
+    server.stop();
+}
+
+TEST(FleetServer, RemoteWorkerRunsWholeIslandJobInClassicMode)
+{
+    // Without requireWorkers an island job is not sharded: a remote
+    // worker claims it whole and runs every island in process, so its
+    // progress frames name islands its whole-job lease covers.
+    ServerConfig cfg = coordinatorConfig("fleet-classic-islands");
+    cfg.fleet.requireWorkers = false;
+    Server server(cfg);
+    server.start();
+    WorkerThread wt(workerConfig(server.boundAddress(), "wC"));
+    ASSERT_TRUE(eventually([&] { return server.workerCount() == 1; }));
+
+    Client client(server.boundAddress());
+    long id = client.submit(islandSpec(2));
+    // A refused frame makes the worker drop the job; its lease then
+    // expires and the job goes out again, so a second attempt fails.
+    Json summary;
+    ASSERT_TRUE(eventually([&] {
+        summary = client.status(id);
+        return summary.str("state") == "done" ||
+               summary.num("attempts") > 1;
+    }));
+    ASSERT_EQ(summary.str("state"), "done");
+    EXPECT_EQ(summary.num("attempts"), 1);
+
+    Client watcher(server.boundAddress());
+    watcher.subscribe(id);
+    std::map<long, core::SearchCounters> lastOfIsland;
+    Json ev;
+    while (watcher.recv(&ev) && ev.str("type") != "end_of_stream")
+        if (ev.str("event") == "generation")
+            lastOfIsland[ev.num("island", -1)] = countersFromJson(ev);
+    ASSERT_EQ(lastOfIsland.size(), 2u);
+    ASSERT_TRUE(lastOfIsland.count(0) && lastOfIsland.count(1));
+    // The job-level counters are the sum of its islands'.
+    core::SearchCounters sum = lastOfIsland[0];
+    sum += lastOfIsland[1];
+    Json want = Json::object();
+    countersToJson(sum, want);
+    Json got = Json::object();
+    countersToJson(countersFromJson(summary), got);
+    EXPECT_EQ(got.dump(), want.dump());
+    EXPECT_GT(sum.fitnessEvals, 0);
     server.stop();
 }

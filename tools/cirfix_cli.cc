@@ -95,6 +95,7 @@
 #include "service/client.h"
 #include "service/fleet.h"
 #include "service/server.h"
+#include "service/session.h"
 #include "sim/elaborate.h"
 #include "sim/probe.h"
 #include "sim/vcd.h"
@@ -226,16 +227,7 @@ parseArgs(int argc, char **argv)
     return args;
 }
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot open " + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
+using core::readFile;
 
 void
 writeFile(const std::string &path, const std::string &content)
@@ -1073,7 +1065,8 @@ cmdResult(const Args &args)
         return kExitInternal;
     }
     std::cout << "job " << id << " " << state << ": "
-              << res->num("fitness_evals") << " fitness probes, "
+              << service::countersFromJson(*res).fitnessEvals
+              << " fitness probes, "
               << res->num("generations") << " generations\n";
     if (!res->flag("found")) {
         std::cout << (state == "canceled"
@@ -1115,7 +1108,7 @@ cmdWatch(const Args &args)
                           << " epoch " << ev.num("epoch");
             std::cout << " gen " << ev.num("generation") << " best "
                       << ev.real("best_fitness") << " evals "
-                      << ev.num("fitness_evals") << "\n"
+                      << service::countersFromJson(ev).fitnessEvals << "\n"
                       << std::flush;
         } else if (kind == "state") {
             std::cout << "job " << id << " " << ev.str("state");
