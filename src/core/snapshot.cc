@@ -1,10 +1,13 @@
 #include "core/snapshot.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "core/templates.h"
 #include "verilog/parser.h"
@@ -576,7 +579,12 @@ loadSnapshot(const std::string &path)
 void
 writeFileAtomic(const std::string &path, const std::string &data)
 {
-    std::string tmp = path + ".tmp";
+    // A temp file per call: two writers of one path (a stale attempt
+    // at a job and its successor) never interleave in one temp file;
+    // the last rename wins with a whole file.
+    static std::atomic<unsigned long> serial{0};
+    std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                      std::to_string(serial++);
     {
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
         if (!os)

@@ -148,10 +148,12 @@ void saveSnapshot(const std::string &path, const EngineState &state);
  *  @throws std::runtime_error when unreadable or corrupt. */
 EngineState loadSnapshot(const std::string &path);
 
-/** Write @p data to @p path through "<path>.tmp" and a rename in the
- *  same directory, so a crash mid-write leaves the previous file intact,
- *  never a torn one. @throws std::runtime_error when the temp file
- *  cannot be written or renamed (the temp file is then removed). */
+/** Write @p data to @p path through a fresh temp file per call
+ *  ("<path>.tmp.<pid>.<n>") and a rename in the same directory, so a
+ *  crash mid-write leaves the previous file intact, never a torn one,
+ *  and concurrent writers of one path never share a temp file.
+ *  @throws std::runtime_error when the temp file cannot be written or
+ *  renamed (the temp file is then removed). */
 void writeFileAtomic(const std::string &path, const std::string &data);
 
 /** The whole file at @p path. @throws std::runtime_error when it

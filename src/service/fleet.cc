@@ -342,14 +342,15 @@ IslandCoordinator::assemble(uint64_t seed, std::string *error)
 // FleetRegistry
 
 std::string
-FleetRegistry::workerConnected(const std::string &name)
+FleetRegistry::workerConnected(const std::string &name, bool remote)
 {
     std::lock_guard<std::mutex> lock(mu_);
     // The key embeds a connection serial so a reconnecting worker
     // never aliases its previous (possibly still-leased) incarnation.
     std::string key = (name.empty() ? "worker" : name) + "/" +
                       std::to_string(nextKey_++);
-    workers_.insert(key);
+    if (remote)
+        workers_.insert(key);
     return key;
 }
 
@@ -389,6 +390,12 @@ Worker::stats()
 }
 
 bool
+Worker::exiting(const std::function<bool()> &shouldExit) const
+{
+    return stopRequested() || (shouldExit && shouldExit());
+}
+
+bool
 Worker::claim(Conn &conn, Assignment *out)
 {
     Json req = Json::object();
@@ -399,7 +406,7 @@ Worker::claim(Conn &conn, Assignment *out)
     std::string payload;
     if (!conn.readFrame(&payload))
         throw ConnectionClosed("coordinator closed during claim");
-    Json reply = Json::parse(payload);
+    Json reply = unpackEnvelope(payload, &out->snapshot);
     std::string type = reply.str("type");
     if (type == "no_job")
         return false;
@@ -412,7 +419,6 @@ Worker::claim(Conn &conn, Assignment *out)
     if (out->id < 0 || out->leaseId == 0 || !spec)
         throw FrameError("malformed job frame from coordinator");
     out->specJson = spec->dump();
-    out->snapshot = reply.str("snapshot");
     out->island = static_cast<int>(reply.num("island", -1));
     return true;
 }
@@ -422,26 +428,29 @@ Worker::execute(Conn &conn, const Assignment &a,
                 const std::function<bool()> &shouldExit)
 {
     JobSpec spec = jobSpecFromJson(Json::parse(a.specJson));
-    std::string snapPath = snapshotPath(a.id);
+    std::string snapPath = snapshotPath(a.id, a.island);
     if (!a.snapshot.empty())
         core::writeFileAtomic(snapPath, a.snapshot);  // resume hand-off
     else
         std::remove(snapPath.c_str());  // never resume a stale attempt
 
-    // The engine thread (per-generation progress) and the heartbeat
-    // thread share the coordinator connection; each request/response
-    // exchange is atomic under this mutex, so replies cannot cross.
+    // The engine thread (progress, and a shard's migrate and
+    // cache_sync frames) and the heartbeat thread share the
+    // coordinator connection; each request/response exchange is atomic
+    // under this mutex, so replies cannot cross.
     std::mutex connMu;
     std::atomic<bool> abandoned{false};  //!< lease lost or link dead
     std::atomic<bool> cancel{false};     //!< coordinator-relayed cancel
+    std::atomic<bool> migStop{false};    //!< barrier handed out a stop
     std::atomic<bool> jobDone{false};    //!< stops the heartbeat thread
 
-    auto exchange = [&](const Json &req, Json *reply) -> bool {
+    auto exchange = [&](const Json &req, Json *reply,
+                        const std::string &snapshot = {}) -> bool {
         std::lock_guard<std::mutex> lock(connMu);
         if (abandoned.load(std::memory_order_relaxed))
             return false;
         try {
-            conn.writeFrame(req.dump());
+            conn.writeFrame(packEnvelope(req, snapshot));
             std::string payload;
             if (!conn.readFrame(&payload))
                 throw ConnectionClosed(
@@ -469,6 +478,20 @@ Worker::execute(Conn &conn, const Assignment &a,
             cancel.store(true, std::memory_order_relaxed);
     };
 
+    /** A frame quoting this attempt's lease. */
+    auto leased = [&](const char *type, Json req = Json::object()) {
+        req["type"] = type;
+        req["id"] = a.id;
+        req["lease_id"] = static_cast<long long>(a.leaseId);
+        return req;
+    };
+    /** A shard frame: leased, and naming the island it speaks for. */
+    auto shardFrame = [&](const char *type) {
+        Json req = leased(type);
+        req["island"] = a.island;
+        return req;
+    };
+
     // Heartbeats keep the lease alive across generations that outlast
     // it (a renewal every leaseSeconds/3 tolerates two lost beats).
     std::mutex hbMu;
@@ -481,38 +504,141 @@ Worker::execute(Conn &conn, const Assignment &a,
             return jobDone.load(std::memory_order_relaxed);
         })) {
             lock.unlock();
-            Json req = Json::object();
-            req["type"] = "heartbeat";
-            req["id"] = a.id;
-            req["lease_id"] = static_cast<long long>(a.leaseId);
             Json reply;
-            if (exchange(req, &reply))
+            if (exchange(leased("heartbeat"), &reply))
                 handleLeaseReply(reply);
             lock.lock();
         }
     });
 
     auto onGeneration = [&](const core::GenerationStats &gs) {
-        Json req = generationToJson(gs);
-        req["type"] = "progress";
-        req["id"] = a.id;
-        req["lease_id"] = static_cast<long long>(a.leaseId);
         // The checkpoint is durable before onGeneration fires; ship it
         // so the coordinator can resume the job anywhere on failover.
-        req["snapshot"] = core::readFileOrEmpty(snapPath);
+        // An island run's stats name their island and epoch.
         Json reply;
-        if (exchange(req, &reply))
+        if (exchange(leased("progress", generationToJson(gs)), &reply,
+                     core::readFileOrEmpty(snapPath)))
             handleLeaseReply(reply);
     };
 
     auto shouldStop = [&] {
         return abandoned.load(std::memory_order_relaxed) ||
                cancel.load(std::memory_order_relaxed) ||
-               (shouldExit && shouldExit()) || stopRequested();
+               exiting(shouldExit);
     };
 
-    SessionOutcome out = runRepairJob(spec, snapPath, onGeneration,
-                                      shouldStop, cfg_.name);
+    SessionOutcome out;
+    Json digest;
+    bool stopped = false;
+    if (a.island < 0) {
+        out = runRepairJob(spec, snapPath, onGeneration, shouldStop,
+                           cfg_.name);
+        stopped = out.state == JobState::Canceled;
+    } else {
+        IslandShardHooks hooks;
+        // The blocking half of the epoch barrier: offer elites, then
+        // re-send the (idempotent) migrate frame until the coordinator
+        // seals the epoch. Each poll also renews the lease.
+        hooks.exchange = [&](int epoch,
+                             std::vector<core::Variant> elites,
+                             bool *stop) -> std::vector<core::Variant> {
+            Json req = shardFrame("migrate");
+            req["epoch"] = epoch;
+            req["elites"] = core::encodeVariants(elites);
+            for (;;) {
+                if (shouldStop()) {
+                    *stop = true;  // wind-down/cancel ends the wait; the
+                    return {};     // commit rules below decide the fate
+                }
+                Json reply;
+                if (!exchange(req, &reply)) {
+                    *stop = true;
+                    return {};
+                }
+                handleLeaseReply(reply);
+                if (reply.str("type") == "migrants") {
+                    if (reply.flag("stop")) {
+                        migStop.store(true, std::memory_order_relaxed);
+                        *stop = true;
+                        return {};
+                    }
+                    return core::decodeVariants(reply.str("migrants"));
+                }
+                // "ok" with wait (or a lease error already handled):
+                // barrier still open — some island has not reached
+                // this epoch yet. Back off briefly and re-poll.
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(25));
+            }
+        };
+        hooks.replay =
+            [&](const std::vector<core::MigrantRecord> &led) {
+                Json req = shardFrame("migrate");
+                req["replay"] = migrantRecordsToJson(led);
+                Json reply;
+                if (exchange(req, &reply))
+                    handleLeaseReply(reply);
+            };
+        hooks.lookup =
+            [&](const std::vector<std::string> &keys,
+                std::unordered_map<std::string,
+                                   core::FitnessCache::Entry> *hits,
+                std::unordered_map<std::string, core::QuarantineEntry>
+                    *quar) {
+                if (keys.empty())
+                    return;
+                Json req = shardFrame("cache_sync");
+                Json lk = Json::array();
+                for (const std::string &k : keys)
+                    lk.push(k);
+                req["lookup"] = std::move(lk);
+                Json reply;
+                if (!exchange(req, &reply))
+                    return;  // no sharing this round; search unchanged
+                handleLeaseReply(reply);
+                if (reply.str("type") != "cache")
+                    return;
+                const Json *hitKeys = reply.find("hit_keys");
+                if (hitKeys && hits) {
+                    for (auto &[key, entry] : decodeCacheEntries(
+                             *hitKeys, reply.str("hits")))
+                        hits->emplace(key, std::move(entry));
+                }
+                if (const Json *q = reply.find("quarantined");
+                    q && quar) {
+                    for (auto &[key, entry] :
+                         decodeQuarantineRecords(*q))
+                        quar->emplace(key, std::move(entry));
+                }
+            };
+        hooks.publish =
+            [&](const std::vector<std::pair<std::string,
+                                            core::FitnessCache::Entry>>
+                    &scored,
+                const std::vector<
+                    std::pair<std::string, core::QuarantineEntry>>
+                    &condemned) {
+                if (scored.empty() && condemned.empty())
+                    return;
+                Json req = shardFrame("cache_sync");
+                if (!scored.empty()) {
+                    Json keys;
+                    req["publish"] = encodeCacheEntries(scored, &keys);
+                    req["publish_keys"] = std::move(keys);
+                }
+                if (!condemned.empty())
+                    req["condemn"] = encodeQuarantineRecords(condemned);
+                Json reply;
+                if (exchange(req, &reply))
+                    handleLeaseReply(reply);
+            };
+        IslandShardOutcome shard =
+            runIslandShard(spec, a.island, snapPath, hooks, onGeneration,
+                           shouldStop, cfg_.name);
+        out = std::move(shard.session);
+        digest = std::move(shard.digest);
+        stopped = shard.stopped;
+    }
 
     {
         std::lock_guard<std::mutex> lock(hbMu);
@@ -521,29 +647,25 @@ Worker::execute(Conn &conn, const Assignment &a,
     hbCv.notify_all();
     heartbeat.join();
 
-    std::remove(snapPath.c_str());
-
-    if (abandoned.load(std::memory_order_relaxed)) {
-        // Lease lost or link dead: this attempt must not commit. The
-        // coordinator already re-queued (or will, at lease expiry).
-        std::lock_guard<std::mutex> lock(statsMu_);
-        ++stats_.jobsAbandoned;
-        return;
-    }
-    if (out.state == JobState::Canceled &&
-        !cancel.load(std::memory_order_relaxed)) {
-        // Stopped because the *worker* is winding down, not because
-        // the client canceled: stay silent, keep the lease unrenewed,
-        // and let the coordinator re-queue from its snapshot copy.
+    if (abandoned.load(std::memory_order_relaxed) ||
+        (stopped && !migStop.load(std::memory_order_relaxed) &&
+         !cancel.load(std::memory_order_relaxed))) {
+        // Lease lost, link dead, or stopped because the *worker* is
+        // winding down (not by a cancel or the barrier): this attempt
+        // must not commit. The coordinator re-queues the job (now, or
+        // at lease expiry) from its copy of the last checkpoint — for
+        // an in-process worker that copy is snapPath itself, so the
+        // file stays.
         std::lock_guard<std::mutex> lock(statsMu_);
         ++stats_.jobsAbandoned;
         return;
     }
 
-    Json req = Json::object();
-    req["type"] = "done";
-    req["id"] = a.id;
-    req["lease_id"] = static_cast<long long>(a.leaseId);
+    Json req = leased("done");
+    if (a.island >= 0) {
+        req["island"] = a.island;
+        req["digest"] = std::move(digest);
+    }
     req["state"] = jobStateName(out.state);
     req["result"] = std::move(out.result);
     if (!out.error.empty())
@@ -557,315 +679,56 @@ Worker::execute(Conn &conn, const Assignment &a,
         ++stats_.jobsAbandoned;
         return;
     }
+    removeCheckpoint(snapPath);  // the coordinator owns the outcome
     std::lock_guard<std::mutex> lock(statsMu_);
     ++stats_.jobsCompleted;
 }
 
 void
-Worker::executeShard(Conn &conn, const Assignment &a,
-                     const std::function<bool()> &shouldExit)
+Worker::serve(Conn &conn, const std::function<bool()> &shouldExit)
 {
-    JobSpec spec = jobSpecFromJson(Json::parse(a.specJson));
-    std::string snapPath = snapshotPath(a.id, a.island);
-    if (!a.snapshot.empty())
-        core::writeFileAtomic(snapPath, a.snapshot);  // resume hand-off
-    else
-        std::remove(snapPath.c_str());  // never resume a stale attempt
-
-    std::mutex connMu;
-    std::atomic<bool> abandoned{false};  //!< lease lost or link dead
-    std::atomic<bool> cancel{false};     //!< coordinator-relayed cancel
-    std::atomic<bool> migStop{false};    //!< barrier handed out a stop
-    std::atomic<bool> jobDone{false};    //!< stops the heartbeat thread
-
-    auto exchange = [&](const Json &req, Json *reply) -> bool {
-        std::lock_guard<std::mutex> lock(connMu);
-        if (abandoned.load(std::memory_order_relaxed))
-            return false;
-        try {
-            conn.writeFrame(req.dump());
-            std::string payload;
-            if (!conn.readFrame(&payload))
-                throw ConnectionClosed(
-                    "coordinator closed mid-exchange");
-            *reply = Json::parse(payload);
-            return true;
-        } catch (const std::exception &) {
-            abandoned.store(true, std::memory_order_relaxed);
-            return false;
-        }
-    };
-
-    auto handleLeaseReply = [&](const Json &reply) {
-        if (reply.str("type") == "error") {
-            if (reply.str("code") == errc::kLeaseLost) {
-                std::lock_guard<std::mutex> lock(statsMu_);
-                ++stats_.leasesLost;
-            }
-            abandoned.store(true, std::memory_order_relaxed);
-            return;
-        }
-        if (reply.flag("cancel"))
-            cancel.store(true, std::memory_order_relaxed);
-    };
-
-    std::mutex hbMu;
-    std::condition_variable hbCv;
-    std::thread heartbeat([&] {
-        auto period = std::chrono::duration<double>(
-            std::max(0.05, a.leaseSeconds / 3.0));
-        std::unique_lock<std::mutex> lock(hbMu);
-        while (!hbCv.wait_for(lock, period, [&] {
-            return jobDone.load(std::memory_order_relaxed);
-        })) {
-            lock.unlock();
-            Json req = Json::object();
-            req["type"] = "heartbeat";
-            req["id"] = a.id;
-            req["lease_id"] = static_cast<long long>(a.leaseId);
-            Json reply;
-            if (exchange(req, &reply))
-                handleLeaseReply(reply);
-            lock.lock();
-        }
-    });
-
-    auto windingDown = [&] {
-        return (shouldExit && shouldExit()) || stopRequested();
-    };
-    auto shouldStop = [&] {
-        return abandoned.load(std::memory_order_relaxed) ||
-               cancel.load(std::memory_order_relaxed) || windingDown();
-    };
-
-    IslandShardHooks hooks;
-    // The blocking half of the epoch barrier: offer elites, then
-    // re-send the (idempotent) migrate frame until the coordinator
-    // seals the epoch. Each poll also renews the lease.
-    hooks.exchange = [&](int epoch, std::vector<core::Variant> elites,
-                         bool *stop) -> std::vector<core::Variant> {
-        Json req = Json::object();
-        req["type"] = "migrate";
-        req["id"] = a.id;
-        req["lease_id"] = static_cast<long long>(a.leaseId);
-        req["island"] = a.island;
-        req["epoch"] = epoch;
-        req["elites"] = core::encodeVariants(elites);
-        for (;;) {
-            if (shouldStop()) {
-                *stop = true;  // wind-down/cancel ends the wait; the
-                return {};     // commit rules below decide the fate
-            }
-            Json reply;
-            if (!exchange(req, &reply)) {
-                *stop = true;
-                return {};
-            }
-            handleLeaseReply(reply);
-            if (reply.str("type") == "migrants") {
-                if (reply.flag("stop")) {
-                    migStop.store(true, std::memory_order_relaxed);
-                    *stop = true;
-                    return {};
-                }
-                return core::decodeVariants(reply.str("migrants"));
-            }
-            // "ok" with wait (or a lease error already handled):
-            // barrier still open — some island has not reached this
-            // epoch yet. Back off briefly and re-poll.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(25));
-        }
-    };
-    hooks.replay = [&](const std::vector<core::MigrantRecord> &led) {
-        Json req = Json::object();
-        req["type"] = "migrate";
-        req["id"] = a.id;
-        req["lease_id"] = static_cast<long long>(a.leaseId);
-        req["island"] = a.island;
-        req["replay"] = migrantRecordsToJson(led);
-        Json reply;
-        if (exchange(req, &reply))
-            handleLeaseReply(reply);
-    };
-    hooks.lookup =
-        [&](const std::vector<std::string> &keys,
-            std::unordered_map<std::string,
-                               core::FitnessCache::Entry> *hits,
-            std::unordered_map<std::string, core::QuarantineEntry>
-                *quar) {
-            if (keys.empty())
-                return;
-            Json req = Json::object();
-            req["type"] = "cache_sync";
-            req["id"] = a.id;
-            req["lease_id"] = static_cast<long long>(a.leaseId);
-            req["island"] = a.island;
-            Json lk = Json::array();
-            for (const std::string &k : keys)
-                lk.push(k);
-            req["lookup"] = std::move(lk);
-            Json reply;
-            if (!exchange(req, &reply))
-                return;  // no sharing this round; search unchanged
-            handleLeaseReply(reply);
-            if (reply.str("type") != "cache")
-                return;
-            const Json *hitKeys = reply.find("hit_keys");
-            if (hitKeys && hits) {
-                for (auto &[key, entry] : decodeCacheEntries(
-                         *hitKeys, reply.str("hits")))
-                    hits->emplace(key, std::move(entry));
-            }
-            if (const Json *q = reply.find("quarantined"); q && quar) {
-                for (auto &[key, entry] : decodeQuarantineRecords(*q))
-                    quar->emplace(key, std::move(entry));
-            }
-        };
-    hooks.publish =
-        [&](const std::vector<std::pair<std::string,
-                                        core::FitnessCache::Entry>>
-                &scored,
-            const std::vector<
-                std::pair<std::string, core::QuarantineEntry>>
-                &condemned) {
-            if (scored.empty() && condemned.empty())
-                return;
-            Json req = Json::object();
-            req["type"] = "cache_sync";
-            req["id"] = a.id;
-            req["lease_id"] = static_cast<long long>(a.leaseId);
-            req["island"] = a.island;
-            if (!scored.empty()) {
-                Json keys;
-                req["publish"] = encodeCacheEntries(scored, &keys);
-                req["publish_keys"] = std::move(keys);
-            }
-            if (!condemned.empty())
-                req["condemn"] = encodeQuarantineRecords(condemned);
-            Json reply;
-            if (exchange(req, &reply))
-                handleLeaseReply(reply);
-        };
-
-    auto onGeneration = [&](const core::GenerationStats &gs) {
-        Json req = generationToJson(gs);  // island + epoch included
-        req["type"] = "progress";
-        req["id"] = a.id;
-        req["lease_id"] = static_cast<long long>(a.leaseId);
-        req["snapshot"] = core::readFileOrEmpty(snapPath);
-        Json reply;
-        if (exchange(req, &reply))
-            handleLeaseReply(reply);
-    };
-
-    IslandShardOutcome out = runIslandShard(
-        spec, a.island, snapPath, hooks, onGeneration, shouldStop,
-        cfg_.name);
-
+    conn.setIoDeadline(cfg_.ioTimeoutSeconds + cfg_.claimWaitSeconds);
+    conn.writeFrame(makeWorkerHello(cfg_.name).dump());
+    std::string payload;
+    if (!conn.readFrame(&payload))
+        throw ConnectionClosed("coordinator closed at hello");
+    Json hello = Json::parse(payload);
+    if (hello.str("type") != "hello")
+        throw FrameError("coordinator refused worker hello: " +
+                         hello.str("message"));
     {
-        std::lock_guard<std::mutex> lock(hbMu);
-        jobDone.store(true, std::memory_order_relaxed);
-    }
-    hbCv.notify_all();
-    heartbeat.join();
-
-    std::remove(snapPath.c_str());
-
-    if (abandoned.load(std::memory_order_relaxed)) {
         std::lock_guard<std::mutex> lock(statsMu_);
-        ++stats_.jobsAbandoned;
-        return;
+        if (greeted_)
+            ++stats_.reconnects;
+        greeted_ = true;
     }
-    if (out.stopped && !migStop.load(std::memory_order_relaxed) &&
-        !cancel.load(std::memory_order_relaxed)) {
-        // Stopped because the *worker* is winding down, not by the
-        // barrier or a cancel: abandon silently so the coordinator
-        // re-queues the shard from its snapshot copy.
-        std::lock_guard<std::mutex> lock(statsMu_);
-        ++stats_.jobsAbandoned;
-        return;
+    while (!exiting(shouldExit)) {
+        Assignment a;
+        if (claim(conn, &a))
+            execute(conn, a, shouldExit);
     }
-
-    Json req = Json::object();
-    req["type"] = "done";
-    req["id"] = a.id;
-    req["lease_id"] = static_cast<long long>(a.leaseId);
-    req["island"] = a.island;
-    req["state"] = jobStateName(out.session.state);
-    req["digest"] = std::move(out.digest);
-    req["result"] = std::move(out.session.result);
-    if (!out.session.error.empty())
-        req["error"] = out.session.error;
-    Json reply;
-    if (!exchange(req, &reply))
-        return;  // commit lost in transit; lease arbitration decides
-    if (reply.str("type") == "error") {
-        handleLeaseReply(reply);
-        std::lock_guard<std::mutex> lock(statsMu_);
-        ++stats_.jobsAbandoned;
-        return;
-    }
-    std::lock_guard<std::mutex> lock(statsMu_);
-    ++stats_.jobsCompleted;
 }
 
 void
 Worker::run(const std::function<bool()> &shouldExit)
 {
-    namespace fs = std::filesystem;
     if (cfg_.workDir.empty())
         throw std::runtime_error("worker needs a work dir");
-    fs::create_directories(cfg_.workDir);
+    std::filesystem::create_directories(cfg_.workDir);
     Address addr = Address::parse(cfg_.coordinator);
-
-    auto exiting = [&] {
-        return stopRequested() || (shouldExit && shouldExit());
-    };
-
-    bool everConnected = false;
-    while (!exiting()) {
-        std::unique_ptr<Conn> conn;
+    while (!exiting(shouldExit)) {
         try {
             // Bounded attempts per round so a dead coordinator never
             // wedges the worker past its exit check.
             RetryPolicy round = cfg_.retry;
             round.maxAttempts = std::min(cfg_.retry.maxAttempts, 8);
-            conn = dialRetry(addr, round);
-        } catch (const TransportError &) {
-            continue;  // next round (exit check above)
-        }
-        conn->setIoDeadline(cfg_.ioTimeoutSeconds +
-                            cfg_.claimWaitSeconds);
-        try {
-            conn->writeFrame(makeWorkerHello(cfg_.name).dump());
-            std::string payload;
-            if (!conn->readFrame(&payload))
-                throw ConnectionClosed("coordinator closed at hello");
-            Json hello = Json::parse(payload);
-            if (hello.str("type") != "hello")
-                throw FrameError("coordinator refused worker hello: " +
-                                 hello.str("message"));
-            if (everConnected) {
-                std::lock_guard<std::mutex> lock(statsMu_);
-                ++stats_.reconnects;
-            }
-            everConnected = true;
-
-            while (!exiting()) {
-                Assignment a;
-                if (!claim(*conn, &a))
-                    continue;  // long-poll came back empty
-                if (a.island >= 0)
-                    executeShard(*conn, a, shouldExit);
-                else
-                    execute(*conn, a, shouldExit);
-            }
+            std::unique_ptr<Conn> conn = dialRetry(addr, round);
+            serve(*conn, shouldExit);
             return;
         } catch (const std::exception &) {
-            // Transport failure anywhere in the loop: drop the link
-            // and re-dial. In-flight work was already abandoned by
-            // execute()'s own error handling.
+            // No coordinator this round, or a transport failure
+            // anywhere in serve(): re-dial. In-flight work was already
+            // abandoned by execute()'s own error handling.
         }
     }
 }

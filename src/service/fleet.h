@@ -18,9 +18,10 @@
  * any combination of crashes and partitions: no job lost, no job run
  * to completion twice.
  *
- * The Worker here is the in-process implementation; `cirfix worker`
- * wraps it in a process. Coordinator-side connection handling lives in
- * Server (the coordinator *is* the daemon, with remote execution
+ * The Worker here is the one job executor: `cirfix worker` wraps it in
+ * a process, and the daemon runs its local workers as in-process
+ * Workers on socketpairs. Coordinator-side connection handling lives
+ * in Server (the coordinator *is* the daemon, with remote execution
  * capacity registered in a FleetRegistry).
  */
 
@@ -49,21 +50,24 @@ struct FleetConfig
     /** Worker count below which the coordinator degrades admission
      *  (halved queue depth, rejections coded degraded). */
     int minWorkers = 1;
-    /** true: jobs only run on remote workers (coordinator mode —
-     *  submits with zero live workers are rejected with no_workers).
-     *  false: the classic daemon; local worker threads execute jobs
-     *  and remote workers are extra capacity. */
+    /** true: coordinator mode — K-island jobs are sharded, and
+     *  submits with no local or live remote worker are rejected with
+     *  no_workers. false: the classic daemon; its local workers run
+     *  jobs (K-island ones whole) and remote workers are extra
+     *  capacity. */
     bool requireWorkers = false;
 };
 
-/** Live remote-worker membership (one entry per worker *connection*;
- *  a reconnecting worker gets a fresh key so the old connection's
- *  leases can be requeued without touching the new one's). */
+/** Live worker membership (one entry per worker *connection*; a
+ *  reconnecting worker gets a fresh key so the old connection's leases
+ *  can be requeued without touching the new one's). */
 class FleetRegistry
 {
   public:
-    /** Register a connection; @return the unique worker key. */
-    std::string workerConnected(const std::string &name);
+    /** Register a connection; @return the unique worker key. Only a
+     *  @p remote connection counts toward workerCount(): the server's
+     *  own in-process workers are capacity it always has. */
+    std::string workerConnected(const std::string &name, bool remote);
     void workerDisconnected(const std::string &key);
     int workerCount();
 
@@ -164,7 +168,8 @@ struct WorkerConfig
 {
     std::string coordinator;  //!< address string ("unix:…"/"tcp:…")
     std::string name = "worker";
-    /** Local scratch dir for per-job snapshots. */
+    /** Dir for per-job snapshots (the daemon's own workers use its
+     *  state dir). */
     std::string workDir;
     /** Long-poll budget per claim request. */
     double claimWaitSeconds = 0.5;
@@ -194,17 +199,29 @@ struct WorkerStats
  * the same session layer the daemon uses, streams per-generation
  * progress + snapshots, commits results under its lease. Transport
  * failures abandon the in-flight attempt (the engine stops at the next
- * generation boundary) and re-dial with backoff — the coordinator's
- * lease machinery decides who finishes the job.
+ * generation boundary) — the coordinator's lease machinery decides who
+ * finishes the job. `cirfix worker` dials a coordinator with run();
+ * the daemon's own workers serve() one end of a socketpair.
+ *
+ * A checkpoint in workDir stays until the coordinator accepts the
+ * attempt's done frame: the daemon's workers use its state dir as
+ * workDir, so their checkpoints are the coordinator's own copies.
  */
 class Worker
 {
   public:
     explicit Worker(WorkerConfig cfg);
 
-    /** Blocking claim-execute loop; returns when @p shouldExit goes
+    /** Dial cfg.coordinator and serve() it, re-dialing with backoff
+     *  after any transport failure; returns when @p shouldExit goes
      *  true (checked between frames and between generations). */
     void run(const std::function<bool()> &shouldExit);
+
+    /** The worker side of one connection: hello, then claim and
+     *  execute jobs until @p shouldExit goes true. cfg.workDir must
+     *  exist. @throws on transport failure (the in-flight attempt is
+     *  abandoned first). */
+    void serve(Conn &conn, const std::function<bool()> &shouldExit);
 
     /** Ask a run() in another thread to wind down at the next check
      *  (compose with the shouldExit callback). */
@@ -225,25 +242,25 @@ class Worker
         int island = -1;  //!< >= 0: island shard of a K-island job
     };
 
+    bool exiting(const std::function<bool()> &shouldExit) const;
     /** One claim round-trip. @return false when no job was handed out
      *  (keep polling). @throws on transport failure. */
     bool claim(Conn &conn, Assignment *out);
-    /** Execute one assignment; returns normally whether the job
-     *  completed, was canceled, or the lease was lost. @throws only
-     *  on unexpected local failures (not transport ones). */
+    /** Execute one assignment — a whole job, or an island shard with
+     *  blocking migrate barriers and cache_sync fitness sharing.
+     *  Returns normally whether the job completed, was canceled, or
+     *  the lease was lost. @throws only on unexpected local failures
+     *  (not transport ones). */
     void execute(Conn &conn, const Assignment &a,
                  const std::function<bool()> &shouldExit);
-    /** Island-shard variant of execute(): same lease discipline, plus
-     *  blocking migrate barriers and cache_sync fitness sharing. */
-    void executeShard(Conn &conn, const Assignment &a,
-                      const std::function<bool()> &shouldExit);
 
-    std::string snapshotPath(long id, int island = -1) const;
+    std::string snapshotPath(long id, int island) const;
 
     WorkerConfig cfg_;
     std::atomic<bool> stopRequested_{false};
     std::mutex statsMu_;
     WorkerStats stats_;
+    bool greeted_ = false;  //!< a hello succeeded before (reconnects)
 };
 
 } // namespace cirfix::service

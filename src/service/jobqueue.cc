@@ -77,7 +77,7 @@ JobQueue::submit(JobSpec spec, const std::string &requestId)
     jobs_.emplace(job->id, job);
     if (!requestId.empty())
         requestIds_[requestId] = job->id;
-    readyCv_.notify_one();
+    readyCv_.notify_all();
     eventsCv_.notify_all();
     return job->id;
 }
@@ -130,45 +130,8 @@ JobQueue::restore(std::shared_ptr<Job> job)
         job->events.push_back(std::move(ev));
     }
     jobs_[job->id] = job;
-    readyCv_.notify_one();
+    readyCv_.notify_all();
     eventsCv_.notify_all();
-}
-
-std::shared_ptr<Job>
-JobQueue::nextReadyLocked()
-{
-    std::shared_ptr<Job> best;
-    for (auto &[id, job] : jobs_) {
-        if (job->state != JobState::Queued || !job->shards.empty())
-            continue;  // sharded jobs only move via per-shard claims
-        if (!best || job->spec.priority > best->spec.priority ||
-            (job->spec.priority == best->spec.priority &&
-             job->seq < best->seq))
-            best = job;
-    }
-    return best;
-}
-
-std::shared_ptr<Job>
-JobQueue::pop()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-        if (std::shared_ptr<Job> job = nextReadyLocked()) {
-            job->state = JobState::Running;
-            Json ev = Json::object();
-            ev["type"] = "event";
-            ev["event"] = "state";
-            ev["id"] = job->id;
-            ev["state"] = jobStateName(job->state);
-            job->events.push_back(std::move(ev));
-            eventsCv_.notify_all();
-            return job;
-        }
-        if (closed_)
-            return nullptr;
-        readyCv_.wait(lock);
-    }
 }
 
 void
@@ -209,8 +172,8 @@ JobQueue::cancel(long id, std::string *why)
         job.events.push_back(std::move(ev));
         eventsCv_.notify_all();
     }
-    // Running: the engine's shouldStop poll picks the flag up and the
-    // worker publishes the terminal state.
+    // Running: the worker's next lease renewal relays the flag to its
+    // engine, and its done frame publishes the terminal state.
     return true;
 }
 
@@ -327,7 +290,7 @@ JobQueue::setResult(Job &job, Json result)
 
 bool
 JobQueue::resultFor(long id, JobState *state, Json *result,
-                    std::string *error)
+                    std::string *error, core::GenerationStats *progress)
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = jobs_.find(id);
@@ -335,6 +298,8 @@ JobQueue::resultFor(long id, JobState *state, Json *result,
         return false;
     Job &job = *it->second;
     *state = job.state;
+    if (progress)
+        *progress = job.progress;
     if (isTerminal(job.state)) {
         *result = job.result;
         *error = job.error;
@@ -366,50 +331,56 @@ JobQueue::summaries()
 
 std::shared_ptr<Job>
 JobQueue::tryClaim(const std::string &worker, double leaseSeconds,
-                   uint64_t *leaseIdOut, int *islandOut)
+                   uint64_t *leaseIdOut, int *islandOut,
+                   std::chrono::steady_clock::time_point waitUntil)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_)
-        return nullptr;
-    auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(leaseSeconds));
-
+    std::unique_lock<std::mutex> lock(mu_);
     // One priority-then-FIFO scan over whole jobs and island shards:
     // a plain Queued job is claimed whole; a sharded job (island-aware
     // callers only) hands out its lowest unleased, undone shard while
     // any shard is live.
     std::shared_ptr<Job> best;
     int bestShard = -1;
-    for (auto &[id, job] : jobs_) {
-        int shard = -1;
-        if (job->shards.empty()) {
-            if (job->state != JobState::Queued)
-                continue;
-        } else {
-            if (!islandOut || isTerminal(job->state) ||
-                job->cancelRequested.load(std::memory_order_relaxed))
-                continue;
-            for (size_t k = 0; k < job->shards.size(); ++k)
-                if (!job->shards[k].done &&
-                    job->shards[k].leaseId == 0) {
-                    shard = static_cast<int>(k);
-                    break;
-                }
-            if (shard < 0)
-                continue;
+    auto scan = [&] {
+        for (auto &[id, job] : jobs_) {
+            int shard = -1;
+            if (job->shards.empty()) {
+                if (job->state != JobState::Queued)
+                    continue;
+            } else {
+                if (!islandOut || isTerminal(job->state) ||
+                    job->cancelRequested.load(std::memory_order_relaxed))
+                    continue;
+                for (size_t k = 0; k < job->shards.size(); ++k)
+                    if (!job->shards[k].done &&
+                        job->shards[k].leaseId == 0) {
+                        shard = static_cast<int>(k);
+                        break;
+                    }
+                if (shard < 0)
+                    continue;
+            }
+            if (!best || job->spec.priority > best->spec.priority ||
+                (job->spec.priority == best->spec.priority &&
+                 job->seq < best->seq)) {
+                best = job;
+                bestShard = shard;
+            }
         }
-        if (!best || job->spec.priority > best->spec.priority ||
-            (job->spec.priority == best->spec.priority &&
-             job->seq < best->seq)) {
-            best = job;
-            bestShard = shard;
-        }
-    }
+        return best != nullptr;
+    };
+    // Every submit, restore and requeue wakes the wait to rescan.
+    while (!closed_ && !scan())
+        if (readyCv_.wait_until(lock, waitUntil) ==
+            std::cv_status::timeout)
+            return nullptr;
     if (!best)
-        return nullptr;
+        return nullptr;  // closed
 
+    auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(leaseSeconds));
     uint64_t lease = nextLease_++;
     if (bestShard >= 0) {
         JobShard &sh = best->shards[static_cast<size_t>(bestShard)];

@@ -7,8 +7,10 @@
  * One JobQueue instance holds every job the daemon knows about —
  * waiting, running, and terminal — behind a single mutex. Scheduling
  * order is priority-then-FIFO: a higher priority value always runs
- * first, ties run in submission order. Workers block in pop() until a
- * job is ready (or the queue is closed at shutdown).
+ * first, ties run in submission order. Every worker, in-process or
+ * remote, takes jobs through tryClaim() under a lease, and may wait
+ * there for one to become ready (or for the queue to close at
+ * shutdown).
  *
  * Admission control happens inside submit(), under the same lock the
  * accept loop's dispatch uses, so the decision is deterministic and
@@ -29,7 +31,7 @@
  *    the same id (a client re-sending after a transport error) returns
  *    the originally assigned job instead of enqueueing a duplicate.
  *
- *  - Leases: a remote worker claims a job with tryClaim(), which mints
+ *  - Leases: a worker claims a job with tryClaim(), which mints
  *    a monotonically increasing lease id and arms a deadline. The
  *    worker renews by heartbeat/progress; a lease that misses its
  *    deadline is swept by requeueExpired() and the job goes back to
@@ -92,8 +94,8 @@ struct JobShard
 };
 
 /** One job, owned by the queue. Every field is guarded by the queue's
- *  mutex except cancelRequested, which the engine's shouldStop hook
- *  polls lock-free from the worker thread. */
+ *  mutex except cancelRequested, which the server's sweep and frame
+ *  handlers read lock-free. */
 struct Job
 {
     long id = 0;
@@ -103,15 +105,15 @@ struct Job
     std::atomic<bool> cancelRequested{false};
     std::string requestId;  //!< idempotency key ("" = none)
 
-    // Lease bookkeeping (fleet mode; leaseId 0 = locally executed).
+    // Lease bookkeeping (leaseId 0 = not leased right now).
     uint64_t leaseId = 0;
     std::chrono::steady_clock::time_point leaseDeadline{};
     std::string worker;  //!< current/last executor name (provenance)
     int attempts = 0;    //!< assignment count (1 = never failed over)
 
     /** Island shards (coordinator shard mode, params.islands > 1);
-     *  empty for plain jobs. Sharded jobs never go through pop() or a
-     *  whole-job claim — only per-shard leases. */
+     *  empty for plain jobs. Sharded jobs never go through a whole-job
+     *  claim — only per-shard leases. */
     std::vector<JobShard> shards;
 
     /** Last published generation, for status. For a K-island job the
@@ -161,12 +163,8 @@ class JobQueue
      *  for status/result queries, live ones are re-queued. */
     void restore(std::shared_ptr<Job> job);
 
-    /** Block until a queued job is ready and claim it as Running;
-     *  nullptr once close() has been called and nothing is ready. */
-    std::shared_ptr<Job> pop();
-
-    /** Wake every pop()per and waitEvent()er; pop() returns nullptr
-     *  from now on. */
+    /** Wake every waiting tryClaim() and waitEvent(); tryClaim()
+     *  returns nullptr from now on. */
     void close();
 
     /**
@@ -213,10 +211,12 @@ class JobQueue
     bool shardMode() const { return shardMode_; }
 
     /**
-     * Non-blocking claim for a remote worker: picks the same
-     * priority-then-FIFO job pop() would, marks it Running under a
-     * fresh lease for @p worker, arms the deadline. nullptr when the
-     * queue is empty or closed. @p leaseIdOut receives the lease.
+     * Claim for a worker: picks the highest-priority, earliest-
+     * submitted claimable job, marks it Running under a fresh lease
+     * for @p worker, arms the deadline. @p leaseIdOut receives the
+     * lease. With nothing claimable it waits until @p waitUntil for a
+     * submit or requeue (the claim long-poll; the default does not
+     * wait); nullptr when that passes or the queue is closed.
      *
      * @p islandOut selects what the caller can execute: when null
      * (legacy callers) only whole jobs are handed out and sharded jobs
@@ -228,7 +228,9 @@ class JobQueue
     std::shared_ptr<Job> tryClaim(const std::string &worker,
                                   double leaseSeconds,
                                   uint64_t *leaseIdOut,
-                                  int *islandOut = nullptr);
+                                  int *islandOut = nullptr,
+                                  std::chrono::steady_clock::time_point
+                                      waitUntil = {});
 
     /** Renew a lease (heartbeat or progress frame) — a whole-job lease
      *  or an island-shard lease, found by its globally unique id.
@@ -281,10 +283,12 @@ class JobQueue
     LeaseStats leaseStats();
 
     /** Snapshot a job's terminal payload. @return false when the job
-     *  is unknown; otherwise fills state and, when terminal, result
-     *  and error. */
+     *  is unknown; otherwise fills state, @p progress (optional) with
+     *  its last published generation and, when terminal, result and
+     *  error. */
     bool resultFor(long id, JobState *state, Json *result,
-                   std::string *error);
+                   std::string *error,
+                   core::GenerationStats *progress = nullptr);
 
     /** Locked wire summary; Null JSON when the job is unknown. */
     Json summaryFor(long id);
@@ -294,15 +298,13 @@ class JobQueue
     const AdmissionLimits &limits() const { return limits_; }
 
   private:
-    /** Highest-priority, earliest-seq queued job (lock held). */
-    std::shared_ptr<Job> nextReadyLocked();
     /** Requeue (or cancel-terminate) a leased job; lock held. */
     void requeueLocked(Job &job);
     void pushStateEventLocked(Job &job);
 
     AdmissionLimits limits_;
     std::mutex mu_;
-    std::condition_variable readyCv_;   //!< workers wait here
+    std::condition_variable readyCv_;   //!< claim long-polls wait here
     std::condition_variable eventsCv_;  //!< subscribers wait here
     std::map<long, std::shared_ptr<Job>> jobs_;
     std::unordered_map<std::string, long> requestIds_;

@@ -142,6 +142,30 @@ makeError(const std::string &code, const std::string &message)
     return j;
 }
 
+std::string
+packEnvelope(const Json &doc, const std::string &bytes)
+{
+    std::string out = doc.dump();
+    if (!bytes.empty()) {
+        out.reserve(out.size() + 1 + bytes.size());
+        out += '\0';
+        out += bytes;
+    }
+    return out;
+}
+
+Json
+unpackEnvelope(const std::string &payload, std::string *bytes)
+{
+    size_t nul = payload.find('\0');
+    if (nul == std::string::npos) {
+        bytes->clear();
+        return Json::parse(payload);
+    }
+    bytes->assign(payload, nul + 1);
+    return Json::parse(payload.substr(0, nul));
+}
+
 bool
 checkHello(const Json &msg, std::string *why, std::string *role,
            std::string *workerName)

@@ -2,11 +2,11 @@
 
 /**
  * @file
- * Message layer of the repair-service wire protocol (version 1).
+ * Message layer of the repair-service wire protocol (version 2).
  *
  * Every frame (framing.h) carries one JSON object with a "type"
  * member. A connection opens with a versioned handshake — the client
- * sends {"type":"hello","version":1} and the server answers with its
+ * sends {"type":"hello","version":2} and the server answers with its
  * own hello (or a version_mismatch error and a close) — after which
  * the client issues requests:
  *
@@ -40,14 +40,15 @@
  * carries role:"worker" plus a worker name; the coordinator then
  * speaks a strict request/response loop on that connection:
  *
- *   claim      w -> c     wait_ms -> job (spec + snapshot + lease) or
- *                         no_job when the queue stayed empty
- *   job        c -> w     id, spec, snapshot (may be empty), lease_id,
- *                         lease_seconds; island >= 0 marks an island
- *                         shard of a K-island job
- *   progress   w -> c     id, lease_id, generation stats, snapshot
- *                         bytes -> ok (carries cancel flag) or
- *                         error lease_lost
+ *   claim      w -> c     wait_ms -> job (spec + lease + snapshot)
+ *                         or no_job when the queue stayed empty
+ *   job        c -> w     id, spec, lease_id, lease_seconds; island
+ *                         >= 0 marks an island shard of a K-island
+ *                         job. Envelope: the snapshot to resume from
+ *                         (none for a fresh job)
+ *   progress   w -> c     id, lease_id, generation stats. Envelope:
+ *                         the generation's snapshot -> ok (carries
+ *                         cancel flag) or error lease_lost
  *   heartbeat  w -> c     id, lease_id -> ok (cancel flag) / lease_lost
  *   done       w -> c     id, lease_id, state, result/error (island
  *                         shards add island + digest) -> ok /
@@ -73,6 +74,12 @@
  *                         worker re-simulates a candidate any island
  *                         already scored.
  *
+ * Envelopes: a job or progress frame carries its engine snapshot as
+ * raw bytes after the JSON document and one '\0' (packEnvelope()).
+ * JSON text never holds a raw NUL, so the first NUL is the split; a
+ * frame without one carries no snapshot. Only a worker connection
+ * reads envelopes; on a client connection the NUL fails the parse.
+ *
  * Leases are the duplication barrier: every assignment mints a fresh
  * lease_id, and progress/done frames quoting a stale lease are
  * rejected with lease_lost — a worker that was presumed dead and kept
@@ -90,7 +97,7 @@
 
 namespace cirfix::service {
 
-inline constexpr int kProtocolVersion = 1;
+inline constexpr int kProtocolVersion = 2;
 inline constexpr const char *kServerName = "cirfix-repaird";
 
 /** Stable error codes carried in the "code" member of error frames. */
@@ -169,6 +176,14 @@ Json makeHello();
 /** Hello announcing a fleet worker (role:"worker" + name). */
 Json makeWorkerHello(const std::string &workerName);
 Json makeError(const std::string &code, const std::string &message);
+
+/** A frame payload carrying @p bytes after @p doc: doc.dump(), then
+ *  '\0' and the bytes; just doc.dump() when @p bytes is empty. */
+std::string packEnvelope(const Json &doc, const std::string &bytes);
+/** Inverse of packEnvelope(): the document before the first NUL, with
+ *  the bytes after it in @p bytes ("" when there is no NUL).
+ *  @throws std::runtime_error when the document does not parse. */
+Json unpackEnvelope(const std::string &payload, std::string *bytes);
 
 /** Check an incoming hello; returns false (and fills @p why) on a
  *  version or shape mismatch. Accepts both client and worker hellos;

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "core/snapshot.h"
@@ -82,16 +83,21 @@ Server::shardSnapshotFile(long id, int island) const
 void
 Server::persistJob(const Job &job)
 {
+    // The submit that admits a job and the claim that leases it both
+    // persist it, at once when a worker is waiting. One writer at a
+    // time, each reading the provenance under the queue lock, so the
+    // last record written carries the newest.
+    std::lock_guard<std::mutex> lock(persistMu_);
+    Json summary = queue_.summaryFor(job.id);
     Json j = Json::object();
     j["id"] = job.id;
     j["seq"] = job.seq;
     j["spec"] = toJson(job.spec);
     if (!job.requestId.empty())
         j["request_id"] = job.requestId;
-    if (!job.worker.empty())
-        j["worker"] = job.worker;
-    if (job.attempts > 0)
-        j["attempts"] = job.attempts;
+    for (const char *key : {"worker", "attempts"})
+        if (const Json *v = summary.find(key))
+            j[key] = *v;
     core::writeFileAtomic(jobFile(job.id), j.dump());
 }
 
@@ -101,13 +107,15 @@ Server::persistResult(const Job &job)
     JobState state = JobState::Failed;
     Json result;
     std::string error;
-    if (!queue_.resultFor(job.id, &state, &result, &error))
+    core::GenerationStats progress;
+    if (!queue_.resultFor(job.id, &state, &result, &error, &progress))
         return;
     Json j = Json::object();
     j["id"] = job.id;
     j["state"] = jobStateName(state);
     j["result"] = std::move(result);
     j["error"] = error;
+    j["progress"] = generationToJson(progress);
     core::writeFileAtomic(resultFile(job.id), j.dump());
 }
 
@@ -147,6 +155,8 @@ Server::recoverStateDir()
                 if (const Json *res = r.find("result"))
                     job->result = *res;
                 job->error = r.str("error");
+                if (const Json *p = r.find("progress"))
+                    job->progress = generationFromJson(*p);
             } else {
                 job->state = JobState::Queued;  // resumes via .snap
             }
@@ -181,7 +191,7 @@ Server::start()
     started_ = true;
     acceptThread_ = std::thread(&Server::acceptLoop, this);
     for (int i = 0; i < cfg_.workers; ++i)
-        workerThreads_.emplace_back(&Server::workerLoop, this);
+        localWorkers_.emplace_back(&Server::localWorkerLoop, this, i);
 }
 
 std::string
@@ -217,13 +227,14 @@ Server::stop()
         acceptThread_.join();
     listener_.close();
 
-    // Wake workers (idle ones return nullptr from pop) and ask running
-    // engines to stop at their next shouldStop poll; their jobs stay
-    // resumable — shutdown is not a cancel.
+    // Wake claim long-polls (they answer no_job from now on); running
+    // local engines stop at their next shouldStop poll and abandon
+    // their attempts, so their jobs stay resumable — shutdown is not a
+    // cancel. Joined first, local workers open no connection below.
     queue_.close();
-    for (std::thread &t : workerThreads_)
+    for (std::thread &t : localWorkers_)
         t.join();
-    workerThreads_.clear();
+    localWorkers_.clear();
 
     // Unblock any connection thread parked in a read or a subscribe.
     // Copy the live connections out under the lock: each copy keeps
@@ -421,58 +432,57 @@ Server::acceptLoop()
         } catch (const std::exception &) {
             continue;
         }
-        if (!accepted)
-            continue;  // raced away (non-blocking accept)
-        std::shared_ptr<Conn> conn(std::move(accepted));
-        std::lock_guard<std::mutex> lock(connMu_);
-        size_t slot = conns_.size();
-        conns_.push_back(conn);
-        connThreads_.emplace_back([this, conn, slot] {
-            handleConnection(conn);
-            std::lock_guard<std::mutex> l(connMu_);
-            conns_[slot] = nullptr;  // last ref closes the fd
-        });
+        if (accepted)  // else raced away (non-blocking accept)
+            spawnConnection(std::move(accepted), /*local=*/false);
     }
 }
 
 void
-Server::workerLoop()
+Server::spawnConnection(std::shared_ptr<Conn> conn, bool local)
 {
-    while (std::shared_ptr<Job> job = queue_.pop())
-        runJob(job);
+    std::lock_guard<std::mutex> lock(connMu_);
+    size_t slot = conns_.size();
+    conns_.push_back(conn);
+    connThreads_.emplace_back([this, conn, slot, local] {
+        handleConnection(conn, local);
+        std::lock_guard<std::mutex> l(connMu_);
+        conns_[slot] = nullptr;  // last ref closes the fd
+    });
 }
 
 void
-Server::runJob(const std::shared_ptr<Job> &job)
+Server::localWorkerLoop(int index)
 {
-    auto on_gen = [this, job](const core::GenerationStats &gs) {
-        queue_.publishGeneration(*job, gs);
+    WorkerConfig wc;
+    wc.name = "local-" + std::to_string(index);
+    // The state dir: the engine's checkpoint is the daemon's own
+    // job-<id>.snap, and an in-process K-island run keeps its
+    // job-<id>.snap.d/ there for a restarted daemon to resume.
+    wc.workDir = cfg_.stateDir;
+    Worker worker(wc);
+    auto exiting = [this] {
+        return stopping_.load(std::memory_order_relaxed);
     };
-    auto should_stop = [this, job] {
-        return job->cancelRequested.load(std::memory_order_relaxed) ||
-               stopping_.load(std::memory_order_relaxed);
-    };
-    SessionOutcome out = runRepairJob(job->spec, snapshotFile(job->id),
-                                      on_gen, should_stop);
-    if (out.state == JobState::Canceled &&
-        !job->cancelRequested.load(std::memory_order_relaxed)) {
-        // The engine stopped because the daemon is shutting down, not
-        // because a client asked: the job stays resumable. Its state
-        // file still says queued and its snapshot is durable.
-        return;
-    }
-    queue_.setResult(*job, std::move(out.result));
-    queue_.setState(*job, out.state, out.error);
-    try {
-        persistResult(*job);
-    } catch (const std::exception &) {
-        // The result stays queryable in-process; a restart will re-run
-        // the job from its snapshot instead of replaying the result.
+    while (!exiting()) {
+        int fds[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) !=
+            0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+            continue;
+        }
+        Conn mine(fds[0]);
+        spawnConnection(std::make_shared<Conn>(fds[1]), /*local=*/true);
+        try {
+            worker.serve(mine, exiting);
+        } catch (const std::exception &) {
+            // The link broke: the attempt in flight was abandoned and
+            // its lease requeues when the server end sees the close.
+        }
     }
 }
 
 void
-Server::handleConnection(const std::shared_ptr<Conn> &conn)
+Server::handleConnection(const std::shared_ptr<Conn> &conn, bool local)
 {
     std::string payload;
     try {
@@ -498,10 +508,10 @@ Server::handleConnection(const std::shared_ptr<Conn> &conn)
         conn->writeFrame(reply.dump());
 
         if (role == "worker") {
-            std::string key = fleet_.workerConnected(workerName);
+            std::string key = fleet_.workerConnected(workerName, !local);
             updateFleetStatus();
             try {
-                handleWorkerConnection(*conn, key);
+                handleWorkerConnection(*conn, key, local);
             } catch (const std::exception &) {
                 // fall through to the unified cleanup below
             }
@@ -509,8 +519,7 @@ Server::handleConnection(const std::shared_ptr<Conn> &conn)
             updateFleetStatus();
             // The link is the liveness signal: a vanished worker's
             // leases requeue immediately, not at lease expiry.
-            for (long id : queue_.requeueOwnedBy(key))
-                (void)id;
+            queue_.requeueOwnedBy(key);
             return;
         }
 
@@ -540,46 +549,45 @@ Server::handleConnection(const std::shared_ptr<Conn> &conn)
 // Coordinator side of the fleet protocol
 
 void
-Server::handleWorkerConnection(Conn &conn, const std::string &key)
+Server::handleWorkerConnection(Conn &conn, const std::string &key,
+                               bool local)
 {
-    std::string payload;
+    std::string payload, snapshot;
     while (conn.readFrame(&payload)) {
         Json msg;
         try {
-            msg = Json::parse(payload);
+            msg = unpackEnvelope(payload, &snapshot);
         } catch (const std::exception &e) {
             conn.writeFrame(
                 makeError(errc::kBadRequest, e.what()).dump());
             continue;
         }
-        Json resp = dispatchWorker(msg, key);
-        conn.writeFrame(resp.dump());
+        if (local)
+            // A local worker's engine wrote this checkpoint to the very
+            // file it would be persisted to (its work dir is the state
+            // dir) before sending the frame.
+            snapshot.clear();
+        std::string replySnapshot;
+        Json resp = dispatchWorker(msg, snapshot, key, &replySnapshot);
+        conn.writeFrame(packEnvelope(resp, replySnapshot));
         if (stopping_.load(std::memory_order_relaxed))
             break;
     }
 }
 
 Json
-Server::dispatchWorker(const Json &msg, const std::string &key)
+Server::dispatchWorker(const Json &msg, const std::string &snapshot,
+                       const std::string &key, std::string *replySnapshot)
 {
     std::string type = msg.str("type");
 
     if (type == "claim") {
-        long waitMs = msg.num("wait_ms", 0);
         auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(waitMs);
-        std::shared_ptr<Job> job;
+                        std::chrono::milliseconds(msg.num("wait_ms", 0));
         uint64_t leaseId = 0;
         int island = -1;
-        while (true) {
-            job = queue_.tryClaim(key, cfg_.fleet.leaseSeconds,
-                                  &leaseId, &island);
-            if (job || stopping_.load(std::memory_order_relaxed) ||
-                std::chrono::steady_clock::now() >= deadline)
-                break;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(10));
-        }
+        std::shared_ptr<Job> job = queue_.tryClaim(
+            key, cfg_.fleet.leaseSeconds, &leaseId, &island, deadline);
         if (!job) {
             Json resp = Json::object();
             resp["type"] = "no_job";
@@ -601,15 +609,13 @@ Server::dispatchWorker(const Json &msg, const std::string &key)
             // migrate frame arrives.
             islandCoordinatorFor(job);
             resp["island"] = island;
-            resp["snapshot"] = core::readFileOrEmpty(
-                shardSnapshotFile(job->id, island));
-        } else {
-            // Empty for a fresh job; the dead worker's last durable
-            // checkpoint on failover — the claimant resumes from it
-            // bit-identically.
-            resp["snapshot"] =
-                core::readFileOrEmpty(snapshotFile(job->id));
         }
+        // Empty for a fresh job; the dead worker's last durable
+        // checkpoint on failover — the claimant resumes from it
+        // bit-identically.
+        *replySnapshot = core::readFileOrEmpty(
+            island >= 0 ? shardSnapshotFile(job->id, island)
+                        : snapshotFile(job->id));
         return resp;
     }
 
@@ -647,7 +653,6 @@ Server::dispatchWorker(const Json &msg, const std::string &key)
             return makeError(errc::kUnknownJob,
                              "no job with id " + std::to_string(id));
         int island = held.value_or(-1);
-        std::string snapshot = msg.str("snapshot");
         if (!snapshot.empty()) {
             try {
                 core::writeFileAtomic(island >= 0
@@ -752,7 +757,10 @@ Server::dispatchWorker(const Json &msg, const std::string &key)
                              result ? *result : Json(), error);
             // Shard snapshots are kept until the whole job assembles:
             // a coordinator restart re-runs done shards from them
-            // (their in-memory digests died with the coordinator).
+            // (their in-memory digests died with the coordinator). A
+            // local worker's accepted done removes its checkpoint,
+            // which is this same file; that shard then re-runs from
+            // its start, against the same sealed epochs.
             if (coord->allDone())
                 finishIslandJob(job, coord);
         }
@@ -783,7 +791,7 @@ Server::dispatchWorker(const Json &msg, const std::string &key)
             persistResult(*job);
         } catch (const std::exception &) {
         }
-        std::remove(snapshotFile(id).c_str());
+        removeCheckpoint(snapshotFile(id));
         Json resp = Json::object();
         resp["type"] = "ok";
         resp["id"] = id;

@@ -4,10 +4,11 @@
  * @file
  * The repair daemon: a stream-socket server multiplexing many repair
  * jobs over one process ("cirfix serve"), listening on a Unix-domain
- * or TCP address (transport.h). With fleet mode enabled it doubles as
- * the coordinator ("cirfix coordinator"): remote workers connect over
- * the same listener, claim jobs under leases, and stream progress and
- * engine snapshots back (fleet.h).
+ * or TCP address (transport.h). Every job runs on a fleet Worker
+ * (fleet.h) that claims it under a lease and streams progress and
+ * engine snapshots back; with fleet mode enabled the daemon doubles as
+ * the coordinator ("cirfix coordinator") for remote workers that
+ * connect over the same listener.
  *
  * Thread model:
  *  - an accept thread poll()s the (non-blocking) listening socket plus
@@ -17,22 +18,28 @@
  *    (a subscribe parks the connection on the job's event stream until
  *    the terminal event; a worker connection parks in its
  *    claim/progress/heartbeat/done loop);
- *  - N worker threads pop jobs off the JobQueue and run repair
- *    sessions locally; admission control has already bounded what they
- *    see. A coordinator runs with N = 0 and only remote execution.
+ *  - N local worker threads each run a Worker on one end of a
+ *    socketpair whose other end is a worker connection like a dialed
+ *    one, so local jobs take the same leases, heartbeats and
+ *    stale-commit checks as remote ones. They do not count as remote
+ *    workers for the admission posture. A coordinator runs with N = 0
+ *    by default and only remote execution.
  *
  * Durability: a job is persisted to the state dir at admission
  * (<dir>/job-<id>.json, atomic tmp+rename), checkpointed every
- * generation (<dir>/job-<id>.snap — written by the engine for local
- * jobs, received in progress frames for remote ones), and sealed with
- * a result file at terminal state (<dir>/job-<id>.result.json).
- * start() replays the directory: terminal jobs come back queryable,
- * live jobs re-queue in their original submission order and resume
- * from their snapshot — so a SIGKILLed daemon restarts with at most
- * one generation of work lost per job, and the resumed search is
- * bit-identical to one that never died. The same snapshot hand-off is
- * what makes worker failover lossless: whichever worker claims a
- * re-queued job resumes exactly where the dead one checkpointed.
+ * generation (<dir>/job-<id>.snap, received in progress frames; a
+ * local worker's work dir is the state dir, so its engine writes that
+ * file itself, and an in-process K-island run's <dir>/job-<id>.snap.d/
+ * lives there too), and sealed with a result file at terminal
+ * state (<dir>/job-<id>.result.json, with the last generation's
+ * progress). start() replays the directory: terminal jobs come back
+ * queryable with their final status, live jobs re-queue in their
+ * original submission order and resume from their snapshot — so a
+ * SIGKILLed daemon restarts with at most one generation of work lost
+ * per job, and the resumed search is bit-identical to one that never
+ * died. The same snapshot hand-off is what makes worker failover
+ * lossless: whichever worker claims a re-queued job resumes exactly
+ * where the dead one checkpointed.
  */
 
 #include <map>
@@ -54,9 +61,9 @@ struct ServerConfig
      *  with Server::boundAddress(). */
     std::string listenAddress;
     std::string stateDir;
-    /** Concurrent local repair sessions. 0 is admit-only: jobs queue
-     *  but only run if remote workers claim them (coordinator mode)
-     *  — also used by the admission tests. */
+    /** In-process workers (concurrent local repair sessions). 0 is
+     *  admit-only: jobs queue but only run if remote workers claim
+     *  them (coordinator mode) — also used by the admission tests. */
     int workers = 1;
     AdmissionLimits limits;
     FleetConfig fleet;
@@ -72,7 +79,8 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /** Bind the socket, recover the state dir, launch the accept and
-     *  worker threads. @throws std::runtime_error on bind failures. */
+     *  local worker threads. @throws std::runtime_error on bind
+     *  failures. */
     void start();
 
     /** Graceful shutdown: stop accepting, unblock every connection,
@@ -92,19 +100,28 @@ class Server
     const ServerConfig &config() const { return cfg_; }
     /** Actual listen address after start() (ephemeral port resolved). */
     std::string boundAddress() const;
-    /** Live remote-worker connection count. */
+    /** Live remote-worker connection count (local workers excluded). */
     int workerCount() { return fleet_.workerCount(); }
 
   private:
     void acceptLoop();
-    void workerLoop();
-    void handleConnection(const std::shared_ptr<Conn> &conn);
+    /** Local worker @p index: a Worker serving one end of a
+     *  socketpair; a broken pair is replaced until stop(). */
+    void localWorkerLoop(int index);
+    /** Handshake and dispatch @p conn on its own thread; @p local marks
+     *  the server end of a local worker's socketpair. */
+    void spawnConnection(std::shared_ptr<Conn> conn, bool local);
+    void handleConnection(const std::shared_ptr<Conn> &conn, bool local);
     Json dispatch(const Json &msg, Conn &conn, bool &keep_open);
-    void runJob(const std::shared_ptr<Job> &job);
 
     // ---- coordinator side of the fleet protocol ----
-    void handleWorkerConnection(Conn &conn, const std::string &key);
-    Json dispatchWorker(const Json &msg, const std::string &key);
+    void handleWorkerConnection(Conn &conn, const std::string &key,
+                                bool local);
+    /** Answer one worker frame; @p snapshot is the frame's envelope
+     *  bytes, @p replySnapshot receives the reply's. */
+    Json dispatchWorker(const Json &msg, const std::string &snapshot,
+                        const std::string &key,
+                        std::string *replySnapshot);
     /** Recompute the admission posture from live worker counts. */
     void updateFleetStatus();
     /** Persist terminal states minted by the lease sweep. */
@@ -137,6 +154,7 @@ class Server
     ServerConfig cfg_;
     JobQueue queue_;
     FleetRegistry fleet_;
+    std::mutex persistMu_;  //!< orders persistJob()'s writes
     std::mutex islandMu_;
     /** Live coordinators of sharded jobs, keyed by job id. */
     std::map<long, std::shared_ptr<IslandCoordinator>> islandJobs_;
@@ -145,7 +163,7 @@ class Server
     std::atomic<bool> stopping_{false};
     bool started_ = false;
     std::thread acceptThread_;
-    std::vector<std::thread> workerThreads_;
+    std::vector<std::thread> localWorkers_;
 
     std::mutex connMu_;
     std::vector<std::thread> connThreads_;

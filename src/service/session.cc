@@ -291,6 +291,24 @@ islandOutcomeToJson(const core::IslandOutcome &outcome, uint64_t seed,
     return j;
 }
 
+namespace {
+
+std::string
+islandCheckpointDir(const std::string &snapshotPath)
+{
+    return snapshotPath + ".d";
+}
+
+} // namespace
+
+void
+removeCheckpoint(const std::string &snapshotPath)
+{
+    std::error_code ec;
+    std::filesystem::remove(snapshotPath, ec);
+    std::filesystem::remove_all(islandCheckpointDir(snapshotPath), ec);
+}
+
 SessionOutcome
 runRepairJob(const JobSpec &spec, const std::string &snapshotPath,
              const std::function<void(const core::GenerationStats &)>
@@ -311,7 +329,7 @@ runRepairJob(const JobSpec &spec, const std::string &snapshotPath,
             cfg.snapshotProvenance = provenance;
             std::string dir;
             if (!snapshotPath.empty()) {
-                dir = snapshotPath + ".d";
+                dir = islandCheckpointDir(snapshotPath);
                 std::filesystem::create_directories(dir);
             }
             core::IslandOutcome outcome = core::runIslands(

@@ -129,6 +129,11 @@ runRepairJob(const JobSpec &spec, const std::string &snapshotPath,
              const std::function<bool()> &shouldStop,
              const std::string &provenance = "");
 
+/** Remove the checkpoint runRepairJob() keeps at @p snapshotPath: the
+ *  snapshot file and, for an in-process K-island run, its directory.
+ *  Never throws. */
+void removeCheckpoint(const std::string &snapshotPath);
+
 /**
  * Transport hooks a distributed island shard uses to reach its
  * coordinator (the fleet worker wires these to migrate / cache_sync

@@ -1103,6 +1103,60 @@ TEST(FleetServer, SustainedChaosLosesNothingDuplicatesNothing)
     server.stop();
 }
 
+TEST(FleetServer, SustainedChaosOverLocalWorkersLosesNothing)
+{
+    // The daemon's own workers are fleet workers on socketpairs, so
+    // the same frame-level chaos lands on their links: a dropped pair
+    // abandons the attempt, requeues the job and is replaced. Every
+    // job still finishes exactly once, bit-identical to a calm run.
+    ServerConfig cfg;
+    cfg.listenAddress = "unix:" + sockPath("local-chaos");
+    cfg.stateDir = tmpDir("local-chaos-state");
+    cfg.workers = 2;
+    cfg.fleet.leaseSeconds = 0.5;
+    Server server(cfg);
+    server.start();
+    std::string address = server.boundAddress();
+
+    std::vector<JobSpec> specs{repairableSpec(), unrepairableSpec(10)};
+    std::vector<long> ids;
+    {
+        Client calm(address);
+        for (const JobSpec &spec : specs)
+            ids.push_back(calm.submit(spec));
+    }
+
+    NetFaultPlan plan;
+    plan.dropWriteAt = 11;
+    plan.dropReadAt = 19;
+    plan.every = true;
+    ArmedPlan armed(plan);
+    // Poll the queue directly: only the workers' links are under fire.
+    for (long id : ids)
+        ASSERT_TRUE(eventually(
+            [&] {
+                return server.queue().summaryFor(id).str("state") ==
+                       "done";
+            },
+            120.0))
+            << "job " << id << " not done under chaos";
+    NetFaultCounters chaos = NetFaultInjector::instance().counters();
+    NetFaultInjector::instance().disarm();
+    EXPECT_GT(chaos.total(), 0u) << "the plan never fired: no chaos";
+    EXPECT_GE(server.queue().leaseStats().requeues, 1u);
+
+    Client calm(address);
+    EXPECT_EQ(calm.list().size(), specs.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+        SessionOutcome reference =
+            runRepairJob(specs[i], "", nullptr, nullptr);
+        EXPECT_EQ(withoutTimes(*calm.result(ids[i]).find("result")).dump(),
+                  withoutTimes(reference.result).dump())
+            << "job " << ids[i];
+    }
+    server.stop();
+}
+
 // ---------------------------------------------------------------
 // Island jobs on the fleet (coordinator shards one job to K workers)
 // ---------------------------------------------------------------

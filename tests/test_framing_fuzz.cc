@@ -4,13 +4,17 @@
  * of wire damage — truncation at any byte, oversized or bit-flipped
  * length prefixes, random garbage, adversarially chunked writes —
  * into a typed FrameError (or a clean parse), never a crash, a hang,
- * or an unbounded allocation. The suite also builds into the ASAN
- * runner (cirfix_fault_tests), where a lifetime or overflow bug in
- * the reassembly loops would abort the test.
+ * or an unbounded allocation. The envelope cases send snapshot
+ * envelopes (JSON, a NUL, raw bytes) to a live coordinator: damaged
+ * ones are answered bad_request or dropped with the connection, and
+ * none writes a snapshot without a live lease. The suite also builds
+ * into the ASAN runner (cirfix_fault_tests), where a lifetime or
+ * overflow bug in the reassembly loops would abort the test.
  */
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,7 +24,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/snapshot.h"
 #include "service/framing.h"
+#include "service/protocol.h"
+#include "service/server.h"
+#include "service/transport.h"
 
 using namespace cirfix::service;
 
@@ -113,6 +121,65 @@ drainStream(const std::string &stream, std::string *errorOut)
     // No catch-all: any non-FrameError exception propagates and fails.
     writer.join();
     return got;
+}
+
+/** A coordinator with one queued job and no workers of its own; the
+ *  test speaks the worker side raw. Paths are per process: ctest runs
+ *  this file's two binaries at once. */
+struct EnvelopeRig
+{
+    ServerConfig cfg;
+    std::unique_ptr<Server> server;
+    long id = 0;
+
+    explicit EnvelopeRig(const std::string &name)
+    {
+        std::string base = ::testing::TempDir() + name + "." +
+                           std::to_string(::getpid());
+        cfg.listenAddress = "unix:" + base + ".sock";
+        cfg.stateDir = base + "-state";
+        std::filesystem::remove_all(cfg.stateDir);
+        cfg.workers = 0;
+        cfg.fleet.leaseSeconds = 60.0;  // no expiry mid-test
+        server = std::make_unique<Server>(cfg);
+        server->start();
+        JobSpec spec;
+        spec.designSource = "module dut; endmodule\nmodule tb; endmodule";
+        spec.tbModule = "tb";
+        spec.dutModule = "dut";
+        spec.oracleCsv = "time\n";
+        id = std::get<long>(server->queue().submit(spec));
+    }
+    ~EnvelopeRig() { server->stop(); }
+
+    std::unique_ptr<Conn>
+    connect(const Json &hello)
+    {
+        std::unique_ptr<Conn> conn =
+            dial(Address::parse(server->boundAddress()), 5.0);
+        conn->setIoDeadline(10.0);
+        conn->writeFrame(hello.dump());
+        std::string payload;
+        EXPECT_TRUE(conn->readFrame(&payload));
+        EXPECT_EQ(Json::parse(payload).str("type"), "hello");
+        return conn;
+    }
+
+    std::string
+    snapshotFile() const
+    {
+        return cfg.stateDir + "/job-" + std::to_string(id) + ".snap";
+    }
+};
+
+/** Send one raw payload, return the parsed reply. */
+Json
+roundTrip(Conn &conn, const std::string &payload)
+{
+    conn.writeFrame(payload);
+    std::string reply;
+    EXPECT_TRUE(conn.readFrame(&reply));
+    return Json::parse(reply);
 }
 
 } // namespace
@@ -290,4 +357,106 @@ TEST(FramingFuzz, FlippedPayloadBytesStayFrameAligned)
         EXPECT_EQ(got[0].size(), a.size());
         EXPECT_EQ(got[1], b);
     }
+}
+
+TEST(FramingFuzz, DamagedEnvelopesNeverWriteASnapshot)
+{
+    EnvelopeRig rig("fuzz-envelope");
+    std::unique_ptr<Conn> worker = rig.connect(makeWorkerHello("fuzzer"));
+    Json claim = Json::object();
+    claim["type"] = "claim";
+    Json job = roundTrip(*worker, claim.dump());
+    ASSERT_EQ(job.str("type"), "job") << job.dump();
+    ASSERT_EQ(job.num("id"), rig.id);
+    long long lease = job.num("lease_id");
+
+    Json progress = Json::object();
+    progress["type"] = "progress";
+    progress["id"] = rig.id;
+    progress["lease_id"] = lease;
+    progress["generation"] = 1;
+    const std::string doc = progress.dump();
+    const std::string snapshot = "cirfix-snapshot\n\x01\x02 bytes";
+    Rng rng(0xe7e1097eull);
+
+    // A NUL anywhere inside the document cuts it short: the part
+    // before it never parses, whatever follows.
+    for (int round = 0; round < 48; ++round) {
+        std::string payload = doc + std::string(1, '\0') + snapshot;
+        payload.insert(rng.below(doc.size()), 1, '\0');
+        Json reply = roundTrip(*worker, payload);
+        EXPECT_EQ(reply.str("code"), errc::kBadRequest)
+            << "round " << round << ": " << reply.dump();
+    }
+    // Garbage before the NUL.
+    for (int round = 0; round < 16; ++round) {
+        std::string garbage(1 + rng.below(64), 'x');
+        for (char &c : garbage)
+            c = static_cast<char>(1 + rng.below(255));
+        Json reply = roundTrip(*worker, garbage + '\0' + snapshot);
+        EXPECT_EQ(reply.str("code"), errc::kBadRequest)
+            << "round " << round << ": " << reply.dump();
+    }
+    // A stale lease, with a well-formed envelope.
+    Json stale = progress;
+    stale["lease_id"] = lease + 1000;
+    EXPECT_EQ(roundTrip(*worker, packEnvelope(stale, snapshot)).str("code"),
+              errc::kLeaseLost);
+    EXPECT_FALSE(std::filesystem::exists(rig.snapshotFile()));
+
+    // A heartbeat carries no snapshot: a large tail is ignored.
+    Json beat = Json::object();
+    beat["type"] = "heartbeat";
+    beat["id"] = rig.id;
+    beat["lease_id"] = lease;
+    Json reply = roundTrip(*worker,
+                           packEnvelope(beat, std::string(1 << 20, 'z')));
+    EXPECT_EQ(reply.str("type"), "ok") << reply.dump();
+    EXPECT_FALSE(std::filesystem::exists(rig.snapshotFile()));
+
+    // Control: the live lease's envelope is written byte for byte.
+    reply = roundTrip(*worker, packEnvelope(progress, snapshot));
+    EXPECT_EQ(reply.str("type"), "ok") << reply.dump();
+    EXPECT_EQ(cirfix::core::readFileOrEmpty(rig.snapshotFile()), snapshot);
+    EXPECT_EQ(roundTrip(*worker, packEnvelope(stale, "stale bytes"))
+                  .str("code"),
+              errc::kLeaseLost);
+    EXPECT_EQ(cirfix::core::readFileOrEmpty(rig.snapshotFile()), snapshot);
+
+    // A length prefix past the frame cap drops the connection before
+    // anything is read or written; the coordinator keeps serving.
+    uint64_t huge = static_cast<uint64_t>(kMaxFrameBytes) + 1;
+    std::string wire = {static_cast<char>(huge >> 24),
+                        static_cast<char>(huge >> 16),
+                        static_cast<char>(huge >> 8),
+                        static_cast<char>(huge)};
+    wire += doc + '\0' + "oversized";
+    // MSG_NOSIGNAL: the coordinator may hang up mid-send.
+    ASSERT_GT(::send(worker->fd(), wire.data(), wire.size(), MSG_NOSIGNAL),
+              0);
+    std::string ignored;
+    bool open = true;
+    try {
+        open = worker->readFrame(&ignored);
+    } catch (const ConnectionClosed &) {
+        open = false;  // closed with our bytes unread: a reset
+    }
+    EXPECT_FALSE(open);
+    EXPECT_EQ(cirfix::core::readFileOrEmpty(rig.snapshotFile()), snapshot);
+    std::unique_ptr<Conn> again = rig.connect(makeHello());
+    Json list = Json::object();
+    list["type"] = "list";
+    EXPECT_EQ(roundTrip(*again, list.dump()).str("type"), "list");
+}
+
+TEST(FramingFuzz, EnvelopeOnAClientConnectionIsBadRequest)
+{
+    EnvelopeRig rig("fuzz-envelope-client");
+    std::unique_ptr<Conn> client = rig.connect(makeHello());
+    Json list = Json::object();
+    list["type"] = "list";
+    Json reply = roundTrip(*client, packEnvelope(list, "snapshot"));
+    EXPECT_EQ(reply.str("code"), errc::kBadRequest) << reply.dump();
+    // The connection survives and still answers.
+    EXPECT_EQ(roundTrip(*client, list.dump()).str("type"), "list");
 }

@@ -406,10 +406,11 @@ TEST(ServiceQueue, SchedulesPriorityThenFifo)
     spec.priority = -1;
     long d = std::get<long>(q.submit(spec));
 
-    EXPECT_EQ(q.pop()->id, b);  // highest priority first
-    EXPECT_EQ(q.pop()->id, c);  // FIFO within a priority level
-    EXPECT_EQ(q.pop()->id, a);
-    EXPECT_EQ(q.pop()->id, d);
+    uint64_t lease = 0;
+    EXPECT_EQ(q.tryClaim("w", 5.0, &lease)->id, b);  // priority first
+    EXPECT_EQ(q.tryClaim("w", 5.0, &lease)->id, c);  // FIFO in a level
+    EXPECT_EQ(q.tryClaim("w", 5.0, &lease)->id, a);
+    EXPECT_EQ(q.tryClaim("w", 5.0, &lease)->id, d);
 }
 
 TEST(ServiceQueue, RejectsOverloadWithStructuredReason)
@@ -447,7 +448,8 @@ TEST(ServiceQueue, RejectsOverloadWithStructuredReason)
     EXPECT_EQ(std::get<Rejection>(rej).code, errc::kBudgetTooLarge);
 
     // Draining one queued job frees a slot.
-    ASSERT_NE(q.pop(), nullptr);
+    uint64_t lease = 0;
+    ASSERT_NE(q.tryClaim("w", 5.0, &lease), nullptr);
     EXPECT_TRUE(std::holds_alternative<long>(q.submit(spec)));
 }
 
@@ -862,7 +864,7 @@ TEST(ServiceServer, StatusCarriesLeaseStatsSchema)
 {
     // `cirfix status --json` consumers key on this schema: every
     // status reply carries daemon-wide lease totals, all five
-    // members present (zero on a classic daemon that never leased).
+    // members present.
     ServerConfig cfg;
     cfg.listenAddress = sockPath("svc-leasestats");
     cfg.stateDir = tmpDir("svc-leasestats-state");
@@ -890,9 +892,158 @@ TEST(ServiceServer, StatusCarriesLeaseStatsSchema)
         ASSERT_TRUE(ls->has(member)) << member;
         EXPECT_GE(ls->num(member), 0) << member;
     }
-    // Local execution leases nothing.
-    EXPECT_EQ(ls->num("assignments"), 0);
+    // Local workers are fleet workers: the one job took one lease.
+    EXPECT_EQ(ls->num("assignments"), 1);
     server.stop();
+}
+
+// ---------------------------------------------------------------
+// Local workers are fleet workers: leases, durable status, resume
+// ---------------------------------------------------------------
+
+/** Block until job @p id's event stream ends (it went terminal). */
+void
+drainJob(const std::string &address, long id)
+{
+    Client watcher(address);
+    watcher.subscribe(id);
+    Json ev;
+    while (watcher.recv(&ev))
+        if (ev.str("type") == "end_of_stream")
+            break;
+}
+
+TEST(ServiceServer, LocalWorkersRunJobsUnderLeases)
+{
+    ServerConfig cfg;
+    cfg.listenAddress = sockPath("svc-leased");
+    cfg.stateDir = tmpDir("svc-leased-state");
+    cfg.workers = 2;
+    Server server(cfg);
+    server.start();
+
+    std::vector<JobSpec> specs;
+    std::vector<long> ids;
+    Client client(cfg.listenAddress);
+    for (int k = 0; k < 4; ++k) {
+        JobSpec spec = unrepairableSpec(2 + k % 2);
+        spec.params.seed = 21 + static_cast<uint64_t>(k);
+        specs.push_back(spec);
+        ids.push_back(client.submit(spec));
+    }
+    for (size_t k = 0; k < ids.size(); ++k) {
+        SCOPED_TRACE("job " + std::to_string(ids[k]));
+        drainJob(cfg.listenAddress, ids[k]);
+        Json summary = client.status(ids[k]);
+        EXPECT_EQ(summary.str("state"), "done");
+        EXPECT_EQ(summary.str("worker").rfind("local-", 0), 0u)
+            << summary.dump();
+        EXPECT_EQ(summary.num("attempts"), 1);
+        SessionOutcome reference =
+            runRepairJob(specs[k], "", nullptr, nullptr);
+        ASSERT_EQ(reference.state, JobState::Done);
+        EXPECT_EQ(withoutTimes(*client.result(ids[k]).find("result"))
+                      .dump(),
+                  withoutTimes(reference.result).dump());
+    }
+    LeaseStats stats = server.queue().leaseStats();
+    EXPECT_EQ(stats.assignments, 4u);
+    EXPECT_EQ(stats.staleRejections, 0u);
+    EXPECT_EQ(server.workerCount(), 0);  // local workers are not remote
+    server.stop();
+}
+
+TEST(ServiceServer, RestartKeepsAFinishedJobsStatus)
+{
+    ServerConfig cfg;
+    cfg.listenAddress = sockPath("svc-final-status");
+    cfg.stateDir = tmpDir("svc-final-status-state");
+    cfg.workers = 1;
+    long id = 0;
+    Json before;
+    {
+        Server server(cfg);
+        server.start();
+        Client client(cfg.listenAddress);
+        id = client.submit(unrepairableSpec(6));
+        drainJob(cfg.listenAddress, id);
+        before = client.status(id);
+        server.stop();
+    }
+    ASSERT_EQ(before.str("state"), "done");
+    ASSERT_EQ(before.num("generation"), 6);
+    ASSERT_GT(before.num("fitness_evals"), 0);
+
+    cfg.workers = 0;
+    Server server(cfg);
+    server.start();
+    Json after = Client(cfg.listenAddress).status(id);
+    server.stop();
+    // lease_stats are daemon-wide totals since start(); the job's own
+    // summary must come back field for field.
+    before.remove("lease_stats");
+    after.remove("lease_stats");
+    EXPECT_EQ(after.dump(), before.dump());
+}
+
+TEST(ServiceServer, IslandJobResumesAfterRestart)
+{
+    // A 2-island job runs in process on one local worker, which
+    // checkpoints it under <state-dir>/job-<id>.snap.d/. A daemon
+    // stopped mid-run and restarted on the same state dir resumes the
+    // islands from there and reproduces the uninterrupted fingerprint.
+    JobSpec spec = unrepairableSpec(60);
+    spec.params.islands = 2;
+    spec.params.migrationInterval = 2;
+    spec.params.migrantsPerIsland = 2;
+    SessionOutcome reference = runRepairJob(spec, "", nullptr, nullptr);
+    ASSERT_EQ(reference.state, JobState::Done);
+    const Json *refIslands = reference.result.find("islands");
+    ASSERT_NE(refIslands, nullptr);
+
+    ServerConfig cfg;
+    cfg.listenAddress = sockPath("svc-island-resume");
+    cfg.stateDir = tmpDir("svc-island-resume-state");
+    cfg.workers = 1;
+    long id = 0;
+    {
+        Server server(cfg);
+        server.start();
+        Client client(cfg.listenAddress);
+        id = client.submit(spec);
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (client.status(id).num("generation", 0) < 3 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        server.stop();
+        // Shutdown is not a cancel: the job went back to the queue.
+        ASSERT_EQ(server.queue().summaryFor(id).str("state"), "queued");
+    }
+    const std::string checkpointDir =
+        cfg.stateDir + "/job-" + std::to_string(id) + ".snap.d";
+    ASSERT_TRUE(std::filesystem::is_directory(checkpointDir));
+
+    Server server(cfg);
+    server.start();
+    Client watcher(cfg.listenAddress);
+    watcher.subscribe(id);
+    int firstGeneration = -1;
+    Json ev;
+    while (watcher.recv(&ev) && ev.str("type") != "end_of_stream")
+        if (firstGeneration < 0 && ev.str("event") == "generation")
+            firstGeneration = static_cast<int>(ev.num("generation"));
+    // Resumed, not restarted: the first generation after the restart
+    // continues from a checkpoint.
+    EXPECT_GT(firstGeneration, 1);
+    Json reply = Client(cfg.listenAddress).result(id);
+    server.stop();
+    EXPECT_EQ(reply.str("state"), "done");
+    // The finished job's checkpoint dir went with its commit.
+    EXPECT_FALSE(std::filesystem::exists(checkpointDir));
+    const Json *islands = reply.find("result")->find("islands");
+    ASSERT_NE(islands, nullptr);
+    EXPECT_EQ(islands->str("fingerprint"), refIslands->str("fingerprint"));
 }
 
 // ---------------------------------------------------------------
