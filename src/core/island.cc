@@ -779,8 +779,7 @@ runIslands(std::shared_ptr<const verilog::SourceFile> faulty,
         // Wind-down (external stop, no winner): do NOT mark the island
         // done — a persisted done-mark would make a resumed run seal
         // later epochs with partial submissions and diverge from the
-        // uninterrupted one. The island stays resumable, exactly like a
-        // fleet worker that abandons its shard without a done frame.
+        // uninterrupted one. The island stays resumable.
         // (Every other island sees the same shouldStop, so no barrier
         // waits on the skipped mark.)
         bool windDown = res.stopped && !res.found &&

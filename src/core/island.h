@@ -17,22 +17,22 @@
  * (evaluations, cache hits, early aborts); the populations, the
  * migrant ledger, the winner and the final patch are bit-identical
  * per configuration. islandFingerprint() hashes exactly the invariant
- * part, so two runs — in-process threads vs a distributed fleet, with
- * or without a SIGKILLed worker mid-epoch — can be compared with one
- * integer.
+ * part, so two runs — the CLI and a daemon worker, with or without a
+ * crash and resume mid-epoch — can be compared with one integer.
  *
- * The soundness of cross-island fitness sharing (why a fleet cache hit
+ * The soundness of cross-island fitness sharing (why a shared cache hit
  * cannot change the search) is argued in DESIGN.md "Island-model
  * evolution": local caches never store early-aborted scores, so every
  * shared entry is exact, and an exact score substituted for a
  * would-have-aborted simulation still falls below the survival cutoff
  * that would have aborted it.
  *
- * MigrationLedger is the coordinator's half of the barrier protocol
- * and is deliberately transport-free: the in-process runIslands() and
- * the fleet coordinator (service/fleet.h) drive the same class, which
- * is what makes "cirfix repair --islands 4" and a 4-worker fleet run
- * produce the same fingerprint.
+ * runIslands() is the one island driver: "cirfix repair --islands K"
+ * calls it, and so does the service worker that claims a K-island job
+ * (service/session.h), running every island on its own thread. It
+ * drives the MigrationLedger (the barrier) and the SharedFitnessStore
+ * directly and persists the ledger next to the islands' checkpoints
+ * for crash recovery.
  */
 
 #include <functional>
@@ -59,8 +59,8 @@ struct IslandConfig
  *  last two are *hard invariants* (tests/test_island.cc asserts them
  *  at zero):
  *  a nonzero migrantDuplicates means the dedup merge emitted the same
- *  key twice in one broadcast, a nonzero elitesLost means a failover
- *  replay disagreed with the coordinator's ledger. */
+ *  key twice in one broadcast, a nonzero elitesLost means a resumed
+ *  island's replay disagreed with the ledger. */
 struct MigrationStats
 {
     long elitesExported = 0;    //!< elites received across all epochs
@@ -150,9 +150,9 @@ std::vector<std::string> injectMigrants(std::vector<Variant> *popn,
                                             &migrants,
                                         int popSize);
 
-/** Thread-safe fleet-shared fitness/quarantine store, keyed by
- *  Patch::key. One instance per job: the in-process islands share it
- *  directly; the coordinator exposes it over cache_sync messages. */
+/** Thread-safe cross-island fitness/quarantine store, keyed by
+ *  Patch::key. One instance per runIslands() call, which its islands
+ *  share through their engines' fleetLookup/fleetPublish hooks. */
 class SharedFitnessStore
 {
   public:
@@ -230,7 +230,8 @@ class MigrationLedger
     /** Sealed broadcasts, ascending epoch. */
     std::vector<std::pair<int, std::vector<std::string>>> broadcasts();
 
-    /** Serialized ledger state for coordinator crash-recovery. */
+    /** Serialized ledger state for crash recovery (runIslands()
+     *  persists it next to the islands' checkpoints). */
     std::string encode();
     /** @return false (leaving *this untouched) on a parse failure —
      *  the caller restarts the job from scratch. */

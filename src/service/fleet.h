@@ -3,9 +3,11 @@
 /**
  * @file
  * Fleet roles on top of the repair daemon: a *coordinator* owns the
- * JobQueue and durable state dir and shards jobs to *workers* over the
- * transport; workers execute repair sessions and stream progress (and
- * engine snapshots) back.
+ * JobQueue and durable state dir and leases whole jobs to *workers*
+ * over the transport; workers execute repair sessions and stream
+ * progress (and engine snapshots) back. A K-island job is a job like
+ * any other: one worker runs all its islands in process
+ * (core::runIslands) under one lease.
  *
  * Failure model, in one paragraph: every assignment is a lease
  * (jobqueue.h). A worker renews its lease with each progress frame and
@@ -16,7 +18,11 @@
  * restart guarantee). A presumed-dead worker that comes back and tries
  * to commit gets lease_lost and discards the attempt. Net effect under
  * any combination of crashes and partitions: no job lost, no job run
- * to completion twice.
+ * to completion twice. A K-island job checkpoints into a per-island
+ * directory that stays with its worker, so a remote worker's K-island
+ * job that fails over restarts from generation 0: same fingerprint,
+ * only the work is lost. The daemon's own workers share its state
+ * dir, so a restarted daemon resumes theirs from those checkpoints.
  *
  * The Worker here is the one job executor: `cirfix worker` wraps it in
  * a process, and the daemon runs its local workers as in-process
@@ -28,15 +34,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <unordered_set>
-#include <vector>
 
-#include "core/island.h"
-#include "service/json.h"
 #include "service/transport.h"
 
 namespace cirfix::service {
@@ -50,11 +51,12 @@ struct FleetConfig
     /** Worker count below which the coordinator degrades admission
      *  (halved queue depth, rejections coded degraded). */
     int minWorkers = 1;
-    /** true: coordinator mode — K-island jobs are sharded, and
-     *  submits with no local or live remote worker are rejected with
-     *  no_workers. false: the classic daemon; its local workers run
-     *  jobs (K-island ones whole) and remote workers are extra
-     *  capacity. */
+    /** The admission posture and nothing else. true (`cirfix
+     *  coordinator`): a submit with no local and no live remote worker
+     *  is rejected with no_workers, and fewer live remote workers than
+     *  minWorkers halve the queue depth (degraded). false (`cirfix
+     *  serve`): admission ignores remote workers, which are extra
+     *  capacity. Jobs are claimed and run the same way in both. */
     bool requireWorkers = false;
 };
 
@@ -75,92 +77,6 @@ class FleetRegistry
     std::mutex mu_;
     std::unordered_set<std::string> workers_;
     uint64_t nextKey_ = 1;
-};
-
-// ---------------------------------------------------------------------------
-// Island-job orchestration (coordinator side)
-
-/** Wire codec for fleet cache entries: entries ride the snapshot
- *  variant-blob format (with an empty patch — the patch is identified
- *  by its key, which travels in the parallel @p keysOut array). */
-std::string encodeCacheEntries(
-    const std::vector<std::pair<std::string, core::FitnessCache::Entry>>
-        &entries,
-    Json *keysOut);
-std::vector<std::pair<std::string, core::FitnessCache::Entry>>
-decodeCacheEntries(const Json &keys, const std::string &blob);
-
-/** Quarantine records <-> JSON ([{key, outcome, error}]). */
-Json encodeQuarantineRecords(
-    const std::vector<std::pair<std::string, core::QuarantineEntry>>
-        &records);
-std::vector<std::pair<std::string, core::QuarantineEntry>>
-decodeQuarantineRecords(const Json &j);
-
-/**
- * Coordinator-side orchestration of one K-island job: owns the
- * migration ledger (the epoch barrier), the fleet-shared fitness
- * store, and the per-island digests that assemble into the job's
- * terminal payload. The coordinator creates one per sharded job and
- * drives it from the migrate / cache_sync / done handlers; the ledger
- * is persisted at every sealed epoch (and every done-mark) so a
- * coordinator restart replays the exchange history instead of
- * inventing a new one. A ledger that fails to decode restarts the job
- * from scratch — deterministic, so the final result is unchanged.
- */
-class IslandCoordinator
-{
-  public:
-    IslandCoordinator(core::IslandConfig cfg, std::string ledgerPath);
-
-    enum class Recovery { Fresh, Restored, Corrupt };
-    /** Try to restore the durable ledger; Corrupt means the caller
-     *  must discard the job's shard snapshots and start over. */
-    Recovery recover();
-
-    core::MigrationLedger &ledger() { return ledger_; }
-    core::SharedFitnessStore &store() { return store_; }
-    const core::IslandConfig &config() const { return cfg_; }
-
-    /** Handle a worker migrate frame (lease already validated):
-     *  replay audits, elite submission + barrier poll. @return the
-     *  reply payload (ok{wait} / migrants{stop, blob}). */
-    Json handleMigrate(const Json &msg);
-    /** Handle a worker cache_sync frame: publish + lookup. */
-    Json handleCacheSync(const Json &msg);
-
-    /** An island shard committed its done frame. */
-    void shardDone(int island, const Json &digest, Json result,
-                   const std::string &error);
-    /** Settle islands that will never run (canceled before claim). */
-    void shardReaped(int island);
-
-    bool allDone();
-    /** Assemble the terminal payload once allDone(): the winning
-     *  island's result plus the islands block (fingerprint included).
-     *  Returns Null and fills @p error when any shard failed. */
-    Json assemble(uint64_t seed, std::string *error);
-
-    /** Durably persist the ledger now (atomic rename). A no-op after
-     *  retire(): a late shard frame racing the job's assembly must not
-     *  resurrect the ledger file the assembly just removed. */
-    void persist();
-    void removeLedgerFile();
-    /** Remove the ledger file and permanently disable persist().
-     *  Called exactly once, when the assembled job goes terminal. */
-    void retire();
-
-  private:
-    core::IslandConfig cfg_;
-    std::string path_;
-    core::MigrationLedger ledger_;
-    core::SharedFitnessStore store_;
-    std::mutex mu_;
-    bool retired_ = false;  //!< job assembled; persist() disabled
-    std::set<int> persistedEpochs_;  //!< epochs already durable
-    std::map<int, Json> digests_;
-    std::map<int, Json> results_;
-    std::string failure_;  //!< first shard failure diagnostic
 };
 
 /** Worker-side knobs. */
@@ -204,8 +120,10 @@ struct WorkerStats
  * the daemon's own workers serve() one end of a socketpair.
  *
  * A checkpoint in workDir stays until the coordinator accepts the
- * attempt's done frame: the daemon's workers use its state dir as
- * workDir, so their checkpoints are the coordinator's own copies.
+ * attempt's done frame. The daemon's workers use its state dir as
+ * workDir, and its hello reply says so (shared_state_dir): their
+ * checkpoints are the coordinator's own copies, so they neither ship
+ * nor receive snapshot bytes.
  */
 class Worker
 {
@@ -239,28 +157,29 @@ class Worker
         double leaseSeconds = 3.0;
         std::string specJson;
         std::string snapshot;
-        int island = -1;  //!< >= 0: island shard of a K-island job
     };
 
     bool exiting(const std::function<bool()> &shouldExit) const;
     /** One claim round-trip. @return false when no job was handed out
      *  (keep polling). @throws on transport failure. */
     bool claim(Conn &conn, Assignment *out);
-    /** Execute one assignment — a whole job, or an island shard with
-     *  blocking migrate barriers and cache_sync fitness sharing.
+    /** Execute one assignment (a plain or a K-island job, whole).
      *  Returns normally whether the job completed, was canceled, or
      *  the lease was lost. @throws only on unexpected local failures
      *  (not transport ones). */
     void execute(Conn &conn, const Assignment &a,
                  const std::function<bool()> &shouldExit);
 
-    std::string snapshotPath(long id, int island) const;
+    std::string snapshotPath(long id) const;
 
     WorkerConfig cfg_;
     std::atomic<bool> stopRequested_{false};
     std::mutex statsMu_;
     WorkerStats stats_;
     bool greeted_ = false;  //!< a hello succeeded before (reconnects)
+    /** The coordinator's hello said workDir is its state dir: its
+     *  checkpoints are already where the coordinator keeps them. */
+    bool sharedStateDir_ = false;
 };
 
 } // namespace cirfix::service

@@ -70,9 +70,6 @@ JobQueue::submit(JobSpec spec, const std::string &requestId)
     job->spec = std::move(spec);
     job->requestId = requestId;
     job->state = JobState::Queued;
-    if (shardMode_ && job->spec.params.islands > 1)
-        job->shards.resize(
-            static_cast<size_t>(job->spec.params.islands));
     pushStateEventLocked(*job);
     jobs_.emplace(job->id, job);
     if (!requestId.empty())
@@ -112,13 +109,6 @@ JobQueue::restore(std::shared_ptr<Job> job)
     if (!job->requestId.empty())
         requestIds_[job->requestId] = job->id;
     job->leaseId = 0;  // leases don't survive a coordinator restart
-    if (shardMode_ && job->spec.params.islands > 1 &&
-        !isTerminal(job->state))
-        // Shards are rebuilt unleased and not-done; resumed claimants
-        // fast-forward from the coordinator's shard snapshots, and the
-        // recovered migration ledger replays their history.
-        job->shards.assign(
-            static_cast<size_t>(job->spec.params.islands), JobShard{});
     if (!isTerminal(job->state))
         job->state = JobState::Queued;  // running jobs resume
     if (job->events.empty()) {
@@ -238,8 +228,8 @@ JobQueue::publishGeneration(Job &job, const core::GenerationStats &gs)
     std::lock_guard<std::mutex> lock(mu_);
     int islands = job.spec.params.islands;
     if (gs.island >= 0 && gs.island < islands) {
-        // One island of a K-island job, sharded or run whole: the
-        // job-level counters add up the islands' for one-line status.
+        // One island of a K-island job: the job-level counters add up
+        // the islands' for one-line status.
         job.islandProgress.resize(static_cast<size_t>(islands));
         job.islandProgress[static_cast<size_t>(gs.island)] = gs;
         core::SearchCounters sum;
@@ -331,41 +321,20 @@ JobQueue::summaries()
 
 std::shared_ptr<Job>
 JobQueue::tryClaim(const std::string &worker, double leaseSeconds,
-                   uint64_t *leaseIdOut, int *islandOut,
+                   uint64_t *leaseIdOut,
                    std::chrono::steady_clock::time_point waitUntil)
 {
     std::unique_lock<std::mutex> lock(mu_);
-    // One priority-then-FIFO scan over whole jobs and island shards:
-    // a plain Queued job is claimed whole; a sharded job (island-aware
-    // callers only) hands out its lowest unleased, undone shard while
-    // any shard is live.
+    // Priority-then-FIFO over Queued jobs.
     std::shared_ptr<Job> best;
-    int bestShard = -1;
     auto scan = [&] {
         for (auto &[id, job] : jobs_) {
-            int shard = -1;
-            if (job->shards.empty()) {
-                if (job->state != JobState::Queued)
-                    continue;
-            } else {
-                if (!islandOut || isTerminal(job->state) ||
-                    job->cancelRequested.load(std::memory_order_relaxed))
-                    continue;
-                for (size_t k = 0; k < job->shards.size(); ++k)
-                    if (!job->shards[k].done &&
-                        job->shards[k].leaseId == 0) {
-                        shard = static_cast<int>(k);
-                        break;
-                    }
-                if (shard < 0)
-                    continue;
-            }
+            if (job->state != JobState::Queued)
+                continue;
             if (!best || job->spec.priority > best->spec.priority ||
                 (job->spec.priority == best->spec.priority &&
-                 job->seq < best->seq)) {
+                 job->seq < best->seq))
                 best = job;
-                bestShard = shard;
-            }
         }
         return best != nullptr;
     };
@@ -377,37 +346,20 @@ JobQueue::tryClaim(const std::string &worker, double leaseSeconds,
     if (!best)
         return nullptr;  // closed
 
-    auto deadline =
+    uint64_t lease = nextLease_++;
+    best->state = JobState::Running;
+    best->leaseId = lease;
+    best->leaseDeadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double>(leaseSeconds));
-    uint64_t lease = nextLease_++;
-    if (bestShard >= 0) {
-        JobShard &sh = best->shards[static_cast<size_t>(bestShard)];
-        sh.leaseId = lease;
-        sh.leaseDeadline = deadline;
-        sh.worker = worker;
-        ++sh.attempts;
-        ++best->attempts;
-        best->worker = worker;  // last assignee (provenance)
-        if (best->state == JobState::Queued) {
-            best->state = JobState::Running;
-            pushStateEventLocked(*best);
-        }
-    } else {
-        best->state = JobState::Running;
-        best->leaseId = lease;
-        best->leaseDeadline = deadline;
-        best->worker = worker;
-        ++best->attempts;
-        pushStateEventLocked(*best);
-    }
+    best->worker = worker;
+    ++best->attempts;
+    pushStateEventLocked(*best);
     ++leaseStats_.assignments;
     eventsCv_.notify_all();
     if (leaseIdOut)
         *leaseIdOut = lease;
-    if (islandOut)
-        *islandOut = bestShard;
     return best;
 }
 
@@ -417,49 +369,21 @@ JobQueue::renewLease(long id, uint64_t leaseId, double leaseSeconds,
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second->state != JobState::Running) {
+    if (it == jobs_.end() || it->second->leaseId != leaseId ||
+        it->second->state != JobState::Running) {
         ++leaseStats_.staleRejections;
         return false;
     }
     Job &job = *it->second;
-    auto deadline =
+    job.leaseDeadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double>(leaseSeconds));
-    if (job.leaseId == leaseId) {
-        job.leaseDeadline = deadline;
-    } else {
-        JobShard *held = nullptr;
-        for (JobShard &sh : job.shards)
-            if (!sh.done && sh.leaseId == leaseId)
-                held = &sh;
-        if (!held) {
-            ++leaseStats_.staleRejections;
-            return false;
-        }
-        held->leaseDeadline = deadline;
-    }
     ++leaseStats_.renewals;
     if (cancelOut)
         *cancelOut =
             job.cancelRequested.load(std::memory_order_relaxed);
     return true;
-}
-
-std::optional<int>
-JobQueue::leaseIsland(long id, uint64_t leaseId)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second->state != JobState::Running)
-        return std::nullopt;
-    const Job &job = *it->second;
-    if (job.leaseId == leaseId)
-        return -1;
-    for (size_t k = 0; k < job.shards.size(); ++k)
-        if (!job.shards[k].done && job.shards[k].leaseId == leaseId)
-            return static_cast<int>(k);
-    return std::nullopt;
 }
 
 std::shared_ptr<Job>
@@ -474,46 +398,6 @@ JobQueue::completeLeased(long id, uint64_t leaseId)
     }
     it->second->leaseId = 0;  // lease consumed by the terminal commit
     return it->second;
-}
-
-std::shared_ptr<Job>
-JobQueue::completeShardLeased(long id, uint64_t leaseId, int *islandOut)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = jobs_.find(id);
-    if (it != jobs_.end() && it->second->state == JobState::Running) {
-        Job &job = *it->second;
-        for (size_t k = 0; k < job.shards.size(); ++k) {
-            JobShard &sh = job.shards[k];
-            if (sh.done || sh.leaseId != leaseId)
-                continue;
-            sh.leaseId = 0;
-            sh.done = true;
-            if (islandOut)
-                *islandOut = static_cast<int>(k);
-            return it->second;
-        }
-    }
-    ++leaseStats_.staleRejections;
-    return nullptr;
-}
-
-std::vector<int>
-JobQueue::reapCanceledShards(Job &job)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<int> reaped;
-    if (!job.cancelRequested.load(std::memory_order_relaxed) ||
-        isTerminal(job.state))
-        return reaped;
-    for (size_t k = 0; k < job.shards.size(); ++k) {
-        JobShard &sh = job.shards[k];
-        if (sh.done || sh.leaseId != 0)
-            continue;  // leased shards wind down via the cancel flag
-        sh.done = true;
-        reaped.push_back(static_cast<int>(k));
-    }
-    return reaped;
 }
 
 void
@@ -537,23 +421,8 @@ JobQueue::requeueExpired()
     auto now = std::chrono::steady_clock::now();
     std::vector<long> requeued;
     for (auto &[id, job] : jobs_) {
-        if (job->state != JobState::Running)
-            continue;
-        bool swept = false;
-        for (JobShard &sh : job->shards) {
-            if (sh.done || sh.leaseId == 0 || sh.leaseDeadline > now)
-                continue;
-            // The shard goes back to claimable; the job stays Running
-            // (its other islands keep working) and the next claimant
-            // resumes from the coordinator's shard snapshot.
-            sh.leaseId = 0;
-            ++leaseStats_.expirations;
-            ++leaseStats_.requeues;
-            swept = true;
-        }
-        if (swept)
-            requeued.push_back(id);
-        if (job->leaseId == 0 || job->leaseDeadline > now)
+        if (job->state != JobState::Running || job->leaseId == 0 ||
+            job->leaseDeadline > now)
             continue;
         ++leaseStats_.expirations;
         requeueLocked(*job);
@@ -572,19 +441,8 @@ JobQueue::requeueOwnedBy(const std::string &worker)
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<long> requeued;
     for (auto &[id, job] : jobs_) {
-        if (job->state != JobState::Running)
-            continue;
-        bool swept = false;
-        for (JobShard &sh : job->shards) {
-            if (sh.done || sh.leaseId == 0 || sh.worker != worker)
-                continue;
-            sh.leaseId = 0;
-            ++leaseStats_.requeues;
-            swept = true;
-        }
-        if (swept)
-            requeued.push_back(id);
-        if (job->leaseId == 0 || job->worker != worker)
+        if (job->state != JobState::Running || job->leaseId == 0 ||
+            job->worker != worker)
             continue;
         requeueLocked(*job);
         requeued.push_back(id);
@@ -594,28 +452,6 @@ JobQueue::requeueOwnedBy(const std::string &worker)
         eventsCv_.notify_all();
     }
     return requeued;
-}
-
-std::chrono::steady_clock::time_point
-JobQueue::nextLeaseDeadline()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::chrono::steady_clock::time_point soonest{};
-    auto consider = [&](std::chrono::steady_clock::time_point t) {
-        if (soonest == std::chrono::steady_clock::time_point{} ||
-            t < soonest)
-            soonest = t;
-    };
-    for (auto &[id, job] : jobs_) {
-        if (job->state != JobState::Running)
-            continue;
-        if (job->leaseId != 0)
-            consider(job->leaseDeadline);
-        for (const JobShard &sh : job->shards)
-            if (!sh.done && sh.leaseId != 0)
-                consider(sh.leaseDeadline);
-    }
-    return soonest;
 }
 
 LeaseStats
@@ -642,28 +478,27 @@ jobSummary(const Job &job)
         j["attempts"] = job.attempts;
     if (!job.error.empty())
         j["error"] = job.error;
-    if (!job.shards.empty()) {
-        j["island_count"] = static_cast<long long>(job.shards.size());
-        Json islands = Json::array();
+    int islands = job.spec.params.islands;
+    if (islands > 1) {
+        // One entry per island from its last published generation;
+        // their counters add up to the job-level ones above.
+        j["island_count"] = islands;
+        Json list = Json::array();
         static const core::GenerationStats none;
-        for (size_t k = 0; k < job.shards.size(); ++k) {
-            const JobShard &sh = job.shards[k];
+        for (int k = 0; k < islands; ++k) {
             const core::GenerationStats &p =
-                k < job.islandProgress.size() ? job.islandProgress[k]
-                                              : none;
+                static_cast<size_t>(k) < job.islandProgress.size()
+                    ? job.islandProgress[static_cast<size_t>(k)]
+                    : none;
             Json s = Json::object();
-            s["island"] = static_cast<long long>(k);
-            s["done"] = sh.done;
+            s["island"] = k;
             s["generation"] = p.generation;
             s["epoch"] = p.epoch;
             s["best_fitness"] = p.bestFitness;
             countersToJson(p, s);
-            s["attempts"] = sh.attempts;
-            if (!sh.worker.empty())
-                s["worker"] = sh.worker;
-            islands.push(std::move(s));
+            list.push(std::move(s));
         }
-        j["islands"] = std::move(islands);
+        j["islands"] = std::move(list);
     }
     return j;
 }

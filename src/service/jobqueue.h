@@ -48,7 +48,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <variant>
@@ -79,20 +78,6 @@ struct Rejection
     std::string message;
 };
 
-/** One island shard of a K-island job (coordinator shard mode only;
- *  see DESIGN.md "Island-model evolution"). Each shard is leased to a
- *  worker independently: the job is Running while any shard is live
- *  and goes terminal only when the coordinator has assembled every
- *  shard's digest. */
-struct JobShard
-{
-    uint64_t leaseId = 0;  //!< 0 = unleased (claimable unless done)
-    std::chrono::steady_clock::time_point leaseDeadline{};
-    std::string worker;
-    int attempts = 0;
-    bool done = false;  //!< digest committed; never re-leased
-};
-
 /** One job, owned by the queue. Every field is guarded by the queue's
  *  mutex except cancelRequested, which the server's sweep and frame
  *  handlers read lock-free. */
@@ -111,17 +96,12 @@ struct Job
     std::string worker;  //!< current/last executor name (provenance)
     int attempts = 0;    //!< assignment count (1 = never failed over)
 
-    /** Island shards (coordinator shard mode, params.islands > 1);
-     *  empty for plain jobs. Sharded jobs never go through a whole-job
-     *  claim — only per-shard leases. */
-    std::vector<JobShard> shards;
-
     /** Last published generation, for status. For a K-island job the
      *  counters are the sum over islandProgress, the generation and
      *  best fitness the highest any island reported. */
     core::GenerationStats progress;
-    /** Each island's last published generation: a K-island job's,
-     *  whether sharded or run whole by one worker; empty otherwise. */
+    /** Each island's last published generation for a K-island job
+     *  (island i at index i); empty otherwise. */
     std::vector<core::GenerationStats> islandProgress;
 
     Json result;        //!< terminal payload (Done/Canceled)
@@ -203,37 +183,22 @@ class JobQueue
 
     // ---- lease machinery (fleet mode) ----
 
-    /** Shard mode (coordinator): submissions with params.islands > 1
-     *  are split into one claimable shard per island instead of a
-     *  whole-job assignment. Off by default — the classic daemon runs
-     *  island jobs in-process. Set once, before any submission. */
-    void setShardMode(bool on) { shardMode_ = on; }
-    bool shardMode() const { return shardMode_; }
-
     /**
      * Claim for a worker: picks the highest-priority, earliest-
      * submitted claimable job, marks it Running under a fresh lease
      * for @p worker, arms the deadline. @p leaseIdOut receives the
      * lease. With nothing claimable it waits until @p waitUntil for a
      * submit or requeue (the claim long-poll; the default does not
-     * wait); nullptr when that passes or the queue is closed.
-     *
-     * @p islandOut selects what the caller can execute: when null
-     * (legacy callers) only whole jobs are handed out and sharded jobs
-     * are skipped; when non-null, an island shard may be granted —
-     * *islandOut receives its index (or -1 for a whole job). Lease ids
-     * are minted from one counter, so a shard lease never collides
-     * with a job lease.
+     * wait); nullptr when that passes or the queue is closed. A
+     * K-island job is claimed whole, like any other.
      */
     std::shared_ptr<Job> tryClaim(const std::string &worker,
                                   double leaseSeconds,
                                   uint64_t *leaseIdOut,
-                                  int *islandOut = nullptr,
                                   std::chrono::steady_clock::time_point
                                       waitUntil = {});
 
-    /** Renew a lease (heartbeat or progress frame) — a whole-job lease
-     *  or an island-shard lease, found by its globally unique id.
+    /** Renew a lease (heartbeat or progress frame).
      *  @return false when the lease is stale — the job was re-assigned
      *  or went terminal; the worker must abandon it. @p cancelOut
      *  (optional) reports a pending cancel request the worker should
@@ -241,30 +206,11 @@ class JobQueue
     bool renewLease(long id, uint64_t leaseId, double leaseSeconds,
                     bool *cancelOut);
 
-    /** The island whose shard lease @p leaseId is, -1 for a whole-job
-     *  lease; nullopt when the lease is stale. Read-only, so a frame
-     *  can be checked against its lease before renewLease() counts
-     *  it (a lease id never moves to another island). */
-    std::optional<int> leaseIsland(long id, uint64_t leaseId);
-
     /** Validate a lease for a terminal commit (done frame). On success
      *  the lease is cleared and the job returned still in Running state
      *  (caller publishes the terminal transition); nullptr on a stale
      *  lease (the attempt must be discarded — duplication barrier). */
     std::shared_ptr<Job> completeLeased(long id, uint64_t leaseId);
-
-    /** Shard analogue of completeLeased(): validates the shard lease,
-     *  marks the shard done (the job stays Running — the coordinator
-     *  assembles the terminal result once every shard is done) and
-     *  fills @p islandOut. nullptr on a stale lease. */
-    std::shared_ptr<Job> completeShardLeased(long id, uint64_t leaseId,
-                                             int *islandOut);
-
-    /** Coordinator sweep for a cancel-requested sharded job: mark every
-     *  unleased, undone shard done (it will never be claimed again) and
-     *  return their indices so the coordinator can settle its ledger.
-     *  Leased shards are left to wind down via the cancel flag. */
-    std::vector<int> reapCanceledShards(Job &job);
 
     /** Sweep: requeue every leased Running job whose deadline passed.
      *  Jobs with a pending cancel go terminal Canceled instead.
@@ -275,10 +221,6 @@ class JobQueue
     /** A worker's connection died: immediately requeue every job it
      *  holds a live lease on (faster than waiting for expiry). */
     std::vector<long> requeueOwnedBy(const std::string &worker);
-
-    /** Soonest lease deadline among live leases; time_point{} when no
-     *  lease is armed (lets the sweep poll adaptively). */
-    std::chrono::steady_clock::time_point nextLeaseDeadline();
 
     LeaseStats leaseStats();
 
@@ -311,7 +253,6 @@ class JobQueue
     long nextId_ = 1;
     long nextSeq_ = 0;
     uint64_t nextLease_ = 1;
-    bool shardMode_ = false;
     bool closed_ = false;
     bool noWorkers_ = false;
     bool degraded_ = false;

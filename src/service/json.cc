@@ -110,8 +110,15 @@ class Parser
         skipWs();
         char c = peek();
         switch (c) {
-          case '{': return object();
-          case '[': return array();
+          case '{':
+          case '[': {
+            if (++depth_ > kMaxJsonDepth)
+                fail("nesting deeper than " +
+                     std::to_string(kMaxJsonDepth) + " levels");
+            Json v = c == '{' ? object() : array();
+            --depth_;
+            return v;
+          }
           case '"': return Json(string());
           case 't':
             if (consume("true"))
@@ -282,6 +289,7 @@ class Parser
 
     const std::string &text_;
     size_t pos_ = 0;
+    int depth_ = 0;  //!< open arrays/objects
 };
 
 void

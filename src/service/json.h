@@ -15,7 +15,10 @@
  *    two equal values serialize to identical bytes, which the tests
  *    (and the bit-identical-resume acceptance check) rely on.
  *  - parse() throws std::runtime_error with a byte offset on any
- *    malformed input; it never returns partial values.
+ *    malformed input; it never returns partial values. Nesting deeper
+ *    than kMaxJsonDepth is malformed too: every frame a client sends
+ *    is parsed, and the recursive parser (and the recursive dump and
+ *    destructor of what it builds) must not run off the stack.
  */
 
 #include <cstdint>
@@ -24,6 +27,10 @@
 #include <vector>
 
 namespace cirfix::service {
+
+/** Deepest array/object nesting Json::parse() accepts. The protocol's
+ *  own documents nest a handful of levels. */
+inline constexpr int kMaxJsonDepth = 256;
 
 class Json
 {
@@ -90,7 +97,8 @@ class Json
     /** Serialize; deterministic (sorted keys, %.17g doubles). */
     std::string dump() const;
 
-    /** Parse a complete JSON document; throws std::runtime_error. */
+    /** Parse a complete JSON document; throws std::runtime_error
+     *  (also past kMaxJsonDepth levels of nesting). */
     static Json parse(const std::string &text);
 
   private:

@@ -2,11 +2,11 @@
 
 /**
  * @file
- * Message layer of the repair-service wire protocol (version 2).
+ * Message layer of the repair-service wire protocol (version 3).
  *
  * Every frame (framing.h) carries one JSON object with a "type"
  * member. A connection opens with a versioned handshake — the client
- * sends {"type":"hello","version":2} and the server answers with its
+ * sends {"type":"hello","version":3} and the server answers with its
  * own hello (or a version_mismatch error and a close) — after which
  * the client issues requests:
  *
@@ -37,42 +37,29 @@
  * halved until workers return).
  *
  * Fleet extensions (same version, same framing). A worker's hello
- * carries role:"worker" plus a worker name; the coordinator then
- * speaks a strict request/response loop on that connection:
+ * carries role:"worker" plus a worker name; the coordinator's hello
+ * reply adds shared_state_dir:true for its own in-process workers
+ * (their work dir is its state dir, so no snapshot bytes travel). The
+ * coordinator then speaks a strict request/response loop on that
+ * connection:
  *
  *   claim      w -> c     wait_ms -> job (spec + lease + snapshot)
  *                         or no_job when the queue stayed empty
- *   job        c -> w     id, spec, lease_id, lease_seconds; island
- *                         >= 0 marks an island shard of a K-island
- *                         job. Envelope: the snapshot to resume from
- *                         (none for a fresh job)
- *   progress   w -> c     id, lease_id, generation stats. Envelope:
- *                         the generation's snapshot -> ok (carries
- *                         cancel flag) or error lease_lost
+ *   job        c -> w     id, spec, lease_id, lease_seconds.
+ *                         Envelope: the snapshot to resume from (none
+ *                         for a fresh job or a shared state dir)
+ *   progress   w -> c     id, lease_id, generation stats (island and
+ *                         epoch for a K-island job). Envelope: the
+ *                         generation's snapshot -> ok (carries cancel
+ *                         flag) or error lease_lost
  *   heartbeat  w -> c     id, lease_id -> ok (cancel flag) / lease_lost
- *   done       w -> c     id, lease_id, state, result/error (island
- *                         shards add island + digest) -> ok /
+ *   done       w -> c     id, lease_id, state, result/error -> ok /
  *                         lease_lost
  *
- * Island extensions (jobs submitted with params.islands > 1 on a
- * coordinator are split into one shard per island, each with its own
- * lease; see DESIGN.md "Island-model evolution"):
- *
- *   migrate    w -> c     id, lease_id, island, epoch, elites (variant
- *                         blob) -> ok {wait:true} while the epoch
- *                         barrier is open, else migrants {stop, blob}.
- *                         Re-sent as a poll; the coordinator's submit
- *                         is idempotent per (island, epoch). A frame
- *                         with a "replay" ledger (and no elites) asks
- *                         the coordinator to audit a resumed shard's
- *                         imported-migrant history.
- *   cache_sync w -> c     id, lease_id, optional publish (keys +
- *                         variant blob) + condemn (quarantine records)
- *                         + lookup (keys) -> cache {hit_keys, hits
- *                         blob, quarantined records}. Shares the
- *                         patch-keyed fitness cache fleet-wide so no
- *                         worker re-simulates a candidate any island
- *                         already scored.
+ * A job with params.islands > 1 is claimed whole: the worker runs
+ * every island in process (core::runIslands), so no frame type is
+ * island-specific. Any other worker frame is answered bad_request and
+ * renews nothing.
  *
  * Envelopes: a job or progress frame carries its engine snapshot as
  * raw bytes after the JSON document and one '\0' (packEnvelope()).
@@ -97,7 +84,7 @@
 
 namespace cirfix::service {
 
-inline constexpr int kProtocolVersion = 2;
+inline constexpr int kProtocolVersion = 3;
 inline constexpr const char *kServerName = "cirfix-repaird";
 
 /** Stable error codes carried in the "code" member of error frames. */
@@ -145,8 +132,8 @@ struct JobParams
     double evalDeadlineSeconds = 30.0;
     uint64_t evalMemoryBudget = 64ull << 20;
     /** Island-model evolution (island.h): subpopulation count. 1 is a
-     *  plain single-population run; a coordinator shards K > 1 across
-     *  distinct workers. */
+     *  plain single-population run; K > 1 runs K islands in process on
+     *  whichever worker claims the job. */
     int islands = 1;
     /** Generations per migration epoch (islands > 1 only). */
     int migrationInterval = 2;

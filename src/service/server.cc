@@ -2,10 +2,8 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <optional>
 #include <stdexcept>
 
 #include <poll.h>
@@ -36,12 +34,7 @@ constexpr int kSweepTickMs = 100;
 } // namespace
 
 Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)), queue_(cfg_.limits)
-{
-    // Coordinator mode shards K-island jobs across workers; the
-    // classic daemon runs them in-process (session.cc). Must be set
-    // before recoverStateDir() so restored jobs rebuild their shards.
-    queue_.setShardMode(cfg_.fleet.requireWorkers);
-}
+{}
 
 Server::~Server()
 {
@@ -65,19 +58,6 @@ Server::resultFile(long id) const
 {
     return cfg_.stateDir + "/job-" + std::to_string(id) +
            ".result.json";
-}
-
-std::string
-Server::ledgerFile(long id) const
-{
-    return cfg_.stateDir + "/job-" + std::to_string(id) + ".ledger";
-}
-
-std::string
-Server::shardSnapshotFile(long id, int island) const
-{
-    return cfg_.stateDir + "/job-" + std::to_string(id) + ".i" +
-           std::to_string(island) + ".snap";
 }
 
 void
@@ -116,6 +96,11 @@ Server::persistResult(const Job &job)
     j["result"] = std::move(result);
     j["error"] = error;
     j["progress"] = generationToJson(progress);
+    // A K-island job's per-island progress, so that its restored
+    // status still lists islands whose counters sum to the job's.
+    Json summary = queue_.summaryFor(job.id);
+    if (const Json *islands = summary.find("islands"))
+        j["islands"] = *islands;
     core::writeFileAtomic(resultFile(job.id), j.dump());
 }
 
@@ -157,6 +142,10 @@ Server::recoverStateDir()
                 job->error = r.str("error");
                 if (const Json *p = r.find("progress"))
                     job->progress = generationFromJson(*p);
+                if (const Json *islands = r.find("islands"))
+                    for (const Json &each : islands->items())
+                        job->islandProgress.push_back(
+                            generationFromJson(each));
             } else {
                 job->state = JobState::Queued;  // resumes via .snap
             }
@@ -284,101 +273,9 @@ Server::updateFleetStatus()
     queue_.setFleetStatus(noWorkers, degraded);
 }
 
-std::shared_ptr<IslandCoordinator>
-Server::islandCoordinatorFor(const std::shared_ptr<Job> &job)
-{
-    if (job->spec.params.islands <= 1)
-        return nullptr;
-    std::lock_guard<std::mutex> lock(islandMu_);
-    auto it = islandJobs_.find(job->id);
-    if (it != islandJobs_.end())
-        // May be the null tombstone of an assembled job: a late shard
-        // frame must get "no coordinator", never a fresh one that
-        // would re-create the ledger the assembly just removed.
-        return it->second;
-    auto coord = std::make_shared<IslandCoordinator>(
-        islandConfigFromSpec(job->spec), ledgerFile(job->id));
-    if (coord->recover() == IslandCoordinator::Recovery::Corrupt) {
-        // An undecodable ledger restarts the job from scratch: drop it
-        // and every shard snapshot. Determinism makes the restarted
-        // search converge to the same result — only work is lost.
-        coord->removeLedgerFile();
-        for (int i = 0; i < job->spec.params.islands; ++i)
-            std::remove(shardSnapshotFile(job->id, i).c_str());
-        coord = std::make_shared<IslandCoordinator>(
-            islandConfigFromSpec(job->spec), ledgerFile(job->id));
-    }
-    islandJobs_.emplace(job->id, coord);
-    return coord;
-}
-
-void
-Server::finishIslandJob(const std::shared_ptr<Job> &job,
-                        const std::shared_ptr<IslandCoordinator>
-                            &coord)
-{
-    {
-        // The done handler and the sweep can both observe allDone();
-        // whoever swaps the registry entry for the null tombstone
-        // commits the job. The tombstone stays so a late shard frame
-        // cannot resurrect a coordinator for the finished job.
-        std::lock_guard<std::mutex> lock(islandMu_);
-        auto it = islandJobs_.find(job->id);
-        if (it == islandJobs_.end() || !it->second)
-            return;
-        it->second = nullptr;
-    }
-    std::string error;
-    Json result = coord->assemble(job->spec.params.seed, &error);
-    JobState state = JobState::Failed;
-    if (error.empty()) {
-        bool found = coord->ledger().winner().first != -1;
-        state = !found && job->cancelRequested.load(
-                              std::memory_order_relaxed)
-                    ? JobState::Canceled
-                    : JobState::Done;
-        queue_.setResult(*job, std::move(result));
-    }
-    queue_.setState(*job, state, error);
-    try {
-        persistResult(*job);
-    } catch (const std::exception &) {
-    }
-    // retire() removes the ledger file AND disables persist(), so a
-    // shard_done/migrate persist racing this cleanup cannot write the
-    // file back afterwards.
-    coord->retire();
-    for (int i = 0; i < job->spec.params.islands; ++i)
-        std::remove(shardSnapshotFile(job->id, i).c_str());
-}
-
-void
-Server::sweepIslandJobs()
-{
-    std::vector<std::pair<long, std::shared_ptr<IslandCoordinator>>>
-        live;
-    {
-        std::lock_guard<std::mutex> lock(islandMu_);
-        for (const auto &[id, coord] : islandJobs_)
-            if (coord)  // skip tombstones of assembled jobs
-                live.emplace_back(id, coord);
-    }
-    for (const auto &[id, coord] : live) {
-        std::shared_ptr<Job> job = queue_.find(id);
-        if (!job)
-            continue;
-        if (job->cancelRequested.load(std::memory_order_relaxed))
-            for (int island : queue_.reapCanceledShards(*job))
-                coord->shardReaped(island);
-        if (coord->allDone())
-            finishIslandJob(job, coord);
-    }
-}
-
 void
 Server::sweepLeases()
 {
-    sweepIslandJobs();
     for (long id : queue_.requeueExpired()) {
         // A requeue normally needs no persistence (the job file and
         // snapshot are already durable), but a cancel-while-leased
@@ -505,6 +402,10 @@ Server::handleConnection(const std::shared_ptr<Conn> &conn, bool local)
         }
         Json reply = makeHello();
         reply["server"] = kServerName;
+        if (role == "worker" && local)
+            // The worker's work dir is this state dir: its checkpoints
+            // are already ours, so no snapshot bytes cross the pair.
+            reply["shared_state_dir"] = true;
         conn->writeFrame(reply.dump());
 
         if (role == "worker") {
@@ -562,13 +463,9 @@ Server::handleWorkerConnection(Conn &conn, const std::string &key,
                 makeError(errc::kBadRequest, e.what()).dump());
             continue;
         }
-        if (local)
-            // A local worker's engine wrote this checkpoint to the very
-            // file it would be persisted to (its work dir is the state
-            // dir) before sending the frame.
-            snapshot.clear();
         std::string replySnapshot;
-        Json resp = dispatchWorker(msg, snapshot, key, &replySnapshot);
+        Json resp =
+            dispatchWorker(msg, snapshot, key, local, &replySnapshot);
         conn.writeFrame(packEnvelope(resp, replySnapshot));
         if (stopping_.load(std::memory_order_relaxed))
             break;
@@ -577,7 +474,8 @@ Server::handleWorkerConnection(Conn &conn, const std::string &key,
 
 Json
 Server::dispatchWorker(const Json &msg, const std::string &snapshot,
-                       const std::string &key, std::string *replySnapshot)
+                       const std::string &key, bool local,
+                       std::string *replySnapshot)
 {
     std::string type = msg.str("type");
 
@@ -585,9 +483,8 @@ Server::dispatchWorker(const Json &msg, const std::string &snapshot,
         auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(msg.num("wait_ms", 0));
         uint64_t leaseId = 0;
-        int island = -1;
         std::shared_ptr<Job> job = queue_.tryClaim(
-            key, cfg_.fleet.leaseSeconds, &leaseId, &island, deadline);
+            key, cfg_.fleet.leaseSeconds, &leaseId, deadline);
         if (!job) {
             Json resp = Json::object();
             resp["type"] = "no_job";
@@ -603,40 +500,12 @@ Server::dispatchWorker(const Json &msg, const std::string &snapshot,
         resp["lease_id"] = static_cast<long long>(leaseId);
         resp["lease_seconds"] = cfg_.fleet.leaseSeconds;
         resp["spec"] = toJson(job->spec);
-        if (island >= 0) {
-            // An island shard: make sure the coordinator exists (and
-            // has recovered its ledger) before the shard's first
-            // migrate frame arrives.
-            islandCoordinatorFor(job);
-            resp["island"] = island;
-        }
         // Empty for a fresh job; the dead worker's last durable
         // checkpoint on failover — the claimant resumes from it
-        // bit-identically.
-        *replySnapshot = core::readFileOrEmpty(
-            island >= 0 ? shardSnapshotFile(job->id, island)
-                        : snapshotFile(job->id));
+        // bit-identically. A local worker reads it in place.
+        if (!local)
+            *replySnapshot = core::readFileOrEmpty(snapshotFile(job->id));
         return resp;
-    }
-
-    // A shard lease speaks for its own island, never for another, and
-    // is checked before its frame renews or writes anything. A
-    // whole-job lease may run a K-island job in process, so its
-    // progress frames name every island; only a shard lease may
-    // migrate or sync a cache.
-    std::optional<int> held;  // nullopt: stale, renewLease refuses
-    if (type == "progress" || type == "migrate" || type == "cache_sync") {
-        held = queue_.leaseIsland(
-            msg.num("id", -1),
-            static_cast<uint64_t>(msg.num("lease_id", 0)));
-        long named = msg.num("island", -1);
-        if (held && (*held >= 0 ? named != *held : type != "progress"))
-            return makeError(
-                errc::kBadRequest,
-                "frame names island " + std::to_string(named) +
-                    " but its lease holds " +
-                    (*held < 0 ? std::string("the whole job")
-                               : "island " + std::to_string(*held)));
     }
 
     if (type == "progress") {
@@ -652,13 +521,9 @@ Server::dispatchWorker(const Json &msg, const std::string &snapshot,
         if (!job)
             return makeError(errc::kUnknownJob,
                              "no job with id " + std::to_string(id));
-        int island = held.value_or(-1);
         if (!snapshot.empty()) {
             try {
-                core::writeFileAtomic(island >= 0
-                                          ? shardSnapshotFile(id, island)
-                                          : snapshotFile(id),
-                                      snapshot);
+                core::writeFileAtomic(snapshotFile(id), snapshot);
             } catch (const std::exception &) {
                 // Progress still counts; failover would just fall
                 // back to an older checkpoint.
@@ -683,90 +548,6 @@ Server::dispatchWorker(const Json &msg, const std::string &snapshot,
         Json resp = Json::object();
         resp["type"] = "ok";
         resp["cancel"] = cancel;
-        return resp;
-    }
-
-    if (type == "migrate" || type == "cache_sync") {
-        long id = msg.num("id", -1);
-        uint64_t leaseId =
-            static_cast<uint64_t>(msg.num("lease_id", 0));
-        bool cancel = false;
-        if (!queue_.renewLease(id, leaseId, cfg_.fleet.leaseSeconds,
-                               &cancel))
-            return makeError(errc::kLeaseLost,
-                             "job " + std::to_string(id) +
-                                 " is no longer leased to you");
-        std::shared_ptr<Job> job = queue_.find(id);
-        if (!job)
-            return makeError(errc::kUnknownJob,
-                             "no job with id " + std::to_string(id));
-        std::shared_ptr<IslandCoordinator> coord =
-            islandCoordinatorFor(job);
-        if (!coord)
-            return makeError(errc::kBadRequest,
-                             "job " + std::to_string(id) +
-                                 " is not an island job (or already "
-                                 "assembled)");
-        Json resp;
-        try {
-            resp = type == "migrate" ? coord->handleMigrate(msg)
-                                     : coord->handleCacheSync(msg);
-        } catch (const std::exception &e) {
-            return makeError(errc::kInternal, e.what());
-        }
-        if (cancel)
-            resp["cancel"] = true;
-        return resp;
-    }
-
-    if (type == "done" && msg.num("island", -1) >= 0) {
-        long id = msg.num("id", -1);
-        uint64_t leaseId =
-            static_cast<uint64_t>(msg.num("lease_id", 0));
-        int island = -1;
-        std::shared_ptr<Job> job =
-            queue_.completeShardLeased(id, leaseId, &island);
-        if (!job)
-            return makeError(errc::kLeaseLost,
-                             "job " + std::to_string(id) +
-                                 " is no longer leased to you");
-        std::shared_ptr<IslandCoordinator> coord =
-            islandCoordinatorFor(job);
-        if (coord) {
-            JobState state = JobState::Failed;
-            try {
-                state = jobStateFromName(msg.str("state", "failed"));
-            } catch (const std::exception &) {
-            }
-            const Json *digest = msg.find("digest");
-            const Json *result = msg.find("result");
-            std::string error;
-            if (state == JobState::Failed) {
-                error = msg.str("error");
-                if (error.empty())
-                    error = "island shard failed";
-                // The job cannot succeed once any island failed: wind
-                // the surviving shards down via the cancel relay.
-                job->cancelRequested.store(true,
-                                           std::memory_order_relaxed);
-            }
-            coord->shardDone(island,
-                             digest && digest->isObject()
-                                 ? *digest
-                                 : Json::object(),
-                             result ? *result : Json(), error);
-            // Shard snapshots are kept until the whole job assembles:
-            // a coordinator restart re-runs done shards from them
-            // (their in-memory digests died with the coordinator). A
-            // local worker's accepted done removes its checkpoint,
-            // which is this same file; that shard then re-runs from
-            // its start, against the same sealed epochs.
-            if (coord->allDone())
-                finishIslandJob(job, coord);
-        }
-        Json resp = Json::object();
-        resp["type"] = "ok";
-        resp["id"] = id;
         return resp;
     }
 

@@ -4,11 +4,11 @@
  * @file
  * The repair daemon: a stream-socket server multiplexing many repair
  * jobs over one process ("cirfix serve"), listening on a Unix-domain
- * or TCP address (transport.h). Every job runs on a fleet Worker
- * (fleet.h) that claims it under a lease and streams progress and
- * engine snapshots back; with fleet mode enabled the daemon doubles as
- * the coordinator ("cirfix coordinator") for remote workers that
- * connect over the same listener.
+ * or TCP address (transport.h). Every job, a K-island one included,
+ * runs whole on one fleet Worker (fleet.h) that claims it under a
+ * lease and streams progress and engine snapshots back. Remote workers
+ * connect over the same listener; "cirfix coordinator" is the same
+ * daemon with the stricter admission posture (FleetConfig).
  *
  * Thread model:
  *  - an accept thread poll()s the (non-blocking) listening socket plus
@@ -29,8 +29,8 @@
  * (<dir>/job-<id>.json, atomic tmp+rename), checkpointed every
  * generation (<dir>/job-<id>.snap, received in progress frames; a
  * local worker's work dir is the state dir, so its engine writes that
- * file itself, and an in-process K-island run's <dir>/job-<id>.snap.d/
- * lives there too), and sealed with a result file at terminal
+ * file itself, and a K-island run's <dir>/job-<id>.snap.d/ lives there
+ * too), and sealed with a result file at terminal
  * state (<dir>/job-<id>.result.json, with the last generation's
  * progress). start() replays the directory: terminal jobs come back
  * queryable with their final status, live jobs re-queue in their
@@ -39,10 +39,11 @@
  * per job, and the resumed search is bit-identical to one that never
  * died. The same snapshot hand-off is what makes worker failover
  * lossless: whichever worker claims a re-queued job resumes exactly
- * where the dead one checkpointed.
+ * where the dead one checkpointed. A remote worker's K-island
+ * checkpoints are not shipped, so its failover restarts the job (same
+ * result, lost work).
  */
 
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -118,30 +119,15 @@ class Server
     void handleWorkerConnection(Conn &conn, const std::string &key,
                                 bool local);
     /** Answer one worker frame; @p snapshot is the frame's envelope
-     *  bytes, @p replySnapshot receives the reply's. */
+     *  bytes, @p replySnapshot receives the reply's (never for a
+     *  @p local worker, which reads checkpoints in place). */
     Json dispatchWorker(const Json &msg, const std::string &snapshot,
-                        const std::string &key,
+                        const std::string &key, bool local,
                         std::string *replySnapshot);
     /** Recompute the admission posture from live worker counts. */
     void updateFleetStatus();
     /** Persist terminal states minted by the lease sweep. */
     void sweepLeases();
-
-    // ---- island-job orchestration (shard mode) ----
-    std::string ledgerFile(long id) const;
-    std::string shardSnapshotFile(long id, int island) const;
-    /** Find-or-create (and crash-recover) the coordinator of a
-     *  sharded job; nullptr for plain jobs. */
-    std::shared_ptr<IslandCoordinator>
-    islandCoordinatorFor(const std::shared_ptr<Job> &job);
-    /** Assemble + commit a sharded job's terminal state (idempotent —
-     *  the done handler and the sweep may race here). */
-    void finishIslandJob(const std::shared_ptr<Job> &job,
-                         const std::shared_ptr<IslandCoordinator>
-                             &coord);
-    /** Settle canceled island jobs whose unleased shards will never
-     *  run; assemble any job that became allDone. */
-    void sweepIslandJobs();
 
     // ---- persistence ----
     std::string jobFile(long id) const;
@@ -155,9 +141,6 @@ class Server
     JobQueue queue_;
     FleetRegistry fleet_;
     std::mutex persistMu_;  //!< orders persistJob()'s writes
-    std::mutex islandMu_;
-    /** Live coordinators of sharded jobs, keyed by job id. */
-    std::map<long, std::shared_ptr<IslandCoordinator>> islandJobs_;
     Listener listener_;
     int stopPipe_[2] = {-1, -1};
     std::atomic<bool> stopping_{false};

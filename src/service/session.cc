@@ -1,8 +1,8 @@
 #include "service/session.h"
 
-#include <cstdlib>
 #include <filesystem>
 
+#include "core/island.h"
 #include "core/snapshot.h"
 #include "sim/elaborate.h"
 #include "verilog/parser.h"
@@ -27,6 +27,9 @@ engineConfigFromSpec(const JobSpec &spec)
     return cfg;
 }
 
+namespace {
+
+/** The one JobSpec -> IslandConfig mapping (island.h). */
 core::IslandConfig
 islandConfigFromSpec(const JobSpec &spec)
 {
@@ -36,8 +39,6 @@ islandConfigFromSpec(const JobSpec &spec)
     ic.migrantsPerIsland = spec.params.migrantsPerIsland;
     return ic;
 }
-
-namespace {
 
 /** The submitted golden file holds replacement DUT module(s); reuse
  *  the testbench from the design source by keeping only the modules
@@ -166,6 +167,9 @@ generationFromJson(const Json &j)
     return gs;
 }
 
+namespace {
+
+/** Imported-migrant ledger records -> JSON ([{epoch, keys:[..]}]). */
 Json
 migrantRecordsToJson(const std::vector<core::MigrantRecord> &ledger)
 {
@@ -182,23 +186,9 @@ migrantRecordsToJson(const std::vector<core::MigrantRecord> &ledger)
     return out;
 }
 
-std::vector<core::MigrantRecord>
-migrantRecordsFromJson(const Json &j)
-{
-    std::vector<core::MigrantRecord> out;
-    if (!j.isArray())
-        return out;
-    for (const Json &r : j.items()) {
-        core::MigrantRecord rec;
-        rec.epoch = static_cast<int>(r.num("epoch", 0));
-        if (const Json *keys = r.find("keys"))
-            for (const Json &k : keys->items())
-                rec.keys.push_back(k.asString());
-        out.push_back(std::move(rec));
-    }
-    return out;
-}
-
+/** One island's digest — the fingerprinted fields (bestFitness also
+ *  as a hexfloat string, exact to the bit) plus the volatile work
+ *  counters. */
 Json
 islandDigestToJson(const core::IslandStats &st)
 {
@@ -215,52 +205,29 @@ islandDigestToJson(const core::IslandStats &st)
     return j;
 }
 
-core::IslandStats
-islandStatsFromDigest(const Json &digest)
-{
-    if (!digest.isObject())
-        throw std::runtime_error("island digest must be an object");
-    core::IslandStats st;
-    static_cast<core::SearchCounters &>(st) = countersFromJson(digest);
-    st.island = static_cast<int>(digest.num("island", -1));
-    if (st.island < 0)
-        throw std::runtime_error("island digest missing 'island'");
-    st.generations = static_cast<int>(digest.num("generations", 0));
-    st.found = digest.flag("found");
-    st.stopped = digest.flag("stopped");
-    std::string hex = digest.str("best_fitness_hex");
-    st.bestFitness = hex.empty() ? digest.real("best_fitness", 0.0)
-                                 : std::strtod(hex.c_str(), nullptr);
-    st.patchKey = digest.str("patch_key");
-    if (const Json *ledger = digest.find("ledger"))
-        st.ledger = migrantRecordsFromJson(*ledger);
-    return st;
-}
-
+/** Result payload of a K-island run: the winning island's result plus
+ *  the "islands" block — configuration, winner, per-island digests,
+ *  sealed broadcasts, migration totals and the canonical fingerprint
+ *  (a decimal string: it is a uint64). */
 Json
-islandBlockJson(
-    uint64_t seed, const core::IslandConfig &cfg, bool found,
-    int winnerIsland, int winnerEpoch,
-    const std::vector<core::IslandStats> &islands,
-    const std::vector<std::pair<int, std::vector<std::string>>>
-        &broadcasts,
-    const core::MigrationStats &migration, uint64_t fingerprint)
+islandOutcomeToJson(const core::IslandOutcome &outcome, uint64_t seed,
+                    const core::IslandConfig &cfg)
 {
     Json j = Json::object();
     j["count"] = cfg.islands;
     j["migration_interval"] = cfg.migrationInterval;
     j["migrants_per_island"] = cfg.migrantsPerIsland;
     j["seed"] = static_cast<long long>(seed);
-    j["found"] = found;
-    j["winner_island"] = winnerIsland;
-    j["winner_epoch"] = winnerEpoch;
-    j["fingerprint"] = std::to_string(fingerprint);
+    j["found"] = outcome.found;
+    j["winner_island"] = outcome.winnerIsland;
+    j["winner_epoch"] = outcome.winnerEpoch;
+    j["fingerprint"] = std::to_string(outcome.fingerprint);
     Json digests = Json::array();
-    for (const core::IslandStats &st : islands)
+    for (const core::IslandStats &st : outcome.islands)
         digests.push(islandDigestToJson(st));
     j["islands"] = std::move(digests);
     Json bc = Json::array();
-    for (const auto &[epoch, keys] : broadcasts) {
+    for (const auto &[epoch, keys] : outcome.broadcasts) {
         Json b = Json::object();
         b["epoch"] = epoch;
         Json ks = Json::array();
@@ -271,27 +238,15 @@ islandBlockJson(
     }
     j["broadcasts"] = std::move(bc);
     Json mig = Json::object();
-    mig["elites_exported"] = migration.elitesExported;
-    mig["migrants_broadcast"] = migration.migrantsBroadcast;
-    mig["migrant_duplicates"] = migration.migrantDuplicates;
-    mig["elites_lost"] = migration.elitesLost;
+    mig["elites_exported"] = outcome.migration.elitesExported;
+    mig["migrants_broadcast"] = outcome.migration.migrantsBroadcast;
+    mig["migrant_duplicates"] = outcome.migration.migrantDuplicates;
+    mig["elites_lost"] = outcome.migration.elitesLost;
     j["migration"] = std::move(mig);
-    return j;
+    Json result = resultToJson(outcome.result);
+    result["islands"] = std::move(j);
+    return result;
 }
-
-Json
-islandOutcomeToJson(const core::IslandOutcome &outcome, uint64_t seed,
-                    const core::IslandConfig &cfg)
-{
-    Json j = resultToJson(outcome.result);
-    j["islands"] = islandBlockJson(
-        seed, cfg, outcome.found, outcome.winnerIsland,
-        outcome.winnerEpoch, outcome.islands, outcome.broadcasts,
-        outcome.migration, outcome.fingerprint);
-    return j;
-}
-
-namespace {
 
 std::string
 islandCheckpointDir(const std::string &snapshotPath)
@@ -369,75 +324,6 @@ runRepairJob(const JobSpec &spec, const std::string &snapshotPath,
     } catch (...) {
         out.state = JobState::Failed;
         out.error = "unknown exception";
-    }
-    return out;
-}
-
-IslandShardOutcome
-runIslandShard(const JobSpec &spec, int island,
-               const std::string &snapshotPath,
-               const IslandShardHooks &hooks,
-               const std::function<void(const core::GenerationStats &)>
-                   &onGeneration,
-               const std::function<bool()> &shouldStop,
-               const std::string &provenance)
-{
-    IslandShardOutcome out;
-    // Mirrors runIslands()'s per-island wiring exactly — the engine
-    // config, elite selection and stop handling must match bit for bit
-    // or the distributed fingerprint diverges from the in-process one.
-    bool migrationStop = false;
-    try {
-        JobInputs in = buildJobInputs(spec);
-        core::IslandConfig ic = islandConfigFromSpec(spec);
-        core::EngineConfig cfg = core::deriveIslandEngineConfig(
-            engineConfigFromSpec(spec), ic, island);
-        cfg.snapshotPath = snapshotPath;
-        cfg.snapshotProvenance = provenance;
-        cfg.snapshotEvery = 1;
-        cfg.onGeneration = onGeneration;
-        cfg.shouldStop = [&] {
-            return migrationStop || (shouldStop && shouldStop());
-        };
-        cfg.onMigration =
-            [&](int epoch, const std::vector<core::Variant> &popn) {
-                std::vector<core::Variant> elites = core::selectElites(
-                    popn, ic.migrantsPerIsland);
-                bool stop = false;
-                std::vector<core::Variant> migrants = hooks.exchange(
-                    epoch, std::move(elites), &stop);
-                if (stop)
-                    migrationStop = true;
-                return migrants;
-            };
-        if (hooks.lookup)
-            cfg.fleetLookup = hooks.lookup;
-        if (hooks.publish)
-            cfg.fleetPublish = hooks.publish;
-        core::RepairEngine engine(in.faulty, spec.tbModule,
-                                  spec.dutModule, in.probe,
-                                  std::move(in.oracle), cfg);
-        core::RepairResult res;
-        if (!snapshotPath.empty() &&
-            std::filesystem::exists(snapshotPath)) {
-            core::EngineState state = core::loadSnapshot(snapshotPath);
-            if (hooks.replay)
-                hooks.replay(state.migrantLedger);
-            res = engine.resume(state);
-        } else {
-            res = engine.run();
-        }
-        out.digest =
-            islandDigestToJson(core::digestFromResult(island, res));
-        out.session.result = resultToJson(res);
-        out.session.state = JobState::Done;
-        out.stopped = res.stopped;
-    } catch (const std::exception &e) {
-        out.session.state = JobState::Failed;
-        out.session.error = e.what();
-    } catch (...) {
-        out.session.state = JobState::Failed;
-        out.session.error = "unknown exception";
     }
     return out;
 }

@@ -27,8 +27,6 @@
 #include <string>
 
 #include "core/engine.h"
-#include "core/island.h"
-#include "service/jobqueue.h"
 #include "service/protocol.h"
 
 namespace cirfix::service {
@@ -44,9 +42,6 @@ struct JobInputs
 /** The one JobSpec -> EngineConfig mapping (no snapshot path, no
  *  callbacks; callers attach those). */
 core::EngineConfig engineConfigFromSpec(const JobSpec &spec);
-
-/** The one JobSpec -> IslandConfig mapping (island.h). */
-core::IslandConfig islandConfigFromSpec(const JobSpec &spec);
 
 /** Parse + oracle materialization. @throws std::runtime_error on a
  *  design that does not parse, a missing module, or a bad oracle. */
@@ -71,38 +66,6 @@ core::SearchCounters countersFromJson(const Json &j);
 Json generationToJson(const core::GenerationStats &gs);
 /** Inverse of generationToJson() (best_fitness defaults to -1). */
 core::GenerationStats generationFromJson(const Json &j);
-
-// ---- island-model wire mappings (one schema for the in-process
-// ---- daemon path and the distributed coordinator path, so the two
-// ---- runs' fingerprints can be compared field by field) ----
-
-/** Imported-migrant ledger records <-> JSON ([{epoch, keys:[..]}]). */
-Json migrantRecordsToJson(const std::vector<core::MigrantRecord> &l);
-std::vector<core::MigrantRecord> migrantRecordsFromJson(const Json &j);
-
-/** One island's digest — the fingerprinted fields (bestFitness ships
- *  as a hexfloat string so it round-trips bit-exactly) plus the
- *  volatile work counters. */
-Json islandDigestToJson(const core::IslandStats &st);
-/** @throws std::runtime_error on a malformed digest. */
-core::IslandStats islandStatsFromDigest(const Json &digest);
-
-/** The "islands" block of a K-island result payload: configuration,
- *  winner, per-island digests, sealed broadcasts, migration totals and
- *  the canonical fingerprint (decimal string — it is a uint64). */
-Json islandBlockJson(
-    uint64_t seed, const core::IslandConfig &cfg, bool found,
-    int winnerIsland, int winnerEpoch,
-    const std::vector<core::IslandStats> &islands,
-    const std::vector<std::pair<int, std::vector<std::string>>>
-        &broadcasts,
-    const core::MigrationStats &migration, uint64_t fingerprint);
-
-/** Full result payload of an in-process K-island run: the winning
- *  island's result plus the "islands" block. */
-Json islandOutcomeToJson(const core::IslandOutcome &outcome,
-                         uint64_t seed,
-                         const core::IslandConfig &cfg);
 
 /** How runRepairJob() ended. */
 struct SessionOutcome
@@ -133,62 +96,5 @@ runRepairJob(const JobSpec &spec, const std::string &snapshotPath,
  *  snapshot file and, for an in-process K-island run, its directory.
  *  Never throws. */
 void removeCheckpoint(const std::string &snapshotPath);
-
-/**
- * Transport hooks a distributed island shard uses to reach its
- * coordinator (the fleet worker wires these to migrate / cache_sync
- * frames; tests may wire them straight to a MigrationLedger).
- */
-struct IslandShardHooks
-{
-    /** Blocking epoch exchange: offer this island's elites, return the
-     *  sealed broadcast migrant set. Sets *stop when the run must end
-     *  (a winner sealed at this epoch or earlier, lease lost, link
-     *  dead). Required. */
-    std::function<std::vector<core::Variant>(
-        int epoch, std::vector<core::Variant> elites, bool *stop)>
-        exchange;
-    /** Audit hook for a resumed shard's imported-migrant ledger
-     *  (coordinator-side verifyReplay); may be null. */
-    std::function<void(const std::vector<core::MigrantRecord> &)>
-        replay;
-    /** Fleet-shared fitness cache (may be null — no sharing). */
-    std::function<void(
-        const std::vector<std::string> &,
-        std::unordered_map<std::string, core::FitnessCache::Entry> *,
-        std::unordered_map<std::string, core::QuarantineEntry> *)>
-        lookup;
-    std::function<void(
-        const std::vector<
-            std::pair<std::string, core::FitnessCache::Entry>> &,
-        const std::vector<std::pair<std::string,
-                                    core::QuarantineEntry>> &)>
-        publish;
-};
-
-/** How one island shard of a distributed K-island job ended. */
-struct IslandShardOutcome
-{
-    SessionOutcome session;  //!< Done/Failed + result payload
-    Json digest;             //!< island digest for the done frame
-    bool stopped = false;    //!< ended by a stop (winner/cancel)
-};
-
-/**
- * Execute (or resume) one island shard of a distributed K-island job.
- * Same checkpoint contract as runRepairJob() — the snapshot carries
- * island provenance (v8) and the resume path hands the restored
- * migrant ledger to @p hooks.replay before continuing. A normal return
- * maps to Done (even when a coordinator stop ended the search — the
- * coordinator decides the job's overall state); exceptions map to
- * Failed. Never throws.
- */
-IslandShardOutcome runIslandShard(
-    const JobSpec &spec, int island, const std::string &snapshotPath,
-    const IslandShardHooks &hooks,
-    const std::function<void(const core::GenerationStats &)>
-        &onGeneration,
-    const std::function<bool()> &shouldStop,
-    const std::string &provenance = "");
 
 } // namespace cirfix::service

@@ -1,5 +1,6 @@
 #include "verilog/parser.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "verilog/lexer.h"
@@ -40,6 +41,36 @@ class Parser
   private:
     std::vector<Token> toks_;
     size_t pos_ = 0;
+    /** Open statements and expression operands around the parse point
+     *  (the parser's recursion depth). */
+    int depth_ = 0;
+    /** Height of the expression the last expression parse returned. */
+    int height_ = 0;
+
+    /** One more level of parser recursion, bounded by kMaxAstDepth. */
+    struct Nest
+    {
+        Parser &p;
+        explicit Nest(Parser &parser) : p(parser)
+        {
+            if (++p.depth_ > kMaxAstDepth)
+                p.fail("nesting deeper than " +
+                       std::to_string(kMaxAstDepth) + " levels");
+        }
+        ~Nest() { --p.depth_; }
+    };
+
+    /** Record that the expression node just built sits one level
+     *  above children at most @p below high; it must fit, with the
+     *  nesting around it, within kMaxAstDepth. */
+    void
+    grew(int below)
+    {
+        height_ = below + 1;
+        if (depth_ + height_ > kMaxAstDepth)
+            fail("expression deeper than " +
+                 std::to_string(kMaxAstDepth) + " levels");
+    }
 
     const Token &peek(size_t off = 0) const
     {
@@ -487,6 +518,7 @@ class Parser
     StmtPtr
     parseStmt()
     {
+        Nest nest(*this);
         return closeSpan(parseStmtInner());
     }
 
@@ -781,18 +813,25 @@ class Parser
     ExprPtr
     parseLValue()
     {
+        Nest nest(*this);
         int line = peek().line;
         int col = peek().col;
+        int below = 0;  // tallest child so far
         auto begin = [&](auto node) {
             node->line = line;
             node->span.line = line;
             node->span.col = col;
+            grew(below);
             return closeSpan(std::move(node));
+        };
+        auto child = [&](ExprPtr e) {
+            below = std::max(below, height_);
+            return e;
         };
         if (acceptPunct("{")) {
             auto c = std::make_unique<Concat>();
             for (;;) {
-                c->parts.push_back(parseLValue());
+                c->parts.push_back(child(parseLValue()));
                 if (!acceptPunct(","))
                     break;
             }
@@ -801,9 +840,9 @@ class Parser
         }
         std::string name = expectIdent();
         if (acceptPunct("[")) {
-            ExprPtr first = parseExpr();
+            ExprPtr first = child(parseExpr());
             if (acceptPunct(":")) {
-                ExprPtr second = parseExpr();
+                ExprPtr second = child(parseExpr());
                 expectPunct("]");
                 return begin(std::make_unique<RangeSel>(
                     name, std::move(first), std::move(second)));
@@ -827,11 +866,15 @@ class Parser
     ExprPtr
     parseTernary()
     {
+        Nest nest(*this);
         ExprPtr cond = parseBinary(0);
         if (acceptPunct("?")) {
+            int below = height_;
             ExprPtr t = parseTernary();
+            below = std::max(below, height_);
             expectPunct(":");
             ExprPtr e = parseTernary();
+            grew(std::max(below, height_));
             Span first = cond->span;
             int line = cond->line;
             auto n = std::make_unique<Ternary>(std::move(cond),
@@ -907,7 +950,11 @@ class Parser
                 break;
             int line = peek().line;
             take();
+            // A left-deep chain grows one level per operator with no
+            // recursion: the height check is what bounds it.
+            int lhsHeight = height_;
             ExprPtr rhs = parseBinary(info.prec + 1);
+            grew(std::max(lhsHeight, height_));
             Span first = lhs->span;
             auto n = std::make_unique<Binary>(info.op, std::move(lhs),
                                               std::move(rhs));
@@ -941,7 +988,9 @@ class Parser
                     int line = peek().line;
                     int col = peek().col;
                     take();
+                    Nest nest(*this);
                     auto n = std::make_unique<Unary>(e.op, parseUnary());
+                    grew(height_);
                     n->line = line;
                     n->span.line = line;
                     n->span.col = col;
@@ -957,11 +1006,17 @@ class Parser
     {
         int line = peek().line;
         int col = peek().col;
+        int below = 0;  // tallest child so far
         auto begin = [&](auto node) -> ExprPtr {
             node->line = line;
             node->span.line = line;
             node->span.col = col;
+            grew(below);
             return closeSpan(std::move(node));
+        };
+        auto child = [&](ExprPtr e) {
+            below = std::max(below, height_);
+            return e;
         };
         if (at(Tok::Number)) {
             const Token &t = take();
@@ -974,7 +1029,7 @@ class Parser
             if (acceptPunct("(")) {
                 if (!atPunct(")")) {
                     for (;;) {
-                        n->args.push_back(parseExpr());
+                        n->args.push_back(child(parseExpr()));
                         if (!acceptPunct(","))
                             break;
                     }
@@ -990,10 +1045,10 @@ class Parser
         }
         if (acceptPunct("{")) {
             // Replication {n{v}} or concatenation {a, b, ...}.
-            ExprPtr first = parseExpr();
+            ExprPtr first = child(parseExpr());
             if (atPunct("{")) {
                 take();
-                ExprPtr value = parseExpr();
+                ExprPtr value = child(parseExpr());
                 expectPunct("}");
                 expectPunct("}");
                 return begin(std::make_unique<Repl>(std::move(first),
@@ -1002,7 +1057,7 @@ class Parser
             auto c = std::make_unique<Concat>();
             c->parts.push_back(std::move(first));
             while (acceptPunct(","))
-                c->parts.push_back(parseExpr());
+                c->parts.push_back(child(parseExpr()));
             expectPunct("}");
             return begin(std::move(c));
         }
@@ -1014,7 +1069,7 @@ class Parser
                 auto call = std::make_unique<FuncCall>(name);
                 if (!atPunct(")")) {
                     for (;;) {
-                        call->args.push_back(parseExpr());
+                        call->args.push_back(child(parseExpr()));
                         if (!acceptPunct(","))
                             break;
                     }
@@ -1023,9 +1078,9 @@ class Parser
                 return begin(std::move(call));
             }
             if (acceptPunct("[")) {
-                ExprPtr first = parseExpr();
+                ExprPtr first = child(parseExpr());
                 if (acceptPunct(":")) {
-                    ExprPtr second = parseExpr();
+                    ExprPtr second = child(parseExpr());
                     expectPunct("]");
                     return begin(std::make_unique<RangeSel>(
                         name, std::move(first), std::move(second)));

@@ -17,6 +17,13 @@
 
 namespace cirfix::verilog {
 
+/** Deepest AST parse() builds: statement nesting plus expression
+ *  height, where a left-deep chain like a+a+...+a counts one level per
+ *  operator. The parser's own recursion (parentheses included) is
+ *  bounded by the same number. Deeper input is a ParseError, so no
+ *  recursive pass over an accepted tree can run off the stack. */
+inline constexpr int kMaxAstDepth = 512;
+
 /** Thrown on syntactically invalid input. */
 struct ParseError : std::runtime_error
 {
@@ -28,7 +35,8 @@ struct ParseError : std::runtime_error
  *
  * @param source  Verilog source containing one or more modules.
  * @return The parsed source file; node ids are assigned in pre-order.
- * @throws ParseError / LexError on malformed input.
+ * @throws ParseError / LexError on malformed input, and ParseError
+ *         past kMaxAstDepth.
  */
 std::unique_ptr<SourceFile> parse(const std::string &source);
 

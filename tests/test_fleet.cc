@@ -1158,12 +1158,12 @@ TEST(FleetServer, SustainedChaosOverLocalWorkersLosesNothing)
 }
 
 // ---------------------------------------------------------------
-// Island jobs on the fleet (coordinator shards one job to K workers)
+// Island jobs on the fleet (one worker runs all K islands whole)
 // ---------------------------------------------------------------
 
 namespace {
 
-/** The repairable two-fault toggle, sharded into K islands. Migration
+/** The repairable two-fault toggle, run as K islands. Migration
  *  reshapes each island's trajectory, so the repair can land later
  *  than the plain run's generation 6 — the budget is generous and the
  *  winner stops everyone early anyway. */
@@ -1181,121 +1181,7 @@ islandSpec(int islands = 4)
     return spec;
 }
 
-/** A synthetic valid, evaluated variant with a distinct key per
- *  @p target (one Delete edit) — protocol-level test traffic. */
-core::Variant
-fleetVariant(int target, double fitness)
-{
-    core::Variant v;
-    core::Edit e;
-    e.kind = core::EditKind::Delete;
-    e.target = target;
-    v.patch.edits.push_back(std::move(e));
-    v.fit.fitness = fitness;
-    v.valid = true;
-    v.evaluated = true;
-    return v;
-}
-
-std::string
-fleetKey(int target)
-{
-    return fleetVariant(target, 0).patch.key();
-}
-
 } // namespace
-
-TEST(FleetIsland, CacheSyncSharesScoresAcrossWorkers)
-{
-    core::IslandConfig ic;
-    ic.islands = 2;
-    IslandCoordinator coord(ic, "");
-
-    // Worker A publishes an exact score and condemns a crasher.
-    core::FitnessCache::Entry scored;
-    scored.valid = true;
-    scored.fit.fitness = 0.625;
-    core::QuarantineEntry crashed;
-    crashed.error = "simulator crashed";
-    Json publish = Json::object();
-    publish["type"] = "cache_sync";
-    Json keys;
-    publish["publish"] =
-        encodeCacheEntries({{fleetKey(1), scored}}, &keys);
-    publish["publish_keys"] = std::move(keys);
-    publish["condemn"] =
-        encodeQuarantineRecords({{fleetKey(2), crashed}});
-    Json ack = coord.handleCacheSync(publish);
-    EXPECT_EQ(ack.str("type"), "cache");
-
-    // Worker B looks the same keys up: the published score is a hit,
-    // the condemned key comes back quarantined, the unknown key is
-    // silently absent (B will score it itself).
-    Json lookup = Json::object();
-    lookup["type"] = "cache_sync";
-    Json want = Json::array();
-    want.push(fleetKey(1));
-    want.push(fleetKey(2));
-    want.push(fleetKey(3));
-    lookup["lookup"] = std::move(want);
-    Json reply = coord.handleCacheSync(lookup);
-    ASSERT_EQ(reply.str("type"), "cache");
-
-    auto hits = decodeCacheEntries(*reply.find("hit_keys"),
-                                   reply.str("hits"));
-    ASSERT_EQ(hits.size(), 1u);
-    EXPECT_EQ(hits[0].first, fleetKey(1));
-    EXPECT_DOUBLE_EQ(hits[0].second.fit.fitness, 0.625);
-    auto quarantined =
-        decodeQuarantineRecords(*reply.find("quarantined"));
-    ASSERT_EQ(quarantined.size(), 1u);
-    EXPECT_EQ(quarantined[0].first, fleetKey(2));
-    EXPECT_EQ(quarantined[0].second.error, "simulator crashed");
-}
-
-TEST(FleetIsland, QuarantinedKeysNeverMigrateAsElites)
-{
-    core::IslandConfig ic;
-    ic.islands = 2;
-    ic.migrationInterval = 2;
-    IslandCoordinator coord(ic, "");
-
-    // The fleet condemned key 8 (it crashed a simulator somewhere).
-    core::QuarantineEntry crashed;
-    crashed.error = "boom";
-    Json condemn = Json::object();
-    condemn["condemn"] =
-        encodeQuarantineRecords({{fleetKey(8), crashed}});
-    coord.handleCacheSync(condemn);
-
-    // Island 0 exports the condemned key among its elites; island 1's
-    // submission seals the barrier.
-    auto migrate = [&](int island,
-                       const std::vector<core::Variant> &elites) {
-        Json msg = Json::object();
-        msg["island"] = island;
-        msg["epoch"] = 1;
-        msg["elites"] = core::encodeVariants(elites);
-        return coord.handleMigrate(msg);
-    };
-    Json waiting =
-        migrate(0, {fleetVariant(8, 1.0), fleetVariant(1, 0.9)});
-    EXPECT_EQ(waiting.str("type"), "ok");
-    EXPECT_TRUE(waiting.flag("wait"));
-    Json sealed = migrate(1, {fleetVariant(5, 0.5)});
-    ASSERT_EQ(sealed.str("type"), "migrants");
-
-    // The broadcast excludes the condemned key — a poisoned patch can
-    // never propagate through migration.
-    std::vector<core::Variant> migrants =
-        core::decodeVariants(sealed.str("migrants"));
-    std::vector<std::string> keys;
-    for (const core::Variant &v : migrants)
-        keys.push_back(v.patch.key());
-    EXPECT_EQ(keys, (std::vector<std::string>{fleetKey(1),
-                                              fleetKey(5)}));
-    EXPECT_EQ(coord.ledger().stats().migrantDuplicates, 0);
-}
 
 TEST(FleetIsland, FourIslandFleetMatchesInProcessFingerprint)
 {
@@ -1326,20 +1212,17 @@ TEST(FleetIsland, FourIslandFleetMatchesInProcessFingerprint)
 
     Json summary = client.status(id);
     EXPECT_EQ(summary.str("state"), "done");
-    // The per-shard progress schema rides the status summary.
+    // The per-island progress schema rides the status summary.
     EXPECT_EQ(summary.num("island_count"), 4);
     const Json *shards = summary.find("islands");
     ASSERT_NE(shards, nullptr);
     ASSERT_EQ(shards->size(), 4u);
     for (const Json &s : shards->items()) {
         EXPECT_TRUE(s.has("island"));
-        EXPECT_TRUE(s.flag("done"));
         EXPECT_TRUE(s.has("generation"));
         EXPECT_TRUE(s.has("epoch"));
         EXPECT_TRUE(s.has("best_fitness"));
         EXPECT_TRUE(s.has("fitness_evals"));
-        EXPECT_GE(s.num("attempts"), 1);
-        EXPECT_FALSE(s.str("worker").empty());
     }
 
     Json reply = client.result(id);
@@ -1365,20 +1248,6 @@ TEST(FleetIsland, FourIslandFleetMatchesInProcessFingerprint)
     ASSERT_NE(mig, nullptr);
     EXPECT_EQ(mig->num("migrant_duplicates"), 0);
     EXPECT_EQ(mig->num("elites_lost"), 0);
-
-    // Terminal island job: ledger and shard snapshots are cleaned up
-    // (the removal runs just after the terminal event is published).
-    EXPECT_TRUE(eventually([&] {
-        if (std::filesystem::exists(cfg.stateDir + "/job-" +
-                                    std::to_string(id) + ".ledger"))
-            return false;
-        for (int k = 0; k < 4; ++k)
-            if (std::filesystem::exists(
-                    cfg.stateDir + "/job-" + std::to_string(id) +
-                    ".i" + std::to_string(k) + ".snap"))
-                return false;
-        return true;
-    }));
 
     for (auto &w : workers)
         w->stop();
@@ -1467,40 +1336,33 @@ TEST(FleetIsland, SigkilledWorkerMidEpochPreservesFingerprint)
     server.start();
     std::string address = server.boundAddress();
 
-    std::vector<std::unique_ptr<WorkerThread>> crew;
-    for (int i = 0; i < 2; ++i)
-        crew.push_back(std::make_unique<WorkerThread>(
-            workerConfig(address, "icrew" + std::to_string(i))));
+    // The victim is the only worker when the job is submitted, so it
+    // holds the job's one lease.
     ASSERT_TRUE(
-        eventually([&] { return server.workerCount() == 3; }, 30.0));
-
+        eventually([&] { return server.workerCount() == 1; }, 30.0));
     Client client(address);
     long id = client.submit(spec);
 
-    // Wait until every shard is leased and at least one epoch of
-    // progress exists, so the kill lands mid-epoch on a live shard.
+    // Wait until at least one epoch of progress exists, so the kill
+    // lands mid-run on the worker holding the job.
     ASSERT_TRUE(eventually([&] {
         Json st = client.status(id);
-        const Json *shards = st.find("islands");
-        if (!shards || shards->size() != 3u)
-            return false;
-        int leased = 0, progressed = 0;
-        for (const Json &s : shards->items()) {
-            if (!s.str("worker").empty())
-                ++leased;
-            if (s.num("generation", 0) >= 2)
-                ++progressed;
-        }
-        return leased == 3 && progressed >= 1;
+        return st.str("worker").rfind("ivictim/", 0) == 0 &&
+               st.num("generation", 0) >= 2;
     }));
 
     // kill -9: no goodbye frame — the lease (and a dead TCP peer) is
-    // all the coordinator gets. Its shard requeues and another worker
-    // resumes it from the coordinator-side shard snapshot.
+    // all the coordinator gets. The job requeues and another worker
+    // restarts it: a K-island checkpoint never leaves its worker.
     ASSERT_EQ(::kill(victim, SIGKILL), 0);
     int status = 0;
     ASSERT_EQ(::waitpid(victim, &status, 0), victim);
     ASSERT_TRUE(WIFSIGNALED(status));
+
+    std::vector<std::unique_ptr<WorkerThread>> crew;
+    for (int i = 0; i < 2; ++i)
+        crew.push_back(std::make_unique<WorkerThread>(
+            workerConfig(address, "icrew" + std::to_string(i))));
 
     WorkerThread rescue(workerConfig(address, "irescue"));
     drainJob(address, id);
@@ -1525,8 +1387,11 @@ TEST(FleetIsland, SigkilledWorkerMidEpochPreservesFingerprint)
     server.stop();
 }
 
-TEST(FleetServer, ShardFrameForAnotherIslandIsRejected)
+TEST(FleetServer, MigrateAndCacheSyncFramesAreBadRequests)
 {
+    // migrate and cache_sync are not worker frames (a K-island job is
+    // claimed whole): a worker that sends them gets bad_request, and
+    // they renew no lease.
     ServerConfig cfg = coordinatorConfig("fleet-island-check");
     Server server(cfg);
     server.start();
@@ -1538,7 +1403,10 @@ TEST(FleetServer, ShardFrameForAnotherIslandIsRejected)
         EXPECT_TRUE(conn->readFrame(&payload));
         return Json::parse(payload);
     };
-    ASSERT_EQ(exchange(makeWorkerHello("raw")).str("type"), "hello");
+    Json hello = exchange(makeWorkerHello("raw"));
+    ASSERT_EQ(hello.str("type"), "hello");
+    // A remote worker keeps its own work dir: checkpoints travel.
+    EXPECT_FALSE(hello.flag("shared_state_dir"));
     ASSERT_TRUE(eventually([&] { return server.workerCount() == 1; }));
 
     Client client(server.boundAddress());
@@ -1548,46 +1416,110 @@ TEST(FleetServer, ShardFrameForAnotherIslandIsRejected)
     claim["wait_ms"] = 2000;
     Json job = exchange(claim);
     ASSERT_EQ(job.str("type"), "job");
-    int held = static_cast<int>(job.num("island", -1));
-    ASSERT_TRUE(held == 0 || held == 1);
-    auto shardFile = [&](int island) {
-        return cfg.stateDir + "/job-" + std::to_string(id) + ".i" +
-               std::to_string(island) + ".snap";
-    };
-    std::string other = core::readFileOrEmpty(shardFile(1 - held));
+    EXPECT_EQ(job.num("id"), id);
+    EXPECT_FALSE(job.has("island"));  // claimed whole
 
-    // The lease holds one shard; frames naming the other shard or an
-    // island the job does not have are refused before anything lands,
-    // the lease's renewal count included.
     uint64_t renewals = server.queue().leaseStats().renewals;
-    for (const char *type : {"progress", "migrate", "cache_sync"}) {
-        for (int island : {1 - held, 77}) {
-            Json req = Json::object();
-            req["type"] = type;
-            req["id"] = id;
-            req["lease_id"] = job.num("lease_id", 0);
-            req["island"] = island;
-            req["generation"] = 1;
-            req["snapshot"] = "BOGUS";
-            Json reply = exchange(req);
-            EXPECT_EQ(reply.str("type"), "error") << type << " " << island;
-            EXPECT_EQ(reply.str("code"), errc::kBadRequest)
-                << type << " " << island;
-        }
+    for (const char *type : {"migrate", "cache_sync"}) {
+        Json req = Json::object();
+        req["type"] = type;
+        req["id"] = id;
+        req["lease_id"] = job.num("lease_id", 0);
+        req["island"] = 0;
+        req["epoch"] = 1;
+        Json reply = exchange(req);
+        EXPECT_EQ(reply.str("type"), "error") << type;
+        EXPECT_EQ(reply.str("code"), errc::kBadRequest) << type;
     }
-    EXPECT_EQ(core::readFileOrEmpty(shardFile(1 - held)), other);
-    EXPECT_FALSE(std::filesystem::exists(shardFile(77)));
     EXPECT_EQ(server.queue().leaseStats().renewals, renewals);
 
-    // The island the lease does hold still reports progress.
+    // The lease itself is intact: a progress frame naming an island
+    // of the job still lands and renews it.
     Json own = Json::object();
     own["type"] = "progress";
     own["id"] = id;
     own["lease_id"] = job.num("lease_id", 0);
-    own["island"] = held;
+    own["island"] = 1;
     own["generation"] = 1;
     EXPECT_EQ(exchange(own).str("type"), "ok");
+    EXPECT_EQ(server.queue().leaseStats().renewals, renewals + 1);
     server.stop();
+}
+
+TEST(FleetIsland, CoordinatorWithFewerWorkersThanIslandsFinishes)
+{
+    // A coordinator with one worker and a 2-island job: the job runs
+    // whole on that worker and finishes with the in-process result.
+    JobSpec spec = islandSpec(2);
+    SessionOutcome reference = runRepairJob(spec, "", nullptr, nullptr);
+    ASSERT_EQ(reference.state, JobState::Done);
+
+    ServerConfig cfg = coordinatorConfig("fleet-island-liveness");
+    cfg.workers = 1;
+    ASSERT_TRUE(cfg.fleet.requireWorkers);
+    Server server(cfg);
+    server.start();
+    Client client(server.boundAddress());
+    long id = client.submit(spec);
+    ASSERT_TRUE(eventually(
+        [&] { return client.status(id).str("state") == "done"; }, 60.0))
+        << client.status(id).dump();
+
+    Json reply = client.result(id);
+    const Json *islands = reply.find("result")->find("islands");
+    ASSERT_NE(islands, nullptr);
+    EXPECT_EQ(islands->str("fingerprint"),
+              reference.result.find("islands")->str("fingerprint"));
+    server.stop();
+}
+
+TEST(FleetIsland, ServeStatusListsEveryIsland)
+{
+    // `cirfix serve` runs a K-island job on a local worker; its status
+    // lists each island, and the islands' counters sum to the job's —
+    // also once a restarted daemon has recovered the finished job.
+    ServerConfig cfg;
+    cfg.listenAddress = "unix:" + sockPath("serve-island-status");
+    cfg.stateDir = tmpDir("serve-island-status-state");
+    cfg.workers = 1;
+    auto checkIslands = [](const Json &summary) {
+        EXPECT_EQ(summary.str("state"), "done");
+        EXPECT_EQ(summary.num("island_count"), 3);
+        EXPECT_EQ(summary.num("attempts"), 1);
+        const Json *islands = summary.find("islands");
+        ASSERT_NE(islands, nullptr);
+        ASSERT_EQ(islands->size(), 3u);
+        core::SearchCounters sum;
+        for (size_t k = 0; k < islands->size(); ++k) {
+            const Json &s = islands->items()[k];
+            EXPECT_EQ(s.num("island", -1), static_cast<long>(k));
+            EXPECT_TRUE(s.has("generation"));
+            EXPECT_TRUE(s.has("epoch"));
+            EXPECT_TRUE(s.has("best_fitness"));
+            sum += countersFromJson(s);
+        }
+        Json want = Json::object();
+        countersToJson(sum, want);
+        Json got = Json::object();
+        countersToJson(countersFromJson(summary), got);
+        EXPECT_EQ(got.dump(), want.dump());
+        EXPECT_GT(sum.fitnessEvals, 0);
+    };
+
+    long id = 0;
+    {
+        Server server(cfg);
+        server.start();
+        Client client(server.boundAddress());
+        id = client.submit(islandSpec(3));
+        drainJob(server.boundAddress(), id);
+        checkIslands(client.status(id));
+        server.stop();
+    }
+    Server restarted(cfg);
+    restarted.start();
+    checkIslands(Client(restarted.boundAddress()).status(id));
+    restarted.stop();
 }
 
 TEST(FleetServer, RemoteWorkerRunsWholeIslandJobInClassicMode)

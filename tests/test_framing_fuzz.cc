@@ -7,28 +7,37 @@
  * or an unbounded allocation. The envelope cases send snapshot
  * envelopes (JSON, a NUL, raw bytes) to a live coordinator: damaged
  * ones are answered bad_request or dropped with the connection, and
- * none writes a snapshot without a live lease. The suite also builds
- * into the ASAN runner (cirfix_fault_tests), where a lifetime or
- * overflow bug in the reassembly loops would abort the test.
+ * none writes a snapshot without a live lease. The depth cases send
+ * documents and designs nested far past the parsers' bounds: the
+ * daemon answers bad_request or fails the job, and keeps serving. The
+ * suite also builds into the ASAN runner (cirfix_fault_tests), where
+ * a lifetime or overflow bug in the reassembly loops would abort the
+ * test.
  */
 
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "core/snapshot.h"
+#include "service/client.h"
 #include "service/framing.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/transport.h"
+#include "verilog/parser.h"
 
 using namespace cirfix::service;
 
@@ -459,4 +468,150 @@ TEST(FramingFuzz, EnvelopeOnAClientConnectionIsBadRequest)
     EXPECT_EQ(reply.str("code"), errc::kBadRequest) << reply.dump();
     // The connection survives and still answers.
     EXPECT_EQ(roundTrip(*client, list.dump()).str("type"), "list");
+}
+
+// ---------------------------------------------------------------
+// Nesting depth: hostile documents and designs
+// ---------------------------------------------------------------
+
+namespace {
+
+/** @p depth nested arrays: [[[...]]]. */
+std::string
+nestedArrays(size_t depth)
+{
+    return std::string(depth, '[') + std::string(depth, ']');
+}
+
+/** A module whose one assign nests @p depth parentheses. */
+std::string
+deepParenDesign(size_t depth)
+{
+    return "module dut(a, y);\n input a;\n output y;\n assign y = " +
+           std::string(depth, '(') + "a" + std::string(depth, ')') +
+           ";\nendmodule\nmodule tb;\n reg a;\n wire y;\n"
+           " dut d(.a(a), .y(y));\nendmodule\n";
+}
+
+/** A module whose one assign is a flat chain a+a+...+a of @p terms
+ *  terms: no parentheses, but a left-deep tree @p terms - 1 high. */
+std::string
+longChainDesign(size_t terms)
+{
+    std::string chain = "a";
+    chain.reserve(2 * terms);
+    for (size_t i = 1; i < terms; ++i)
+        chain += "+a";
+    return "module dut(a, y);\n input a;\n output y;\n assign y = " +
+           chain +
+           ";\nendmodule\nmodule tb;\n reg a;\n wire y;\n"
+           " dut d(.a(a), .y(y));\nendmodule\n";
+}
+
+} // namespace
+
+TEST(FramingFuzz, JsonNestingIsBoundedExactly)
+{
+    EXPECT_NO_THROW(Json::parse(nestedArrays(kMaxJsonDepth)));
+    EXPECT_THROW(Json::parse(nestedArrays(kMaxJsonDepth + 1)),
+                 std::runtime_error);
+    // 50,000 levels is a 100 KB document: without the bound the
+    // recursive parser runs off the stack.
+    EXPECT_THROW(Json::parse(nestedArrays(50000)), std::runtime_error);
+    EXPECT_THROW(Json::parse(std::string(50000, '{')), std::runtime_error);
+}
+
+TEST(FramingFuzz, DeepJsonIsBadRequestAndTheDaemonAnswers)
+{
+    EnvelopeRig rig("fuzz-deep-json");
+    const std::string deep = nestedArrays(50000);
+    Json status = Json::object();
+    status["type"] = "status";
+    status["id"] = rig.id;
+
+    // As a request on a client connection, and as a frame on a worker
+    // connection: bad_request, and the connection keeps answering.
+    std::unique_ptr<Conn> client = rig.connect(makeHello());
+    EXPECT_EQ(roundTrip(*client, deep).str("code"), errc::kBadRequest);
+    EXPECT_EQ(roundTrip(*client, status.dump()).str("type"), "status");
+    std::unique_ptr<Conn> worker = rig.connect(makeWorkerHello("deep"));
+    EXPECT_EQ(roundTrip(*worker, deep + '\0' + "bytes").str("code"),
+              errc::kBadRequest);
+
+    // As the first frame, in place of a hello.
+    std::unique_ptr<Conn> raw =
+        dial(Address::parse(rig.server->boundAddress()), 5.0);
+    raw->setIoDeadline(10.0);
+    EXPECT_EQ(roundTrip(*raw, deep).str("code"), errc::kBadRequest);
+
+    std::unique_ptr<Conn> after = rig.connect(makeHello());
+    EXPECT_EQ(roundTrip(*after, status.dump()).str("type"), "status");
+}
+
+TEST(FramingFuzz, DeepDesignsFailTheirJobsAndTheDaemonStaysUp)
+{
+    std::string base = ::testing::TempDir() + "fuzz-deep-design." +
+                       std::to_string(::getpid());
+    ServerConfig cfg;
+    cfg.listenAddress = "unix:" + base + ".sock";
+    cfg.stateDir = base + "-state";
+    std::filesystem::remove_all(cfg.stateDir);
+    cfg.workers = 1;  // the design is parsed inside the daemon process
+    Server server(cfg);
+    server.start();
+    Client client(server.boundAddress());
+
+    std::vector<long> ids;
+    for (const std::string &design :
+         {deepParenDesign(50000), longChainDesign(200000)}) {
+        JobSpec spec;
+        spec.designSource = design;
+        spec.tbModule = "tb";
+        spec.dutModule = "dut";
+        spec.oracleCsv = "time\n";
+        ids.push_back(client.submit(spec));
+    }
+    for (long id : ids) {
+        Json summary;
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        do {
+            summary = client.status(id);
+            if (summary.str("state") == "failed")
+                break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        } while (std::chrono::steady_clock::now() < deadline);
+        EXPECT_EQ(summary.str("state"), "failed") << summary.dump();
+        EXPECT_NE(summary.str("error").find("deeper than"),
+                  std::string::npos)
+            << summary.str("error");
+    }
+    // Still serving: a fresh connection lists both jobs.
+    Client again(server.boundAddress());
+    EXPECT_EQ(again.list().size(), 2u);
+    server.stop();
+}
+
+TEST(FramingFuzz, LintExitsFourOnDeepDesigns)
+{
+    // The design at the bound parses; past it, and on the hostile
+    // inputs, the CLI reports a parse error (exit 4), never a crash.
+    EXPECT_NO_THROW(cirfix::verilog::parse(longChainDesign(
+        static_cast<size_t>(cirfix::verilog::kMaxAstDepth) / 2)));
+    EXPECT_THROW(cirfix::verilog::parse(longChainDesign(
+                     static_cast<size_t>(cirfix::verilog::kMaxAstDepth))),
+                 cirfix::verilog::ParseError);
+    std::string base = ::testing::TempDir() + "fuzz-deep-lint." +
+                       std::to_string(::getpid());
+    int n = 0;
+    for (const std::string &design :
+         {deepParenDesign(50000), longChainDesign(200000)}) {
+        std::string path = base + "." + std::to_string(n++) + ".v";
+        std::ofstream(path) << design;
+        std::string cmd = std::string(CIRFIX_CLI_BIN) + " lint " + path +
+                          " > /dev/null 2>&1";
+        int status = std::system(cmd.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << path;
+        EXPECT_EQ(WEXITSTATUS(status), 4) << path;
+    }
 }

@@ -1229,7 +1229,7 @@ usage(std::ostream &os)
         "  submit   --socket|--connect ADDR <repair inputs> "
         "[--priority N]\n"
         "           [--islands K] [--migration-interval N] "
-        "[--migrants M]   (a coordinator shards K islands)\n"
+        "[--migrants M]   (one worker runs all K islands)\n"
         "  status   --socket|--connect ADDR --id N\n"
         "  list     --socket|--connect ADDR\n"
         "  cancel   --socket|--connect ADDR --id N\n"
