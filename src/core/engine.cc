@@ -56,8 +56,33 @@ RepairEngine::RepairEngine(std::shared_ptr<const SourceFile> faulty,
     // Computed once here and immutable afterwards — worker threads
     // read it concurrently.
     if (config_.lintPrescreen)
-        baselineLintFp_ = lint::fingerprint(
-            lint::run(*faulty_, config_.lintOptions));
+        prescreen_.emplace(*faulty_, config_.lintOptions);
+
+    // Map every baseline node to its module, so the per-candidate
+    // checks can skip the modules a patch leaves alone. Lint keys
+    // findings by module name: with a name repeated, the map stays
+    // empty and every patch is checked whole.
+    bool unique_names = true;
+    for (const auto &mod : faulty_->modules)
+        unique_names &= faulty_->findModule(mod->name) == mod.get();
+    if (unique_names) {
+        moduleOfNode_.assign(static_cast<size_t>(faulty_->nextId),
+                             kWholeFile);
+        for (size_t m = 0; m < faulty_->modules.size(); ++m)
+            for (const ItemPtr &item : faulty_->modules[m]->items) {
+                const int tag = item->kind == NodeKind::VarDecl
+                                    ? kWholeFile
+                                    : static_cast<int>(m);
+                visitAll(*item, [&](Node &n) {
+                    if (n.id < 0)
+                        return;
+                    if (static_cast<size_t>(n.id) >= moduleOfNode_.size())
+                        moduleOfNode_.resize(n.id + 1, kWholeFile);
+                    moduleOfNode_[n.id] = tag;
+                });
+            }
+    }
+    baselineValid_ = isValid(*faulty_);
 
     // Witness benches: parse each generated testbench once and
     // precompute the score an absent trace earns against its oracle
@@ -129,28 +154,12 @@ RepairEngine::evaluateUncached(const Patch &patch,
 
     std::shared_ptr<SourceFile> patched =
         applyPatch(*faulty_, patch);
-    if (!isValid(*patched)) {
-        v.valid = false;  // "compile error": fitness stays 0
-        v.outcome = EvalOutcome::ParseFail;
-        v.error = "patch failed structural validation";
+    v.outcome = screen(*patched, patch, &v.error);
+    if (v.outcome != EvalOutcome::Ok) {
+        v.valid = false;  // worst fitness, no simulation
         return v;
     }
     v.valid = true;
-
-    if (config_.lintPrescreen) {
-        lint::Result lr = lint::run(*patched, config_.lintOptions);
-        std::string msg;
-        if (lint::newErrorCount(baselineLintFp_, lr, &msg) > 0) {
-            // A new error-severity finding the baseline did not have:
-            // the mutation manufactured something doomed (a zero-delay
-            // loop, a second driver on a net). Worst fitness, no
-            // simulation.
-            v.valid = false;
-            v.outcome = EvalOutcome::LintReject;
-            v.error = msg;
-            return v;
-        }
-    }
 
     // Total containment: no failure mode of a candidate may escape
     // this function. Every escape hatch degrades to a worst-fitness
@@ -272,6 +281,52 @@ RepairEngine::evaluateUncached(const Patch &patch,
         v.error = "unknown exception";
     }
     return v;
+}
+
+std::optional<std::vector<size_t>>
+RepairEngine::touchedModules(const Patch &patch) const
+{
+    std::vector<size_t> mods;
+    for (const Edit &e : patch.edits) {
+        if (e.target >= static_cast<int>(moduleOfNode_.size()))
+            continue;  // created by an earlier edit: its module counts
+        const int m = e.target < 0 ? kWholeFile : moduleOfNode_[e.target];
+        if (m == kWholeFile)
+            return std::nullopt;
+        mods.push_back(static_cast<size_t>(m));
+    }
+    if (mods.empty())
+        return std::nullopt;
+    std::sort(mods.begin(), mods.end());
+    mods.erase(std::unique(mods.begin(), mods.end()), mods.end());
+    return mods;
+}
+
+EvalOutcome
+RepairEngine::screen(const SourceFile &patched, const Patch &patch,
+                     std::string *error) const
+{
+    const std::optional<std::vector<size_t>> touched =
+        touchedModules(patch);
+    // A module the patch left alone validates and lints as it did in
+    // the baseline: statement edits change neither declarations nor
+    // ports, the only things other modules look up.
+    const bool valid = touched && baselineValid_
+                           ? isValid(patched, *touched)
+                           : isValid(patched);
+    if (!valid) {
+        if (error)  // the simulator's "compile error"
+            *error = "patch failed structural validation";
+        return EvalOutcome::ParseFail;
+    }
+    // A new error-severity finding the baseline did not have: the
+    // mutation manufactured something doomed (a zero-delay loop, a
+    // second driver on a net).
+    if (prescreen_ &&
+        prescreen_->newErrors(patched, touched ? &*touched : nullptr,
+                              error) > 0)
+        return EvalOutcome::LintReject;
+    return EvalOutcome::Ok;
 }
 
 bool

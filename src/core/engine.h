@@ -20,6 +20,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -428,6 +429,30 @@ class RepairEngine
     Variant evaluateUncached(const Patch &patch,
                              const EvalHints &hints) const;
 
+    /**
+     * The static checks a candidate must pass before it is simulated:
+     * structural validation, then (with lintPrescreen) the lint
+     * pre-screen. Both run on only the modules @p patch edits (see
+     * touchedModules()), and agree exactly with validating and linting
+     * the whole of @p patched, the result of applyPatch(faulty,
+     * patch). Returns Ok, ParseFail or LintReject; on a rejection
+     * @p error receives the reason. Thread-safe like
+     * evaluateUncached.
+     */
+    EvalOutcome screen(const verilog::SourceFile &patched,
+                       const Patch &patch, std::string *error) const;
+
+    /**
+     * Indices of the modules @p patch edits, ascending: the modules of
+     * its edit targets. A target an earlier edit of the patch created
+     * lies in that edit's module, which is already in the set. nullopt
+     * means "check the whole file": the patch is empty, or a target is
+     * inside a declaration (which can change what other modules see)
+     * or is no statement or expression of the baseline.
+     */
+    std::optional<std::vector<size_t>>
+    touchedModules(const Patch &patch) const;
+
     const EngineConfig &config() const { return config_; }
     const Trace &oracle() const { return oracle_; }
     /** Counters so far, fitness-cache accounting included (the same
@@ -530,9 +555,19 @@ class RepairEngine
     std::unique_ptr<EvalPool> pool_;  //!< created lazily by run()
     /** Every counter but cache, which cache_ keeps (see counters()). */
     SearchCounters counters_;
-    /** Baseline design's error-severity lint fingerprint; immutable
-     *  after construction (worker threads read it). */
-    lint::Fingerprint baselineLintFp_;
+    /** The lint pre-screen against the baseline design (engaged when
+     *  config_.lintPrescreen); immutable after construction (worker
+     *  threads read it). */
+    std::optional<lint::Prescreen> prescreen_;
+    /** Baseline node id -> index of its module, or kWholeFile for a
+     *  node inside a declaration; ids past the end are nodes a patch
+     *  created. Empty when module names repeat (lint keys findings by
+     *  module name). Immutable after construction. */
+    std::vector<int> moduleOfNode_;
+    static constexpr int kWholeFile = -1;
+    /** Does every module of the baseline validate? (Scoped validation
+     *  is exact only then.) */
+    bool baselineValid_ = true;
     /** Patch keys that crashed/ran away once: never re-simulated.
      *  Main thread only, like the cache. */
     std::unordered_map<std::string, QuarantineEntry> quarantine_;

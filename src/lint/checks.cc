@@ -1,11 +1,22 @@
 #include "lint/checks.h"
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 namespace cirfix::lint {
 
 using namespace verilog;
+
+bool
+CheckContext::wants(const char *check) const
+{
+    const std::vector<CheckInfo> &reg = checkRegistry();
+    for (size_t i = 0; i < reg.size(); ++i)
+        if (std::strcmp(reg[i].id, check) == 0)
+            return wanted[i];
+    return false;
+}
 
 void
 CheckContext::emit(const char *check, std::string signal,
@@ -31,26 +42,36 @@ checkDrivers(CheckContext &cx)
     // duplicate-decl: the same name declared twice at the same kind.
     // (A wire redeclared as reg is the legal port-refinement idiom and
     // is not flagged.)
-    std::map<std::string, std::vector<const VarDecl *>> byName;
-    for (auto &it : cx.mod.items)
-        if (it->kind == NodeKind::VarDecl)
-            byName[it->as<VarDecl>()->name].push_back(it->as<VarDecl>());
-    for (auto &[name, decls] : byName) {
-        for (size_t i = 1; i < decls.size(); ++i) {
-            if (decls[i]->varKind == decls[i - 1]->varKind) {
-                cx.emit("duplicate-decl", name, decls[i],
-                        "'" + name + "' is declared more than once");
-                break;
+    if (cx.wants("duplicate-decl")) {
+        std::map<std::string, std::vector<const VarDecl *>> byName;
+        for (auto &it : cx.mod.items)
+            if (it->kind == NodeKind::VarDecl)
+                byName[it->as<VarDecl>()->name].push_back(
+                    it->as<VarDecl>());
+        for (auto &[name, decls] : byName) {
+            for (size_t i = 1; i < decls.size(); ++i) {
+                if (decls[i]->varKind == decls[i - 1]->varKind) {
+                    cx.emit("duplicate-decl", name, decls[i],
+                            "'" + name + "' is declared more than once");
+                    break;
+                }
             }
         }
     }
 
+    const bool nets = cx.wants("multi-driven-net");
+    const bool multiReg = cx.wants("multi-driven-reg");
+    const bool mixed = cx.wants("mixed-assign");
+    if (!nets && !multiReg && !mixed)
+        return;
     for (auto &[name, sites] : cx.info.drivers) {
         auto decl = cx.info.decls.find(name);
         if (decl == cx.info.decls.end())
             continue;
 
         if (!cx.info.isReg(name)) {
+            if (!nets)
+                continue;
             // multi-driven-net: a wire with overlapping structural
             // drivers resolves to X in real hardware; there is no
             // priority between continuous assigns.
@@ -74,6 +95,8 @@ checkDrivers(CheckContext &cx)
                             " conflicting drivers");
             continue;
         }
+        if (!multiReg && !mixed)
+            continue;
 
         // Register checks consider only always-block drives: initial
         // blocks legitimately preset registers the design also owns.
@@ -89,12 +112,12 @@ checkDrivers(CheckContext &cx)
                 last = &s;
             }
         }
-        if (always_containers.size() > 1)
+        if (multiReg && always_containers.size() > 1)
             cx.emit("multi-driven-reg", name, last->node,
                     "reg '" + name + "' is assigned from " +
                         std::to_string(always_containers.size()) +
                         " always blocks");
-        if (blocking && nonblocking)
+        if (mixed && blocking && nonblocking)
             cx.emit("mixed-assign", name, last->node,
                     "reg '" + name +
                         "' is written by both blocking (=) and "
@@ -109,6 +132,8 @@ checkDrivers(CheckContext &cx)
 void
 checkCombLoops(CheckContext &cx)
 {
+    if (!cx.wants("comb-loop"))
+        return;
     CombGraph g = buildCombGraph(cx.mod);
     for (auto &cycle : g.cycles()) {
         std::vector<std::string> names;
@@ -350,18 +375,24 @@ checkProcesses(CheckContext &cx)
 {
     // empty-sens: anywhere in the module (folded from validate, which
     // used to reject these; the process would block forever).
-    for (auto &it : cx.mod.items) {
-        visitAll(const_cast<Item &>(*it), [&](Node &n) {
-            if (n.kind != NodeKind::EventCtrl)
-                return;
-            auto *ec = n.as<EventCtrl>();
-            if (!ec->star && ec->events.empty())
-                cx.emit("empty-sens", "", ec,
-                        "event control with empty sensitivity list "
-                        "(process can never resume)");
-        });
+    if (cx.wants("empty-sens")) {
+        for (auto &it : cx.mod.items) {
+            visitAll(const_cast<Item &>(*it), [&](Node &n) {
+                if (n.kind != NodeKind::EventCtrl)
+                    return;
+                auto *ec = n.as<EventCtrl>();
+                if (!ec->star && ec->events.empty())
+                    cx.emit("empty-sens", "", ec,
+                            "event control with empty sensitivity list "
+                            "(process can never resume)");
+            });
+        }
     }
 
+    const bool sens = cx.wants("incomplete-sens");
+    const bool latch = cx.wants("inferred-latch");
+    if (!sens && !latch)
+        return;
     for (auto &it : cx.mod.items) {
         if (it->kind != NodeKind::AlwaysBlock)
             continue;
@@ -376,7 +407,7 @@ checkProcesses(CheckContext &cx)
 
         // incomplete-sens: explicit level-sensitive list missing some
         // of the signals the body reads.
-        if (comb && !ec->star) {
+        if (sens && comb && !ec->star) {
             std::set<std::string> listed;
             for (auto &ev : ec->events) {
                 if (ev.signal->kind == NodeKind::Ident)
@@ -421,7 +452,7 @@ checkProcesses(CheckContext &cx)
 
         // inferred-latch: combinational process where some path skips
         // the assignment of a signal it drives elsewhere.
-        if (comb) {
+        if (latch && comb) {
             std::set<std::string> some;
             someAssigned(*ec->stmt, some);
             auto full = fullyAssigned(*ec->stmt, cx);
@@ -598,6 +629,8 @@ checkAssignWidth(CheckContext &cx, const Expr &lhs, const Expr &rhs,
 void
 checkWidths(CheckContext &cx)
 {
+    if (!cx.wants("width-mismatch"))
+        return;
     for (auto &it : cx.mod.items) {
         switch (it->kind) {
           case NodeKind::ContAssign: {
@@ -718,6 +751,8 @@ walkDead(CheckContext &cx, const Stmt &s)
 void
 checkDeadCode(CheckContext &cx)
 {
+    if (!cx.wants("dead-code"))
+        return;
     for (auto &it : cx.mod.items) {
         if (it->kind != NodeKind::AlwaysBlock &&
             it->kind != NodeKind::InitialBlock)

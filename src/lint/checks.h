@@ -22,9 +22,16 @@ struct CheckContext
     const verilog::SourceFile &file;
     const verilog::Module &mod;
     const ModuleInfo &info;
-    /** ModuleInfo for every module in the file, keyed by name. */
+    /** ModuleInfo for every module in the file, keyed by name (for
+     *  a pre-screen pass, the baseline's: same ports and widths). */
     const std::map<std::string, ModuleInfo> &allInfo;
+    /** Per checkRegistry() entry: does this pass run the check? */
+    const std::vector<bool> &wanted;
     std::vector<Diagnostic> &out;
+
+    /** True when this pass runs check @p check. Check functions skip
+     *  the work (and the messages) of checks it does not want. */
+    bool wants(const char *check) const;
 
     /** Append a finding (severity is resolved later by the driver). */
     void emit(const char *check, std::string signal,

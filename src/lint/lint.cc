@@ -101,26 +101,42 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-} // namespace
-
+/**
+ * The one lint driver. Runs the checks @p wanted selects over every
+ * module of @p file, or over only @p modules when non-null (then
+ * @p otherInfo, a same-declarations analysis of every module, answers
+ * instance lookups), and resolves severities and waivers.
+ */
 Result
-run(const verilog::SourceFile &file, const Options &opts)
+runChecks(const verilog::SourceFile &file, const Options &opts,
+          const std::vector<bool> &wanted,
+          const std::vector<size_t> *modules,
+          const std::map<std::string, ModuleInfo> *otherInfo)
 {
-    // Analyze every module first so cross-module checks (instance
-    // port widths) can look up their targets.
-    std::map<std::string, ModuleInfo> infos;
-    for (auto &mod : file.modules)
-        infos.emplace(mod->name, analyzeModule(*mod, file));
-
     Result r;
-    for (auto &mod : file.modules) {
-        CheckContext cx{file, *mod, infos.at(mod->name), infos,
-                        r.diags};
+    auto checkModule = [&](const verilog::Module &mod,
+                           const ModuleInfo &info,
+                           const std::map<std::string, ModuleInfo> &all) {
+        CheckContext cx{file, mod, info, all, wanted, r.diags};
         checkDrivers(cx);
         checkCombLoops(cx);
         checkProcesses(cx);
         checkWidths(cx);
         checkDeadCode(cx);
+    };
+    if (modules) {
+        for (size_t i : *modules) {
+            const verilog::Module &mod = *file.modules.at(i);
+            checkModule(mod, analyzeModule(mod, file), *otherInfo);
+        }
+    } else {
+        // Analyze every module first so cross-module checks (instance
+        // port widths) can look up their targets.
+        std::map<std::string, ModuleInfo> infos;
+        for (auto &mod : file.modules)
+            infos.emplace(mod->name, analyzeModule(*mod, file));
+        for (auto &mod : file.modules)
+            checkModule(*mod, infos.at(mod->name), infos);
     }
 
     // Resolve severities and waivers; drop checks configured Off.
@@ -145,6 +161,65 @@ run(const verilog::SourceFile &file, const Options &opts)
     }
     r.diags = std::move(kept);
     return r;
+}
+
+/** Registry entries that resolve to a severity @p keep accepts. */
+template <class Keep>
+std::vector<bool>
+checksWhere(const Options &opts, Keep keep)
+{
+    std::vector<bool> wanted;
+    for (auto &c : checkRegistry())
+        wanted.push_back(keep(c.id, severityOf(c.id, opts)));
+    return wanted;
+}
+
+} // namespace
+
+Result
+run(const verilog::SourceFile &file, const Options &opts)
+{
+    // Findings of Off checks are dropped anyway: skip their work.
+    return runChecks(file, opts,
+                     checksWhere(opts,
+                                 [](const char *, Severity s) {
+                                     return s != Severity::Off;
+                                 }),
+                     nullptr, nullptr);
+}
+
+Prescreen::Prescreen(const verilog::SourceFile &baseline, Options opts)
+    : opts_(std::move(opts))
+{
+    // Only unwaived error findings reach a fingerprint, so a check
+    // that resolves below Error, or that a waiver silences in every
+    // module, can never reject.
+    wanted_ = checksWhere(opts_, [&](const char *id, Severity s) {
+        if (s != Severity::Error)
+            return false;
+        for (auto &w : opts_.waivers)
+            if (w.check == id && w.module.empty() && w.signal.empty())
+                return false;
+        return true;
+    });
+    baseline_ =
+        fingerprint(runChecks(baseline, opts_, wanted_, nullptr, nullptr));
+    for (auto &mod : baseline.modules)
+        baselineInfo_.emplace(mod->name, analyzeModule(*mod, baseline));
+}
+
+long
+Prescreen::newErrors(const verilog::SourceFile &patched,
+                     const std::vector<size_t> *modules,
+                     std::string *firstMessage) const
+{
+    // Unchecked modules lint exactly as in the baseline, so their
+    // error counts never exceed it: leaving them out of the candidate
+    // changes neither the count nor the first new key.
+    return newErrorCount(baseline_,
+                         runChecks(patched, opts_, wanted_, modules,
+                                   &baselineInfo_),
+                         firstMessage);
 }
 
 Fingerprint

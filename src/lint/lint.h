@@ -23,12 +23,19 @@
  * pass is deterministic — diagnostics are emitted in module order,
  * then check order, then source order — so fingerprints of two runs
  * over the same tree are always identical.
+ *
+ * One driver serves every consumer. run() checks every module under
+ * every check that is not Off; Prescreen runs the same check
+ * functions over a module set (the modules a patch edited) under a
+ * check predicate (only checks that resolve to Error), and reuses
+ * the baseline's analysis of the other modules for instance lookups.
  */
 
 #include <map>
 #include <string>
 #include <vector>
 
+#include "lint/netgraph.h"
 #include "verilog/ast.h"
 
 namespace cirfix::lint {
@@ -108,6 +115,44 @@ Fingerprint fingerprint(const Result &r);
  */
 long newErrorCount(const Fingerprint &baseline, const Result &candidate,
                    std::string *firstMessage = nullptr);
+
+/**
+ * The repair loop's mutant pre-screen against one baseline design.
+ *
+ * It runs only the checks the options resolve to Error (minus those a
+ * waiver silences everywhere), only on the modules a patch edited,
+ * and counts the error findings the baseline did not have. The other
+ * modules are not re-analysed: they lint as they did in the baseline,
+ * and the baseline's ModuleInfo answers their instance lookups. That
+ * is exact when the patched file differs from the baseline only
+ * inside statements of the checked modules (no declaration or port
+ * changed), which is what a statement-level edit does.
+ *
+ * The baseline must outlive the pre-screen (its ModuleInfo points into
+ * the baseline's AST). newErrors() is const and thread-safe.
+ */
+class Prescreen
+{
+  public:
+    Prescreen(const verilog::SourceFile &baseline, Options opts);
+
+    /**
+     * newErrorCount(fingerprint(run(baseline)), run(patched)), with
+     * the same @p firstMessage, computed over only @p modules
+     * (ascending indices into patched.modules; nullptr = every
+     * module).
+     */
+    long newErrors(const verilog::SourceFile &patched,
+                   const std::vector<size_t> *modules,
+                   std::string *firstMessage = nullptr) const;
+
+  private:
+    Options opts_;
+    /** Per registry entry: does the pre-screen run this check? */
+    std::vector<bool> wanted_;
+    std::map<std::string, ModuleInfo> baselineInfo_;
+    Fingerprint baseline_;
+};
 
 /**
  * Parse a waiver file: one waiver per line, "check [module [signal]]",

@@ -44,23 +44,24 @@ buildScope(const Module &mod)
 class Validator
 {
   public:
-    explicit Validator(const SourceFile &file) : file_(file)
-    {
-        for (auto &m : file.modules)
-            moduleNames_.insert(m->name);
-    }
+    explicit Validator(const SourceFile &file) : file_(file) {}
 
+    /** Check every module, or only @p modules when non-null. */
     std::vector<ValidationError>
-    run()
+    run(const std::vector<size_t> *modules)
     {
-        for (auto &m : file_.modules)
-            checkModule(*m);
+        if (modules) {
+            for (size_t i : *modules)
+                checkModule(*file_.modules.at(i));
+        } else {
+            for (auto &m : file_.modules)
+                checkModule(*m);
+        }
         return std::move(errors_);
     }
 
   private:
     const SourceFile &file_;
-    std::unordered_set<std::string> moduleNames_;
     std::vector<ValidationError> errors_;
     const Module *cur_ = nullptr;
     ModuleScope scope_;
@@ -162,10 +163,10 @@ class Validator
           }
           case NodeKind::Instance: {
             auto *in = it.as<Instance>();
-            if (!moduleNames_.count(in->moduleName))
+            const Module *target = file_.findModule(in->moduleName);
+            if (!target)
                 error("instance of unknown module '" + in->moduleName +
                       "'");
-            const Module *target = file_.findModule(in->moduleName);
             for (auto &c : in->conns) {
                 if (c.expr)
                     checkExpr(*c.expr);
@@ -438,13 +439,19 @@ class Validator
 std::vector<ValidationError>
 validate(const SourceFile &file)
 {
-    return Validator(file).run();
+    return Validator(file).run(nullptr);
 }
 
 bool
 isValid(const SourceFile &file)
 {
     return validate(file).empty();
+}
+
+bool
+isValid(const SourceFile &file, const std::vector<size_t> &modules)
+{
+    return Validator(file).run(&modules).empty();
 }
 
 } // namespace cirfix::verilog

@@ -12,6 +12,12 @@
  * out-of-range constant part selects, and so on. validate() performs
  * those checks; a mutant with any error is discarded without being
  * simulated, exactly as a compile failure would be.
+ *
+ * Validation is a per-module pass: its only cross-module lookups are
+ * the port lists of instantiated modules. So a caller that knows
+ * which modules changed (the repair loop knows which modules a patch
+ * edited) can validate just those; the unchanged ones validate as
+ * they did before.
  */
 
 #include <string>
@@ -42,5 +48,12 @@ std::vector<ValidationError> validate(const SourceFile &file);
 
 /** Convenience wrapper: true iff validate() finds no problems. */
 bool isValid(const SourceFile &file);
+
+/**
+ * As isValid(file), but checks only @p modules (indices into
+ * file.modules). Instances are still resolved against every module of
+ * the file.
+ */
+bool isValid(const SourceFile &file, const std::vector<size_t> &modules);
 
 } // namespace cirfix::verilog

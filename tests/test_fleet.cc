@@ -1292,9 +1292,10 @@ TEST(FleetIsland, SigkilledWorkerMidEpochPreservesFingerprint)
 #ifdef CIRFIX_UNDER_TSAN
     GTEST_SKIP() << "fork+threads is unsupported under tsan";
 #endif
-    // A longer deterministic island job (the unrepairable spec, 12
-    // generations x 3 islands) so the SIGKILL provably lands mid-run.
-    JobSpec spec = unrepairableSpec(12);
+    // A longer deterministic island job (the unrepairable spec, 48
+    // generations x 3 islands) so the SIGKILL lands mid-run: the kill
+    // comes once generation 2 shows, and the job must be re-claimed.
+    JobSpec spec = unrepairableSpec(48);
     spec.params.islands = 3;
     spec.params.migrationInterval = 2;
     spec.params.migrantsPerIsland = 2;
@@ -1369,6 +1370,8 @@ TEST(FleetIsland, SigkilledWorkerMidEpochPreservesFingerprint)
 
     Json summary = client.status(id);
     EXPECT_EQ(summary.str("state"), "done");
+    // The failover happened: the victim's claim, then a survivor's.
+    EXPECT_EQ(summary.num("attempts", 0), 2) << summary.dump();
 
     Json reply = client.result(id);
     const Json *islands = reply.find("result")->find("islands");

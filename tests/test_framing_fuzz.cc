@@ -9,8 +9,10 @@
  * ones are answered bad_request or dropped with the connection, and
  * none writes a snapshot without a live lease. The depth cases send
  * documents and designs nested far past the parsers' bounds: the
- * daemon answers bad_request or fails the job, and keeps serving. The
- * suite also builds into the ASAN runner (cirfix_fault_tests), where
+ * daemon answers bad_request or fails the job, and keeps serving, and
+ * a design just inside the bound goes through the engine's scoped
+ * pre-screen on a pool thread without overflowing. The suite also
+ * builds into the ASAN runner (cirfix_fault_tests), where
  * a lifetime or overflow bug in the reassembly loops would abort the
  * test.
  */
@@ -31,6 +33,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
+#include "core/evalpool.h"
 #include "core/snapshot.h"
 #include "service/client.h"
 #include "service/framing.h"
@@ -614,4 +618,72 @@ TEST(FramingFuzz, LintExitsFourOnDeepDesigns)
         ASSERT_TRUE(WIFEXITED(status)) << path;
         EXPECT_EQ(WEXITSTATUS(status), 4) << path;
     }
+}
+
+namespace {
+
+/** A clocked DUT whose edited always block sits next to an assign
+ *  nested @p depth parentheses deep, and a testbench around it. */
+std::string
+deepParenRegisterDesign(size_t depth)
+{
+    return "module dut(clk, a, y, q);\n input clk;\n input a;\n"
+           " output y;\n output q;\n reg q;\n assign y = " +
+           std::string(depth, '(') + "a" + std::string(depth, ')') +
+           ";\n always @(posedge clk) begin\n  if (a)\n   q <= 1'b1;\n"
+           "  else\n   q <= 1'b0;\n end\nendmodule\n"
+           "module tb;\n reg clk;\n reg a;\n wire y;\n wire q;\n"
+           " dut d(.clk(clk), .a(a), .y(y), .q(q));\nendmodule\n";
+}
+
+} // namespace
+
+TEST(FramingFuzz, ScopedPrescreenOfADeepDesignRunsOnPoolThreads)
+{
+    // 505 levels is inside kMaxAstDepth; the same design past the
+    // bound is still a parse error.
+    EXPECT_THROW(cirfix::verilog::parse(deepParenRegisterDesign(
+                     static_cast<size_t>(cirfix::verilog::kMaxAstDepth))),
+                 cirfix::verilog::ParseError);
+    std::shared_ptr<const cirfix::verilog::SourceFile> design =
+        cirfix::verilog::parse(deepParenRegisterDesign(505));
+
+    // Negate the if of dut's always block: an edit of the module that
+    // holds the deep assign, so the scoped checks analyse it.
+    int target = -1;
+    cirfix::verilog::visitAll(
+        *design->modules[0], [&](cirfix::verilog::Node &n) {
+            if (n.kind == cirfix::verilog::NodeKind::If)
+                target = n.id;
+        });
+    ASSERT_GE(target, 0);
+    cirfix::core::Patch patch;
+    cirfix::core::Edit edit;
+    edit.kind = cirfix::core::EditKind::Template;
+    edit.tmpl = cirfix::core::TemplateKind::NegateConditional;
+    edit.target = target;
+    patch.edits.push_back(edit);
+
+    cirfix::core::RepairEngine engine(design, "tb", "dut", {}, {},
+                                      cirfix::core::EngineConfig{});
+    std::optional<std::vector<size_t>> touched =
+        engine.touchedModules(patch);
+    ASSERT_TRUE(touched.has_value());
+    EXPECT_EQ(*touched, std::vector<size_t>{0});
+    std::shared_ptr<const cirfix::verilog::SourceFile> patched =
+        cirfix::core::applyPatch(*design, patch);
+
+    constexpr int kJobs = 8;
+    std::vector<cirfix::core::EvalOutcome> outcomes(
+        kJobs, cirfix::core::EvalOutcome::Crashed);
+    std::vector<std::function<void()>> jobs;
+    for (int i = 0; i < kJobs; ++i)
+        jobs.push_back([&, i] {
+            std::string error;
+            outcomes[i] = engine.screen(*patched, patch, &error);
+        });
+    cirfix::core::EvalPool pool(4);
+    pool.run(jobs);
+    for (cirfix::core::EvalOutcome o : outcomes)
+        EXPECT_EQ(o, cirfix::core::EvalOutcome::Ok);
 }

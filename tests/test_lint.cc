@@ -3,24 +3,32 @@
  * Tests for the semantic lint subsystem: one positive/negative pair
  * per registered check, the fingerprint/waiver machinery behind the
  * mutant pre-screen, golden-lint coverage of the whole benchmark
- * registry (the pre-screen must never reject the correct repair), and
- * the LintReject determinism contract at several thread counts.
+ * registry (the pre-screen must never reject the correct repair), the
+ * LintReject determinism contract at several thread counts, and a
+ * differential test of the engine's module-scoped pre-screen against
+ * whole-file validation and lint over random patches of every defect.
  */
 
 #include <algorithm>
+#include <iostream>
 #include <map>
+#include <memory>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "benchmarks/registry.h"
 #include "core/engine.h"
+#include "core/mutation.h"
 #include "core/scenario.h"
 #include "lint/lint.h"
 #include "verilog/parser.h"
+#include "verilog/validate.h"
 
 using namespace cirfix;
 using namespace cirfix::lint;
@@ -636,6 +644,144 @@ TEST(LintPrescreen, OffAndOnAgreeOnTheRepair)
     EXPECT_EQ(on.repairedSource, off.repairedSource);
     EXPECT_EQ(on.generations, off.generations);
     EXPECT_DOUBLE_EQ(on.finalFitness.fitness, off.finalFitness.fitness);
+}
+
+// ------------------------------------------------------------------
+// The module-scoped pre-screen against whole-file checks
+// ------------------------------------------------------------------
+
+/** Ids of every node under @p mod that are at least @p from. */
+std::unordered_set<int>
+nodeIds(const verilog::Module &mod, int from = 0)
+{
+    std::unordered_set<int> ids;
+    verilog::visitAll(const_cast<verilog::Module &>(mod),
+                      [&](verilog::Node &n) {
+                          if (n.id >= from)
+                              ids.insert(n.id);
+                      });
+    return ids;
+}
+
+/**
+ * The engine validates and lints only the modules a patch edits
+ * (RepairEngine::screen). Over seeded random patches of all 32
+ * defects — single mutations and template edits in any module, and
+ * 2–3-edit chains whose later edits target nodes the earlier ones
+ * created — its verdict must equal whole-file isValid() and
+ * newErrorCount(baseline, run(patched)) > 0, with the same first
+ * message, under the default options and under an override set.
+ */
+TEST(LintPrescreen, ScopedScreenMatchesWholeFileChecks)
+{
+    Options promoted;
+    promoted.overrides = {{"inferred-latch", Severity::Error},
+                          {"width-mismatch", Severity::Error},
+                          {"comb-loop", Severity::Off}};
+    promoted.waivers = {{"multi-driven-net", "", ""}};
+
+    constexpr int kPatchesPerDefect = 45;
+    core::MutationConfig mcfg;
+    mcfg.extendedTemplates = true;
+    core::MutationConfig anywhere = mcfg;
+    anywhere.useFixLoc = false;  // donors from every module, testbench
+                                 // included: some patches won't validate
+    std::mt19937_64 rng(20261019);
+    core::Mutator local(rng, mcfg);
+    core::Mutator wide(rng, anywhere);
+
+    for (const Options &opts : {Options{}, promoted}) {
+        long patches = 0, scoped = 0, chained = 0, invalid = 0;
+        long rejects = 0, mismatches = 0;
+        for (const core::DefectSpec &d : bench::allDefects()) {
+            const core::ProjectSpec &p = bench::getProject(d.project);
+            std::shared_ptr<const verilog::SourceFile> faulty =
+                verilog::parse(
+                    core::applyRewrites(p.goldenSource, d.rewrites) +
+                    "\n" + p.testbenchSource);
+            core::EngineConfig cfg;
+            cfg.lintOptions = opts;
+            core::RepairEngine engine(faulty, p.tbModule, p.dutModule, {},
+                                      {}, cfg);
+            const Fingerprint baseline = fingerprint(run(*faulty, opts));
+            const size_t nmods = faulty->modules.size();
+
+            for (int i = 0; i < kPatchesPerDefect; ++i) {
+                core::Patch patch;
+                const int edits = 1 + i % 3;
+                bool chain = false;
+                for (int k = 0; k < edits; ++k) {
+                    auto ast = core::applyPatch(*faulty, patch);
+                    // A later edit targets what the earlier ones
+                    // created when it can; otherwise any node of a
+                    // random module (testbench included).
+                    const verilog::Module *mod = nullptr;
+                    std::unordered_set<int> fl;
+                    for (auto &m : ast->modules) {
+                        fl = nodeIds(*m, faulty->nextId);
+                        if (!fl.empty()) {
+                            mod = m.get();
+                            break;
+                        }
+                    }
+                    if (!mod) {
+                        mod = ast->modules[rng() % nmods].get();
+                        fl = nodeIds(*mod);
+                    }
+                    const uint64_t op = rng() % 3;
+                    std::optional<core::Edit> e =
+                        op == 0   ? local.templateEdit(*ast, *mod, fl)
+                        : op == 1 ? local.mutate(*ast, *mod, fl)
+                                  : wide.mutate(*ast, *mod, fl);
+                    if (!e)
+                        continue;
+                    chain |= e->target >= faulty->nextId;
+                    patch.edits.push_back(std::move(*e));
+                }
+                if (patch.empty())
+                    continue;
+                ++patches;
+                chained += chain;
+                scoped += engine.touchedModules(patch).has_value();
+
+                auto patched = core::applyPatch(*faulty, patch);
+                std::string got_msg;
+                const core::EvalOutcome got =
+                    engine.screen(*patched, patch, &got_msg);
+                const bool valid = verilog::isValid(*patched);
+                std::string want_msg;
+                const bool reject =
+                    valid && newErrorCount(baseline, run(*patched, opts),
+                                           &want_msg) > 0;
+                invalid += !valid;
+                rejects += reject;
+                const core::EvalOutcome want =
+                    !valid   ? core::EvalOutcome::ParseFail
+                    : reject ? core::EvalOutcome::LintReject
+                             : core::EvalOutcome::Ok;
+                if (got != want || (reject && got_msg != want_msg)) {
+                    if (++mismatches <= 5)
+                        ADD_FAILURE()
+                            << d.id << " [" << patch.describe()
+                            << "]: scoped " << core::evalOutcomeName(got)
+                            << " '" << got_msg << "', whole file "
+                            << core::evalOutcomeName(want) << " '"
+                            << want_msg << "'";
+                }
+            }
+        }
+        EXPECT_EQ(mismatches, 0);
+        // The subject must be there: most patches take the scoped
+        // path, chains exist, and both rejection kinds occur.
+        EXPECT_GT(patches, 1000);
+        EXPECT_GT(scoped, patches * 3 / 4);
+        EXPECT_GT(chained, 50);
+        EXPECT_GT(invalid, 0);
+        EXPECT_GT(rejects, 0);
+        std::cout << "[          ] " << patches << " patches, " << scoped
+                  << " scoped, " << chained << " chained, " << invalid
+                  << " invalid, " << rejects << " lint rejects\n";
+    }
 }
 
 } // namespace
