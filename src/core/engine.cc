@@ -31,6 +31,34 @@ uniformIndex(std::mt19937_64 &rng, size_t n)
 
 bool SearchCounters::operator==(const SearchCounters &) const = default;
 
+namespace {
+
+/** @p patch scored by a cache entry (local or fleet). The trace is
+ *  shared with the entry, not copied. */
+Variant
+cachedVariant(const Patch &patch, const FitnessCache::Entry &hit)
+{
+    Variant v;
+    v.patch = patch;
+    v.evaluated = true;
+    v.valid = hit.valid;
+    v.fit = hit.fit;
+    v.trace = hit.trace;
+    v.outcome = hit.outcome;
+    v.error = hit.error;
+    return v;
+}
+
+/** The cache entry that records @p v's evaluation. */
+FitnessCache::Entry
+cacheEntry(const Variant &v)
+{
+    return FitnessCache::Entry{v.valid, v.fit, v.trace, v.outcome,
+                               v.error};
+}
+
+} // namespace
+
 SearchCounters &
 SearchCounters::operator+=(const SearchCounters &other)
 {
@@ -405,17 +433,8 @@ RepairEngine::evaluate(const Patch &patch)
         ++counters_.outcomes.quarantineHits;
         return quarantinedVariant(patch, q->second);
     }
-    if (const FitnessCache::Entry *hit = cache_.find(key)) {
-        Variant v;
-        v.patch = patch;
-        v.evaluated = true;
-        v.valid = hit->valid;
-        v.fit = hit->fit;
-        v.trace = hit->trace;
-        v.outcome = hit->outcome;
-        v.error = hit->error;
-        return v;
-    }
+    if (const FitnessCache::Entry *hit = cache_.find(key))
+        return cachedVariant(patch, *hit);
     Variant v = evaluateUncached(patch);
     if (v.valid)
         ++counters_.fitnessEvals;
@@ -427,8 +446,7 @@ RepairEngine::evaluate(const Patch &patch)
     else if (isQuarantineOutcome(v.outcome))
         quarantine_.emplace(key, QuarantineEntry{v.outcome, v.error});
     else
-        cache_.insert(key, FitnessCache::Entry{v.valid, v.fit, v.trace,
-                                               v.outcome, v.error});
+        cache_.insert(key, cacheEntry(v));
     return v;
 }
 
@@ -491,13 +509,7 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
         }
         if (const FitnessCache::Entry *hit = cache_.find(keys[i])) {
             source[i] = Source::Cached;
-            out[i].patch = patches[i];
-            out[i].evaluated = true;
-            out[i].valid = hit->valid;
-            out[i].fit = hit->fit;
-            out[i].trace = hit->trace;
-            out[i].outcome = hit->outcome;
-            out[i].error = hit->error;
+            out[i] = cachedVariant(patches[i], *hit);
             if (abort_armed)
                 tracker.submit(out[i].fit.fitness);
             continue;
@@ -533,13 +545,7 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
             }
             if (auto h = hits.find(keys[i]); h != hits.end()) {
                 source[i] = Source::FleetCached;
-                out[i].patch = patches[i];
-                out[i].evaluated = true;
-                out[i].valid = h->second.valid;
-                out[i].fit = h->second.fit;
-                out[i].trace = h->second.trace;
-                out[i].outcome = h->second.outcome;
-                out[i].error = h->second.error;
+                out[i] = cachedVariant(patches[i], h->second);
                 if (abort_armed)
                     tracker.submit(out[i].fit.fitness);
                 continue;
@@ -645,9 +651,7 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
                         keys[i],
                         QuarantineEntry{out[i].outcome, out[i].error});
             } else {
-                FitnessCache::Entry entry{out[i].valid, out[i].fit,
-                                          out[i].trace, out[i].outcome,
-                                          out[i].error};
+                FitnessCache::Entry entry = cacheEntry(out[i]);
                 if (config_.fleetPublish)
                     publish_scored.emplace_back(keys[i], entry);
                 cache_.insert(keys[i], std::move(entry));
@@ -662,10 +666,7 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
             simulated_out[i] = out[i].valid;
             counters_.outcomes.add(out[i].outcome);
             ++counters_.fleetCacheHits;
-            cache_.insert(keys[i],
-                          FitnessCache::Entry{out[i].valid, out[i].fit,
-                                              out[i].trace, out[i].outcome,
-                                              out[i].error});
+            cache_.insert(keys[i], cacheEntry(out[i]));
             break;
           case Source::FleetQuarantined:
             ++counters_.fleetQuarantineHits;
@@ -673,10 +674,16 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
                 keys[i],
                 QuarantineEntry{out[i].outcome, out[i].error});
             break;
-          case Source::Duplicate:
-            out[i] = out[dup_of[i]];
+          case Source::Duplicate: {
+            // The first occurrence's evaluation under this child's own
+            // patch; its patch is set aside so that it is not copied.
+            Variant &first = out[dup_of[i]];
+            Patch first_patch = std::move(first.patch);
+            out[i] = first;
+            first.patch = std::move(first_patch);
             out[i].patch = patches[i];
             break;
+          }
           case Source::Cached:
           case Source::Quarantined:
             break;

@@ -1,5 +1,6 @@
 #include "core/faultloc.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string_view>
 #include <unordered_map>
@@ -149,25 +150,44 @@ struct FlatDut
 std::unordered_set<std::string>
 outputMismatch(const Trace &sim_result, const Trace &expected)
 {
-    std::unordered_set<std::string> mismatch;
-    std::vector<int> sim_col(expected.vars().size(), -1);
-    for (size_t i = 0; i < expected.vars().size(); ++i)
-        sim_col[i] = sim_result.varIndex(expected.vars()[i]);
+    // Each column's leaf name is computed once. Columns with the same
+    // leaf share one flag, and a column is no longer compared once its
+    // leaf has mismatched. Leaves enter the set in the order the
+    // row-major scan finds them.
+    const std::vector<std::string> &vars = expected.vars();
+    std::vector<std::string> leaves;  //!< distinct leaf names
+    std::vector<size_t> leaf_of(vars.size());
+    std::vector<int> sim_col(vars.size(), -1);
+    for (size_t i = 0; i < vars.size(); ++i) {
+        sim_col[i] = sim_result.varIndex(vars[i]);
+        std::string leaf = leafName(vars[i]);
+        auto it = std::find(leaves.begin(), leaves.end(), leaf);
+        leaf_of[i] = static_cast<size_t>(it - leaves.begin());
+        if (it == leaves.end())
+            leaves.push_back(std::move(leaf));
+    }
+    std::vector<char> mismatched(leaves.size(), 0);
 
+    std::unordered_set<std::string> mismatch;
     for (const Trace::Row &orow : expected.rows()) {
         const Trace::Row *srow = sim_result.rowAt(orow.time);
         for (size_t v = 0; v < orow.values.size(); ++v) {
-            const std::string &name = expected.vars()[v];
-            if (mismatch.count(leafName(name)))
+            if (mismatched[leaf_of[v]])
                 continue;
             const LogicVec &ov = orow.values[v];
-            LogicVec sv = LogicVec::xs(ov.width());
+            const LogicVec *sv = nullptr;
             if (srow && sim_col[v] >= 0 &&
                 static_cast<size_t>(sim_col[v]) < srow->values.size())
-                sv = srow->values[static_cast<size_t>(sim_col[v])]
-                         .resized(ov.width());
-            if (!sv.identical(ov))
-                mismatch.insert(leafName(name));
+                sv = &srow->values[static_cast<size_t>(sim_col[v])];
+            const bool same =
+                !sv ? LogicVec::xs(ov.width()).identical(ov)
+                : sv->width() == ov.width()
+                    ? sv->identical(ov)
+                    : sv->resized(ov.width()).identical(ov);
+            if (!same) {
+                mismatched[leaf_of[v]] = 1;
+                mismatch.insert(leaves[leaf_of[v]]);
+            }
         }
     }
     return mismatch;

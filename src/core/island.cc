@@ -173,10 +173,12 @@ SharedFitnessStore::publish(
         &condemned)
 {
     std::lock_guard<std::mutex> lock(mu_);
+    // First writer wins (the scores are exact anyway); try_emplace
+    // builds no node for a key already present.
     for (const auto &[key, entry] : scored)
-        cache_.emplace(key, entry);  // first writer wins (exact anyway)
+        cache_.try_emplace(key, entry);
     for (const auto &[key, entry] : condemned)
-        quarantine_.emplace(key, entry);
+        quarantine_.try_emplace(key, entry);
 }
 
 void

@@ -20,21 +20,41 @@ editKindName(EditKind k)
     return "?";
 }
 
-Edit::Edit(const Edit &o)
-    : kind(o.kind), target(o.target),
-      code(o.code ? o.code->cloneStmt() : nullptr), tmpl(o.tmpl),
-      param(o.param)
+DonorCode::DonorCode(StmtPtr stmt) : stmt_(std::move(stmt))
+{
+    if (stmt_)
+        text_ = printStmt(*stmt_, 0);
+}
+
+DonorCode::DonorCode(const DonorCode &o)
+    : stmt_(o.stmt_ ? o.stmt_->cloneStmt() : nullptr), text_(o.text_)
 {}
 
-Edit &
-Edit::operator=(const Edit &o)
+DonorCode &
+DonorCode::operator=(const DonorCode &o)
 {
     if (this != &o) {
-        kind = o.kind;
-        target = o.target;
-        code = o.code ? o.code->cloneStmt() : nullptr;
-        tmpl = o.tmpl;
-        param = o.param;
+        stmt_ = o.stmt_ ? o.stmt_->cloneStmt() : nullptr;
+        text_ = o.text_;
+    }
+    return *this;
+}
+
+// Moves leave the source empty, text included: an empty DonorCode
+// always has empty text.
+DonorCode::DonorCode(DonorCode &&o) noexcept
+    : stmt_(std::move(o.stmt_)), text_(std::move(o.text_))
+{
+    o.text_.clear();
+}
+
+DonorCode &
+DonorCode::operator=(DonorCode &&o) noexcept
+{
+    if (this != &o) {
+        stmt_ = std::move(o.stmt_);
+        text_ = std::move(o.text_);
+        o.text_.clear();
     }
     return *this;
 }
@@ -65,19 +85,31 @@ Patch::describe() const
     return os.str();
 }
 
-std::string
-Edit::key() const
+void
+Edit::appendKey(std::string &out) const
 {
     // \x1f separates fields, \x1e terminates the edit; neither occurs
     // in printed Verilog, so the encoding is unambiguous.
-    std::ostringstream os;
-    os << static_cast<int>(kind) << '\x1f' << target << '\x1f';
-    if (kind == EditKind::Template)
-        os << static_cast<int>(tmpl) << '\x1f' << param;
-    else if (code)
-        os << printStmt(*code, 0);
-    os << '\x1e';
-    return os.str();
+    out += std::to_string(static_cast<int>(kind));
+    out += '\x1f';
+    out += std::to_string(target);
+    out += '\x1f';
+    if (kind == EditKind::Template) {
+        out += std::to_string(static_cast<int>(tmpl));
+        out += '\x1f';
+        out += param;
+    } else {
+        out += code.text();
+    }
+    out += '\x1e';
+}
+
+std::string
+Edit::key() const
+{
+    std::string k;
+    appendKey(k);
+    return k;
 }
 
 std::string
@@ -85,7 +117,7 @@ Patch::key() const
 {
     std::string k;
     for (const Edit &e : edits)
-        k += e.key();
+        e.appendKey(k);
     return k;
 }
 

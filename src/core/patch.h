@@ -18,6 +18,7 @@
  * GenProg-family repair tools.
  */
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,22 +37,52 @@ enum class EditKind {
 
 const char *editKindName(EditKind k);
 
+/**
+ * An edit's donor statement (an owned prototype) and its printed text.
+ *
+ * The text is printed once, when a statement is attached (constructed
+ * or assigned), and travels with every copy, which deep-copies the
+ * statement. The statement is reachable only through const accessors,
+ * and replacing it reprints, so the text always belongs to the
+ * statement currently held: Edit::key() can use it instead of
+ * re-printing the donor on every call.
+ */
+class DonorCode
+{
+  public:
+    DonorCode() = default;
+    DonorCode(std::nullptr_t) {}
+    /** Attach @p stmt (implicit, so `e.code = s->cloneStmt()` attaches
+     *  a donor). */
+    DonorCode(verilog::StmtPtr stmt);
+    DonorCode(const DonorCode &o);
+    DonorCode &operator=(const DonorCode &o);
+    DonorCode(DonorCode &&o) noexcept;
+    DonorCode &operator=(DonorCode &&o) noexcept;
+
+    const verilog::Stmt *get() const { return stmt_.get(); }
+    const verilog::Stmt &operator*() const { return *stmt_; }
+    const verilog::Stmt *operator->() const { return stmt_.get(); }
+    explicit operator bool() const { return stmt_ != nullptr; }
+
+    /** printStmt(*get(), 0); empty when no statement is attached. */
+    const std::string &text() const { return text_; }
+
+  private:
+    verilog::StmtPtr stmt_;
+    std::string text_;
+};
+
 struct Edit
 {
     EditKind kind = EditKind::Delete;
     int target = -1;
-    /** Donor statement for Replace/InsertAfter (owned prototype). */
-    verilog::StmtPtr code;
+    /** Donor statement for Replace/InsertAfter. */
+    DonorCode code;
     /** Template to apply for EditKind::Template. */
     TemplateKind tmpl = TemplateKind::NegateConditional;
     /** Template parameter (e.g., the sensitivity signal name). */
     std::string param;
-
-    Edit() = default;
-    Edit(const Edit &o);
-    Edit &operator=(const Edit &o);
-    Edit(Edit &&) = default;
-    Edit &operator=(Edit &&) = default;
 
     /** One-line description ("replace(12)", "template[negate-cond]@4"). */
     std::string describe() const;
@@ -63,6 +94,9 @@ struct Edit
      * Verilog. Two edits have equal keys iff they apply identically.
      */
     std::string key() const;
+
+    /** Append key() to @p out. */
+    void appendKey(std::string &out) const;
 };
 
 struct Patch

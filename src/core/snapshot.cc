@@ -11,7 +11,6 @@
 
 #include "core/templates.h"
 #include "verilog/parser.h"
-#include "verilog/printer.h"
 
 namespace cirfix::core {
 
@@ -131,7 +130,7 @@ class Writer
                << " " << templateName(e.tmpl);
             line(eh.str());
             blob("param", e.param);
-            blob("code", e.code ? verilog::printStmt(*e.code, 0) : "");
+            blob("code", e.code.text());
         }
         blob("trace", v.trace.toCsv());
     }

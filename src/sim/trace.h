@@ -9,8 +9,15 @@
  * clock edge), one column per recorded output wire/register. The same
  * structure serves as the simulation result S and, when recorded from
  * a known-good design, as the expected-behavior oracle O.
+ *
+ * Copies share: a Trace is a reference-counted handle to one block of
+ * column names and rows, so the fitness cache, the population, the
+ * island store and snapshots all hold the same recorded trace. addRow
+ * on a handle whose block is shared first gives that handle a private
+ * copy (copy-on-write), so no other holder ever sees the change.
  */
 
+#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,16 +37,20 @@ class Trace
     };
 
     Trace() = default;
-    explicit Trace(std::vector<std::string> vars)
-        : vars_(std::move(vars))
-    {}
+    explicit Trace(std::vector<std::string> vars);
+    Trace(const Trace &o) noexcept;
+    Trace(Trace &&o) noexcept : block_(o.block_) { o.block_ = nullptr; }
+    Trace &operator=(const Trace &o) noexcept;
+    Trace &operator=(Trace &&o) noexcept;
+    ~Trace();
 
-    const std::vector<std::string> &vars() const { return vars_; }
-    const std::vector<Row> &rows() const { return rows_; }
-    bool empty() const { return rows_.empty(); }
-    size_t size() const { return rows_.size(); }
+    const std::vector<std::string> &vars() const;
+    const std::vector<Row> &rows() const;
+    bool empty() const { return rows().empty(); }
+    size_t size() const { return rows().size(); }
 
-    /** Append a sample row (times must be non-decreasing). */
+    /** Append a sample row (times must be non-decreasing). Unshares
+     *  this handle's block first if another handle holds it. */
     void addRow(SimTime time, std::vector<LogicVec> values);
 
     /** Column index of @p var, or -1. */
@@ -64,8 +75,17 @@ class Trace
     static Trace fromCsv(const std::string &text);
 
   private:
-    std::vector<std::string> vars_;
-    std::vector<Row> rows_;
+    struct Block
+    {
+        std::atomic<long> refs{1};
+        std::vector<std::string> vars;
+        std::vector<Row> rows;
+    };
+
+    /** The block, made private to this handle (addRow's only path). */
+    Block &own();
+
+    Block *block_ = nullptr;  //!< null: no columns, no rows
 };
 
 } // namespace cirfix::sim

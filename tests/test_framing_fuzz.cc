@@ -203,9 +203,10 @@ TEST(FramingFuzz, TruncationAtEveryByteIsTyped)
     const std::string frame = encodeFrame(payload);
     for (size_t cut = 0; cut <= frame.size(); ++cut) {
         SocketPair sp;
-        if (cut > 0)
+        if (cut > 0) {
             ASSERT_EQ(::write(sp.fds[0], frame.data(), cut),
                       static_cast<ssize_t>(cut));
+        }
         sp.closeEnd(0);
         std::string got;
         if (cut == 0) {

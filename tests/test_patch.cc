@@ -5,10 +5,14 @@
 
 #include <map>
 #include <random>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
+#include "core/mutation.h"
 #include "core/patch.h"
+#include "core/snapshot.h"
 #include "verilog/parser.h"
 #include "verilog/printer.h"
 
@@ -322,6 +326,52 @@ randomPatch(std::mt19937_64 &rng)
     return p;
 }
 
+/**
+ * The key format, printed field by field through a stream with the
+ * donor re-printed on every call. Keys live in snapshots and island
+ * fingerprints, so Edit::key() must match this byte for byte.
+ */
+std::string
+printedKey(const Edit &e)
+{
+    std::ostringstream os;
+    os << static_cast<int>(e.kind) << '\x1f' << e.target << '\x1f';
+    if (e.kind == EditKind::Template)
+        os << static_cast<int>(e.tmpl) << '\x1f' << e.param;
+    else if (e.code)
+        os << printStmt(*e.code, 0);
+    os << '\x1e';
+    return os.str();
+}
+
+/** @p e rebuilt field by field, its donor attached afresh. */
+Edit
+rebuilt(const Edit &e)
+{
+    Edit r;
+    r.kind = e.kind;
+    r.target = e.target;
+    if (e.code)
+        r.code = e.code->cloneStmt();
+    r.tmpl = e.tmpl;
+    r.param = e.param;
+    return r;
+}
+
+/** Every edit's key equals the printed format and the key of the
+ *  edit rebuilt field by field; the patch key is their concatenation. */
+void
+expectFieldKeys(const Patch &p)
+{
+    std::string concat;
+    for (const Edit &e : p.edits) {
+        EXPECT_EQ(e.key(), printedKey(e)) << e.describe();
+        EXPECT_EQ(e.key(), rebuilt(e).key()) << e.describe();
+        concat += printedKey(e);
+    }
+    EXPECT_EQ(p.key(), concat);
+}
+
 TEST(PatchKey, EqualEditListsHashEqual)
 {
     std::mt19937_64 rng(42);
@@ -329,6 +379,107 @@ TEST(PatchKey, EqualEditListsHashEqual)
         Patch p = randomPatch(rng);
         Patch copy = p;  // deep-copies donor code
         EXPECT_EQ(p.key(), copy.key());
+        expectFieldKeys(p);
+        expectFieldKeys(copy);
+        Patch assigned;
+        assigned.edits.resize(1);
+        assigned = copy;
+        expectFieldKeys(assigned);
+        Patch moved = std::move(copy);
+        EXPECT_EQ(moved.key(), p.key());
+        expectFieldKeys(moved);
+    }
+}
+
+TEST(PatchKey, OperatorOutputsMatchRebuiltEdits)
+{
+    auto file = parse(kSrc);
+    const Module *mod = file->findModule("m");
+    std::unordered_set<int> fl;
+    visitAll(*file, [&](Node &n) { fl.insert(n.id); });
+    std::mt19937_64 rng(11);
+    Mutator mut(rng, MutationConfig{});
+    std::vector<Patch> made;
+    int donors = 0, templates = 0;
+    for (int i = 0; i < 200; ++i) {
+        std::optional<Edit> e = (i % 2) ? mut.templateEdit(*file, *mod, fl)
+                                        : mut.mutate(*file, *mod, fl);
+        if (!e)
+            continue;
+        donors += e->code ? 1 : 0;
+        templates += e->kind == EditKind::Template ? 1 : 0;
+        Patch p;
+        if (!made.empty() && i % 3 == 0)
+            p = made.back();  // multi-edit patches too
+        p.edits.push_back(std::move(*e));
+        made.push_back(std::move(p));
+    }
+    EXPECT_GT(donors, 20);
+    EXPECT_GT(templates, 20);
+    for (const Patch &p : made)
+        expectFieldKeys(p);
+
+    for (size_t i = 0; i + 1 < made.size(); ++i) {
+        auto [a, b] = crossover(made[i], made[i + 1], rng);
+        expectFieldKeys(a);
+        expectFieldKeys(b);
+    }
+
+    std::vector<Variant> variants(made.size());
+    for (size_t i = 0; i < made.size(); ++i) {
+        variants[i].patch = made[i];
+        variants[i].evaluated = true;
+    }
+    std::vector<Variant> back = decodeVariants(encodeVariants(variants));
+    ASSERT_EQ(back.size(), made.size());
+    for (size_t i = 0; i < back.size(); ++i) {
+        expectFieldKeys(back[i].patch);
+        EXPECT_EQ(back[i].patch.key(), made[i].key());
+    }
+}
+
+TEST(PatchKey, KeyFollowsFieldReassignment)
+{
+    std::mt19937_64 rng(5);
+    const char *donors[] = {"q <= 4'd1;", "shadow <= q;",
+                            "begin q <= 4'd0; shadow <= 4'd7; end"};
+    for (int trial = 0; trial < 50; ++trial) {
+        Patch p = randomPatch(rng);
+        for (int step = 0; step < 12; ++step) {
+            Edit &e = p.edits[rng() % p.edits.size()];
+            switch (rng() % 6) {
+              case 0:  // re-attach a donor, freeing the previous one
+                e.code = parseDonor(donors[rng() % 3]);
+                break;
+              case 1:
+                e.code = (rng() % 2) ? nullptr
+                                     : p.edits[rng() % p.edits.size()].code;
+                break;
+              case 2:
+                e.target = static_cast<int>(rng() % 50);
+                break;
+              case 3:
+                e.tmpl = static_cast<TemplateKind>(rng() % 9);
+                break;
+              case 4:
+                e.param = (rng() % 2) ? "clk" : "";
+                break;
+              default:
+                e.kind = static_cast<EditKind>(rng() % 4);
+                break;
+            }
+            expectFieldKeys(p);
+        }
+    }
+    // Replacing a donor repeatedly reuses freed storage; the key
+    // still names the donor attached now.
+    Edit e;
+    e.kind = EditKind::Replace;
+    for (int i = 0; i < 10; ++i) {
+        e.code = parseDonor(donors[i % 3]);
+        EXPECT_EQ(e.key(), printedKey(e));
+        EXPECT_NE(e.key().find(printStmt(*parseDonor(donors[i % 3]), 0)),
+                  std::string::npos);
     }
 }
 
