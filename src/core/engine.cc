@@ -33,6 +33,9 @@ bool SearchCounters::operator==(const SearchCounters &) const = default;
 
 namespace {
 
+/** LRU bound of the patch-keyed fitness cache. */
+constexpr size_t kFitnessCacheSize = 512;
+
 /** @p patch scored by a cache entry (local or fleet). The trace is
  *  shared with the entry, not copied. */
 Variant
@@ -76,7 +79,7 @@ RepairEngine::RepairEngine(std::shared_ptr<const SourceFile> faulty,
       dutModule_(std::move(dut_module)), probe_(std::move(probe)),
       oracle_(std::move(oracle)), config_(config),
       oracleProfile_(OracleProfile::build(oracle_, config.fitness)),
-      rng_(config.seed), cache_(config.fitnessCacheSize)
+      rng_(config.seed), cache_(kFitnessCacheSize)
 {
     // The pre-screen diffs every candidate against the *baseline*
     // design's lint fingerprint: only findings the mutation introduced
@@ -730,6 +733,13 @@ RepairEngine::resume(const EngineState &state)
             "snapshot does not match this design "
             "(fingerprint mismatch: snapshot was taken against a "
             "different faulty source)");
+    // The RNG stream, population and cache carry the seed they were
+    // drawn under; continuing them under another seed is neither run.
+    if (state.seed != config_.seed)
+        throw std::runtime_error(
+            "snapshot seed mismatch: snapshot was taken with seed " +
+            std::to_string(state.seed) + ", but this engine has seed " +
+            std::to_string(config_.seed));
     // The oracle the snapshot's fitness values were scored under must
     // be the oracle this engine will keep scoring under; otherwise the
     // restored population and cache are silently wrong. Hardening
@@ -918,7 +928,7 @@ RepairEngine::runInternal(const EngineState *restore)
         quarantine_.clear();
         for (const QuarantineRecord &q : restore->quarantine)
             quarantine_.emplace(q.key, q.entry);
-        cache_ = FitnessCache(config_.fitnessCacheSize);
+        cache_ = FitnessCache(kFitnessCacheSize);
         for (const CacheRecord &c : restore->cache)
             cache_.insert(c.key, c.entry);  // LRU-first, see snapshot.h
         cache_.setStats(restore->counters.cache);
@@ -1154,8 +1164,7 @@ RepairEngine::runInternal(const EngineState *restore)
         // Snapshot BEFORE the progress callback: if the process dies
         // anywhere after this point (including inside the callback),
         // the generation is already durable.
-        if (!config_.snapshotPath.empty() && config_.snapshotEvery > 0 &&
-            (gen + 1) % config_.snapshotEvery == 0)
+        if (!config_.snapshotPath.empty())
             saveSnapshot(config_.snapshotPath,
                          captureState(gen + 1, popn, elapsed(),
                                       best_seen,

@@ -106,8 +106,6 @@ struct EngineConfig
      * "Parallel evaluation").
      */
     int numThreads = 0;
-    /** LRU bound of the patch-keyed fitness cache (0 disables it). */
-    size_t fitnessCacheSize = 512;
     /**
      * Streaming-fitness early abort: stop simulating a candidate once
      * the upper bound on its final fitness falls strictly below the
@@ -159,13 +157,11 @@ struct EngineConfig
     lint::Options lintOptions;
     /** Unread; kept for bench/e2e/replay.cc (see sim::SimBackend). */
     sim::SimBackend backend = sim::SimBackend::Event;
-    /** Snapshot file path; non-empty enables checkpointing. */
+    /** Snapshot file path; non-empty checkpoints every generation. */
     std::string snapshotPath;
     /** Recorded as EngineState::provenance in every checkpoint (fleet
      *  worker name); informational only — never affects the search. */
     std::string snapshotProvenance;
-    /** Generations between snapshots (>= 1). */
-    int snapshotEvery = 1;
     /**
      * Also snapshot the search state the moment a plausible winner is
      * found (before minimization). Off by default: generation-boundary
@@ -385,7 +381,8 @@ class RepairEngine
      * exactly where the snapshot was taken.
      *
      * @throws std::runtime_error when the snapshot was taken against a
-     *         different design (fingerprint mismatch) or is corrupt.
+     *         different design (fingerprint mismatch), under a different
+     *         seed or island slot, or is corrupt.
      */
     RepairResult resume(const EngineState &state);
 

@@ -693,7 +693,6 @@ runIslands(std::shared_ptr<const verilog::SourceFile> faulty,
     auto runOne = [&](int island) {
         EngineConfig ec = deriveIslandEngineConfig(base, cfg, island);
         ec.snapshotPath = islandSnap(island);
-        ec.snapshotEvery = ec.snapshotPath.empty() ? 0 : 1;
         if (K > 1) {
             ec.onMigration = [&, island](int epoch,
                                          const std::vector<Variant>

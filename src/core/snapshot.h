@@ -4,11 +4,13 @@
  * @file
  * Crash-safe checkpoint/resume for repair runs.
  *
- * Every N generations the engine serializes its complete search state
- * to a versioned snapshot file; `cirfix_cli --resume <snapshot>`
- * continues the run bit-identically (same final patch, same fitness,
- * same counters), extending the determinism contract of DESIGN.md
- * "Parallel evaluation" across process death.
+ * Every generation the engine serializes its complete search state to
+ * a versioned snapshot file; RepairEngine::resume() continues the run
+ * bit-identically (same final patch, same fitness, same counters),
+ * extending the determinism contract of DESIGN.md "Parallel
+ * evaluation" across process death. service::runRepairJob() resumes
+ * an existing snapshot, for a daemon job and `cirfix repair
+ * --snapshot` alike.
  *
  * The state captured is exactly what the generation loop depends on:
  * the RNG stream position (mt19937_64 serialized via its stream
@@ -19,7 +21,8 @@
  * re-inserting LRU-first, so hit/miss/eviction behavior after resume
  * matches the uninterrupted run).
  *
- * Format: versioned line-oriented text ("CIRFIX-SNAPSHOT 2" magic),
+ * Format: versioned line-oriented text ("CIRFIX-SNAPSHOT 9" magic;
+ * v7 and v8 files still load),
  * length-prefixed blobs for strings that may contain newlines, and
  * hexfloat (%a) doubles so round-trips are bit-exact. The body is
  * sealed by a trailing "checksum" record (FNV-1a over every byte

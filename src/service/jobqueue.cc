@@ -290,10 +290,8 @@ JobQueue::resultFor(long id, JobState *state, Json *result,
     *state = job.state;
     if (progress)
         *progress = job.progress;
-    if (isTerminal(job.state)) {
-        *result = job.result;
-        *error = job.error;
-    }
+    *result = job.result;
+    *error = job.error;
     return true;
 }
 
@@ -408,6 +406,12 @@ JobQueue::requeueLocked(Job &job)
     if (job.cancelRequested.load(std::memory_order_relaxed)) {
         // The submitter already gave up on it; don't re-run.
         job.state = JobState::Canceled;
+    } else if (job.attempts >= kMaxJobAttempts) {
+        // Whatever kills its workers would kill the next one too.
+        job.state = JobState::Failed;
+        job.error = "gave up after " + std::to_string(job.attempts) +
+                    " attempts: each worker disconnected or let its "
+                    "lease expire";
     } else {
         job.state = JobState::Queued;
     }

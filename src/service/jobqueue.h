@@ -58,6 +58,12 @@
 
 namespace cirfix::service {
 
+/** Assignments a job gets. A requeue after the last one (its worker
+ *  disconnected or let the lease expire, every time) ends the job
+ *  Failed instead of queueing it again. Generous: a job under the
+ *  fleet chaos tests' every-13th-write drops needs up to 8. */
+inline constexpr int kMaxJobAttempts = 32;
+
 /** Admission-control policy knobs. */
 struct AdmissionLimits
 {
@@ -94,7 +100,8 @@ struct Job
     uint64_t leaseId = 0;
     std::chrono::steady_clock::time_point leaseDeadline{};
     std::string worker;  //!< current/last executor name (provenance)
-    int attempts = 0;    //!< assignment count (1 = never failed over)
+    int attempts = 0;    //!< assignment count (1 = never failed over);
+                         //!< capped at kMaxJobAttempts
 
     /** Last published generation, for status. For a K-island job the
      *  counters are the sum over islandProgress, the generation and
@@ -213,21 +220,23 @@ class JobQueue
     std::shared_ptr<Job> completeLeased(long id, uint64_t leaseId);
 
     /** Sweep: requeue every leased Running job whose deadline passed.
-     *  Jobs with a pending cancel go terminal Canceled instead.
-     *  @return every swept id — re-queued AND cancel-terminated ones
-     *  (the server persists the terminal results among them). */
+     *  Jobs with a pending cancel go terminal Canceled instead, and
+     *  jobs out of attempts (kMaxJobAttempts) go Failed.
+     *  @return every swept id — re-queued AND terminated ones (the
+     *  server persists the terminal results among them). */
     std::vector<long> requeueExpired();
 
     /** A worker's connection died: immediately requeue every job it
-     *  holds a live lease on (faster than waiting for expiry). */
+     *  holds a live lease on (faster than waiting for expiry). Ends
+     *  jobs as requeueExpired() does and returns the same kind of ids. */
     std::vector<long> requeueOwnedBy(const std::string &worker);
 
     LeaseStats leaseStats();
 
-    /** Snapshot a job's terminal payload. @return false when the job
-     *  is unknown; otherwise fills state, @p progress (optional) with
-     *  its last published generation and, when terminal, result and
-     *  error. */
+    /** Snapshot a job's payload. @return false when the job is
+     *  unknown; otherwise fills state, result (set by setResult(),
+     *  Null before), error, and @p progress (optional) with its last
+     *  published generation. */
     bool resultFor(long id, JobState *state, Json *result,
                    std::string *error,
                    core::GenerationStats *progress = nullptr);
@@ -240,7 +249,8 @@ class JobQueue
     const AdmissionLimits &limits() const { return limits_; }
 
   private:
-    /** Requeue (or cancel-terminate) a leased job; lock held. */
+    /** Requeue (or cancel- or attempt-cap-terminate) a leased job;
+     *  lock held. */
     void requeueLocked(Job &job);
     void pushStateEventLocked(Job &job);
 

@@ -69,15 +69,6 @@ jobSpecFromJson(const Json &j)
     spec.oracleCsv = j.str("oracle_csv");
     spec.goldenSource = j.str("golden");
     spec.priority = static_cast<int>(j.num("priority", 0));
-    if (spec.designSource.empty())
-        throw std::runtime_error("job spec missing 'design'");
-    if (spec.tbModule.empty())
-        throw std::runtime_error("job spec missing 'tb'");
-    if (spec.dutModule.empty())
-        throw std::runtime_error("job spec missing 'dut'");
-    if (spec.oracleCsv.empty() == spec.goldenSource.empty())
-        throw std::runtime_error(
-            "job spec needs exactly one of 'oracle_csv' / 'golden'");
     if (const Json *p = j.find("params")) {
         JobParams d;  // defaults
         spec.params.popSize = static_cast<int>(p->num("pop", d.popSize));
@@ -102,6 +93,22 @@ jobSpecFromJson(const Json &j)
         spec.params.migrantsPerIsland =
             static_cast<int>(p->num("migrants", d.migrantsPerIsland));
     }
+    checkJobSpec(spec);
+    return spec;
+}
+
+void
+checkJobSpec(const JobSpec &spec)
+{
+    if (spec.designSource.empty())
+        throw std::runtime_error("job spec missing 'design'");
+    if (spec.tbModule.empty())
+        throw std::runtime_error("job spec missing 'tb'");
+    if (spec.dutModule.empty())
+        throw std::runtime_error("job spec missing 'dut'");
+    if (spec.oracleCsv.empty() == spec.goldenSource.empty())
+        throw std::runtime_error(
+            "job spec needs exactly one of 'oracle_csv' / 'golden'");
     if (spec.params.popSize < 1 || spec.params.maxGenerations < 0 ||
         spec.params.maxSeconds <= 0)
         throw std::runtime_error("job spec has nonsensical GP bounds");
@@ -111,7 +118,6 @@ jobSpecFromJson(const Json &j)
           spec.params.migrantsPerIsland < 0)))
         throw std::runtime_error(
             "job spec has nonsensical island parameters");
-    return spec;
 }
 
 Json

@@ -157,6 +157,9 @@ struct JobSpec
 Json toJson(const JobSpec &spec);
 /** @throws std::runtime_error on missing/invalid members. */
 JobSpec jobSpecFromJson(const Json &j);
+/** The checks jobSpecFromJson() applies: inputs present, exactly one
+ *  oracle, sane GP and island bounds. @throws std::runtime_error. */
+void checkJobSpec(const JobSpec &spec);
 
 // ---- frame builders ----
 Json makeHello();

@@ -82,13 +82,14 @@ Server::persistJob(const Job &job)
 }
 
 void
-Server::persistResult(const Job &job)
+Server::persistResult(const Job &job, JobState state,
+                      const std::string &error)
 {
-    JobState state = JobState::Failed;
+    JobState current = JobState::Failed;
     Json result;
-    std::string error;
+    std::string ignored;
     core::GenerationStats progress;
-    if (!queue_.resultFor(job.id, &state, &result, &error, &progress))
+    if (!queue_.resultFor(job.id, &current, &result, &ignored, &progress))
         return;
     Json j = Json::object();
     j["id"] = job.id;
@@ -102,6 +103,24 @@ Server::persistResult(const Job &job)
     if (const Json *islands = summary.find("islands"))
         j["islands"] = *islands;
     core::writeFileAtomic(resultFile(job.id), j.dump());
+}
+
+void
+Server::persistTerminal(const std::vector<long> &ids)
+{
+    for (long id : ids) {
+        std::shared_ptr<Job> job = queue_.find(id);
+        JobState state = JobState::Queued;
+        Json result;
+        std::string error;
+        if (!job || !queue_.resultFor(id, &state, &result, &error) ||
+            !isTerminal(state))
+            continue;
+        try {
+            persistResult(*job, state, error);
+        } catch (const std::exception &) {
+        }
+    }
 }
 
 void
@@ -274,29 +293,6 @@ Server::updateFleetStatus()
 }
 
 void
-Server::sweepLeases()
-{
-    for (long id : queue_.requeueExpired()) {
-        // A requeue normally needs no persistence (the job file and
-        // snapshot are already durable), but a cancel-while-leased
-        // goes terminal here and must seal its result file.
-        std::shared_ptr<Job> job = queue_.find(id);
-        if (!job)
-            continue;
-        JobState state = JobState::Queued;
-        Json result;
-        std::string error;
-        queue_.resultFor(id, &state, &result, &error);
-        if (isTerminal(state)) {
-            try {
-                persistResult(*job);
-            } catch (const std::exception &) {
-            }
-        }
-    }
-}
-
-void
 Server::acceptLoop()
 {
     while (true) {
@@ -309,7 +305,10 @@ Server::acceptLoop()
             break;
         }
         if (rc == 0) {
-            sweepLeases();
+            // A requeue needs no persistence (the job file and
+            // snapshot are already durable); a job the sweep ends
+            // (canceled while leased, or out of attempts) does.
+            persistTerminal(queue_.requeueExpired());
             continue;
         }
         if (fds[1].revents) {
@@ -420,7 +419,7 @@ Server::handleConnection(const std::shared_ptr<Conn> &conn, bool local)
             updateFleetStatus();
             // The link is the liveness signal: a vanished worker's
             // leases requeue immediately, not at lease expiry.
-            queue_.requeueOwnedBy(key);
+            persistTerminal(queue_.requeueOwnedBy(key));
             return;
         }
 
@@ -565,14 +564,16 @@ Server::dispatchWorker(const Json &msg, const std::string &snapshot,
             state = jobStateFromName(msg.str("state", "failed"));
         } catch (const std::exception &) {
         }
+        // Durable first, published last: a client that sees the
+        // terminal state finds the result file and no checkpoint.
         if (const Json *result = msg.find("result"))
             queue_.setResult(*job, *result);
-        queue_.setState(*job, state, msg.str("error"));
         try {
-            persistResult(*job);
+            persistResult(*job, state, msg.str("error"));
         } catch (const std::exception &) {
         }
         removeCheckpoint(snapshotFile(id));
+        queue_.setState(*job, state, msg.str("error"));
         Json resp = Json::object();
         resp["type"] = "ok";
         resp["id"] = id;
@@ -665,18 +666,7 @@ Server::dispatch(const Json &msg, Conn &conn, bool &keep_open)
             return makeError(existed ? errc::kBadRequest
                                      : errc::kUnknownJob,
                              why);
-        if (std::shared_ptr<Job> job = queue_.find(id)) {
-            JobState state = JobState::Queued;
-            Json result;
-            std::string error;
-            queue_.resultFor(id, &state, &result, &error);
-            if (isTerminal(state)) {
-                try {
-                    persistResult(*job);
-                } catch (const std::exception &) {
-                }
-            }
-        }
+        persistTerminal({id});
         Json resp = Json::object();
         resp["type"] = "ok";
         resp["id"] = id;

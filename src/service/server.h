@@ -126,15 +126,20 @@ class Server
                         std::string *replySnapshot);
     /** Recompute the admission posture from live worker counts. */
     void updateFleetStatus();
-    /** Persist terminal states minted by the lease sweep. */
-    void sweepLeases();
 
     // ---- persistence ----
     std::string jobFile(long id) const;
     std::string snapshotFile(long id) const;
     std::string resultFile(long id) const;
     void persistJob(const Job &job);
-    void persistResult(const Job &job);
+    /** Seal @p job's result file as @p state with @p error; the
+     *  payload and progress are the queue's. Called before the state
+     *  is published, so a terminal job always has its file. */
+    void persistResult(const Job &job, JobState state,
+                       const std::string &error);
+    /** persistResult() for each of @p ids that is terminal (a cancel,
+     *  or a requeue that ended the job). Never throws. */
+    void persistTerminal(const std::vector<long> &ids);
     void recoverStateDir();
 
     ServerConfig cfg_;

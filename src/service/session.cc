@@ -40,9 +40,8 @@ islandConfigFromSpec(const JobSpec &spec)
     return ic;
 }
 
-/** The submitted golden file holds replacement DUT module(s); reuse
- *  the testbench from the design source by keeping only the modules
- *  the golden file does not redefine (the CLI's --golden behavior). */
+} // namespace
+
 std::string
 testbenchOnlySource(const verilog::SourceFile &design,
                     const verilog::SourceFile &golden)
@@ -53,8 +52,6 @@ testbenchOnlySource(const verilog::SourceFile &design,
             out += verilog::print(*m) + "\n";
     return out;
 }
-
-} // namespace
 
 JobInputs
 buildJobInputs(const JobSpec &spec)
@@ -276,7 +273,7 @@ runRepairJob(const JobSpec &spec, const std::string &snapshotPath,
         JobInputs in = buildJobInputs(spec);
         core::EngineConfig cfg = engineConfigFromSpec(spec);
         if (spec.params.islands > 1) {
-            // In-process K-island run (classic daemon / CLI path): the
+            // In-process K-island run (daemon worker or CLI): the
             // islands, the barrier and the shared fitness store all
             // live in this process. Checkpoints land in a per-job
             // directory next to where the plain snapshot would go.
@@ -298,7 +295,6 @@ runRepairJob(const JobSpec &spec, const std::string &snapshotPath,
         }
         cfg.snapshotPath = snapshotPath;
         cfg.snapshotProvenance = provenance;
-        cfg.snapshotEvery = 1;
         cfg.onGeneration = onGeneration;
         cfg.shouldStop = shouldStop;
         core::RepairEngine engine(in.faulty, spec.tbModule,
@@ -307,8 +303,9 @@ runRepairJob(const JobSpec &spec, const std::string &snapshotPath,
         core::RepairResult res;
         if (!snapshotPath.empty() &&
             std::filesystem::exists(snapshotPath)) {
-            // Daemon restart: continue the interrupted run exactly
-            // where its last durable generation left it.
+            // Daemon restart or a rerun CLI command: continue the
+            // interrupted run exactly where its last durable generation
+            // left it.
             core::EngineState state = core::loadSnapshot(snapshotPath);
             res = engine.resume(state);
         } else {

@@ -15,11 +15,12 @@
  *  - buildJobInputs() parses the design, derives the probe config and
  *    materializes the expected-behavior oracle (from the submitted CSV
  *    or by re-simulating the golden source under the design's own
- *    testbench, mirroring the CLI's --golden path).
+ *    testbench).
  *  - runRepairJob() wires checkpointing to the job's snapshot path:
- *    if the snapshot exists the engine resume()s (daemon restart),
- *    otherwise it run()s fresh; each generation is durable before its
- *    progress event is published.
+ *    if the snapshot exists the engine resume()s (daemon restart, or a
+ *    rerun `cirfix repair --snapshot`), otherwise it run()s fresh; each
+ *    generation is durable before its progress event is published.
+ *    A daemon worker and every `cirfix repair` trial run through it.
  */
 
 #include <functional>
@@ -46,6 +47,12 @@ core::EngineConfig engineConfigFromSpec(const JobSpec &spec);
 /** Parse + oracle materialization. @throws std::runtime_error on a
  *  design that does not parse, a missing module, or a bad oracle. */
 JobInputs buildJobInputs(const JobSpec &spec);
+
+/** The modules of @p design that @p golden does not redefine: the
+ *  testbench a golden file holding only replacement DUT module(s) is
+ *  simulated under. */
+std::string testbenchOnlySource(const verilog::SourceFile &design,
+                                const verilog::SourceFile &golden);
 
 /** Map a finished engine run to the wire result payload. */
 Json resultToJson(const core::RepairResult &res);

@@ -93,7 +93,9 @@ VcdRecorder::attach(Design &design, Signal *sig, const std::string &path)
     sig->addWatcher([this, code](const LogicVec &, const LogicVec &nv) {
         SimTime now = design_.scheduler().now();
         if (!timeEmitted_ || now != lastTime_) {
-            body_ += "#" + std::to_string(now) + "\n";
+            body_ += '#';
+            body_ += std::to_string(now);
+            body_ += '\n';
             lastTime_ = now;
             timeEmitted_ = true;
         }

@@ -93,13 +93,25 @@ class PrintVisitor
           }
           case NodeKind::Binary: {
             auto *b = e.as<Binary>();
-            return "(" + expr(*b->lhs) + " " + binaryOpText(b->op) + " " +
-                   expr(*b->rhs) + ")";
+            std::string s = "(";
+            s += expr(*b->lhs);
+            s += ' ';
+            s += binaryOpText(b->op);
+            s += ' ';
+            s += expr(*b->rhs);
+            s += ')';
+            return s;
           }
           case NodeKind::Ternary: {
             auto *t = e.as<Ternary>();
-            return "(" + expr(*t->cond) + " ? " + expr(*t->thenExpr) +
-                   " : " + expr(*t->elseExpr) + ")";
+            std::string s = "(";
+            s += expr(*t->cond);
+            s += " ? ";
+            s += expr(*t->thenExpr);
+            s += " : ";
+            s += expr(*t->elseExpr);
+            s += ')';
+            return s;
           }
           case NodeKind::Index: {
             auto *ix = e.as<Index>();
@@ -122,7 +134,12 @@ class PrintVisitor
           }
           case NodeKind::Repl: {
             auto *r = e.as<Repl>();
-            return "{" + expr(*r->count) + "{" + expr(*r->value) + "}}";
+            std::string s = "{";
+            s += expr(*r->count);
+            s += '{';
+            s += expr(*r->value);
+            s += "}}";
+            return s;
           }
           case NodeKind::FuncCall: {
             auto *f = e.as<FuncCall>();

@@ -13,9 +13,11 @@
  * Scripts and the CI harness depend on these staying stable.
  */
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include <sys/socket.h>
@@ -24,6 +26,8 @@
 #include <unistd.h>
 
 #include <gtest/gtest.h>
+
+#include "service/session.h"
 
 namespace {
 
@@ -51,6 +55,37 @@ runCli(const std::string &args)
     if (status == -1 || !WIFEXITED(status))
         return -1;
     return WEXITSTATUS(status);
+}
+
+/** Run the CLI with @p args; returns its stdout (stderr discarded)
+ *  and stores the exit code in @p code. */
+std::string
+cliOutput(const std::string &args, int *code)
+{
+    std::string cmd =
+        std::string(CIRFIX_CLI_BIN) + " " + args + " 2>/dev/null";
+    FILE *pipe = ::popen(cmd.c_str(), "r");
+    std::string out;
+    if (!pipe) {
+        *code = -1;
+        return out;
+    }
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0)
+        out.append(buf, n);
+    int status = ::pclose(pipe);
+    *code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    return out;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream is(path);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
 }
 
 const char *kGolden = R"(
@@ -262,6 +297,104 @@ TEST(CliExitCodes, BudgetExhaustedExitsTwo)
                      "--dut dut --golden " + golden +
                      " --pop 2 --gens 1 --seed 1 --trials 1"),
               2);
+}
+
+/** Both toggle faults: seed 7 at pop 12 repairs it in generation 6,
+ *  so three generations leave a checkpoint with work still to do. */
+std::string
+doubleFaultDesign()
+{
+    std::string s = faultyDesign();
+    s.replace(s.find("q <= !q"), 7, "q <= q");
+    return s;
+}
+
+TEST(CliExitCodes, SnapshotResumesAnInterruptedRepairBitIdentically)
+{
+    std::string design = tmpFile("cli_snap.v", doubleFaultDesign());
+    std::string golden = tmpFile("cli_snap_g.v", kGolden);
+    std::string snap = ::testing::TempDir() + "cli_resume.snap";
+    std::string a = ::testing::TempDir() + "cli_resumed.v";
+    std::string b = ::testing::TempDir() + "cli_uninterrupted.v";
+    std::remove(snap.c_str());
+    std::string common = "repair --design " + design +
+                         " --tb tb --dut dut --golden " + golden +
+                         " --pop 12 --seed 7 --trials 1 --threads 1";
+    EXPECT_EQ(runCli(common + " --gens 3 --snapshot " + snap), 2);
+    EXPECT_EQ(runCli(common + " --gens 20 --snapshot " + snap +
+                     " --out " + a),
+              0);
+    EXPECT_EQ(runCli(common + " --gens 20 --out " + b), 0);
+    std::string resumed = slurp(a);
+    EXPECT_FALSE(resumed.empty());
+    EXPECT_EQ(resumed, slurp(b));
+    std::remove(snap.c_str());
+}
+
+TEST(CliExitCodes, SnapshotFromAnotherSeedExitsFour)
+{
+    std::string design = tmpFile("cli_seed.v", doubleFaultDesign());
+    std::string golden = tmpFile("cli_seed_g.v", kGolden);
+    std::string snap = ::testing::TempDir() + "cli_seed.snap";
+    std::remove(snap.c_str());
+    std::string common = "repair --design " + design +
+                         " --tb tb --dut dut --golden " + golden +
+                         " --pop 2 --gens 1 --trials 1 --snapshot " + snap;
+    EXPECT_EQ(runCli(common), 2);  // default seed 1000
+    EXPECT_EQ(runCli(common + " --seed 7"), 4);
+    std::remove(snap.c_str());
+}
+
+TEST(CliExitCodes, RemovedRepairFlagsExitThree)
+{
+    std::string design = tmpFile("cli_gone.v", faultyDesign());
+    std::string golden = tmpFile("cli_gone_g.v", kGolden);
+    for (const char *flag : {"resume", "snapshot-every", "early-abort",
+                             "lint", "offspring"}) {
+        SCOPED_TRACE(flag);
+        EXPECT_EQ(runCli("repair --design " + design +
+                         " --tb tb --dut dut --golden " + golden +
+                         " --pop 2 --gens 1 --trials 1 --" + flag + " 1"),
+                  3);
+    }
+}
+
+TEST(CliExitCodes, IslandRepairPrintsTheJobFingerprint)
+{
+    std::string source = doubleFaultDesign();
+    std::string design = tmpFile("cli_islands.v", source);
+    std::string golden = tmpFile("cli_islands_g.v", kGolden);
+    int code = -1;
+    std::string out = cliOutput(
+        "repair --design " + design + " --tb tb --dut dut --golden " +
+            golden +
+            " --pop 12 --gens 6 --seed 7 --trials 1 --threads 1 "
+            "--islands 2",
+        &code);
+    EXPECT_EQ(code, 0) << out;
+
+    // The same request as a service job, with the command's defaults.
+    cirfix::service::JobSpec spec;
+    spec.designSource = source;
+    spec.tbModule = "tb";
+    spec.dutModule = "dut";
+    spec.goldenSource = kGolden;
+    spec.params.popSize = 12;
+    spec.params.maxGenerations = 6;
+    spec.params.maxSeconds = 60.0;
+    spec.params.seed = 7;
+    spec.params.numThreads = 1;
+    spec.params.islands = 2;
+    cirfix::service::SessionOutcome job =
+        cirfix::service::runRepairJob(spec, "", nullptr, nullptr);
+    ASSERT_EQ(job.state, cirfix::service::JobState::Done) << job.error;
+    const cirfix::service::Json *islands = job.result.find("islands");
+    ASSERT_NE(islands, nullptr);
+    std::string fingerprint = islands->str("fingerprint");
+    ASSERT_FALSE(fingerprint.empty());
+    EXPECT_NE(out.find("  fingerprint: " + fingerprint + "\n"),
+              std::string::npos)
+        << out;
 }
 
 } // namespace

@@ -877,6 +877,69 @@ TEST(FleetServer, StaleWorkerCommitGetsLeaseLost)
     server.stop();
 }
 
+TEST(FleetServer, JobWhoseWorkersKeepDyingEndsFailedAtTheAttemptCap)
+{
+    ServerConfig cfg = coordinatorConfig("fleet-attempts");
+    Server server(cfg);
+    server.start();
+    Address addr = Address::parse(server.boundAddress());
+
+    // Each attempt: a raw worker claims the job and hangs up at once.
+    auto claimAndDrop = [&](long *id) {
+        std::unique_ptr<Conn> conn = dial(addr, 5.0);
+        conn->writeFrame(makeWorkerHello("doomed").dump());
+        std::string payload;
+        ASSERT_TRUE(conn->readFrame(&payload));
+        ASSERT_EQ(Json::parse(payload).str("type"), "hello");
+        ASSERT_TRUE(eventually([&] { return server.workerCount() == 1; }));
+        if (*id < 0) {
+            Client submitter(server.boundAddress());
+            *id = submitter.submit(unrepairableSpec(2));
+        }
+        Json req = Json::object();
+        req["type"] = "claim";
+        req["wait_ms"] = 5000;
+        conn->writeFrame(req.dump());
+        ASSERT_TRUE(conn->readFrame(&payload));
+        Json reply = Json::parse(payload);
+        ASSERT_EQ(reply.str("type"), "job") << reply.dump();
+        EXPECT_EQ(reply.num("id", -1), *id);
+        conn.reset();
+        ASSERT_TRUE(eventually([&] { return server.workerCount() == 0; }));
+    };
+
+    long id = -1;
+    for (int attempt = 1; attempt <= kMaxJobAttempts; ++attempt) {
+        SCOPED_TRACE("attempt " + std::to_string(attempt));
+        claimAndDrop(&id);
+        if (HasFatalFailure())
+            break;
+    }
+
+    // Past the cap the job is not requeued again: it ends failed, the
+    // error names the attempt count, and the daemon keeps answering.
+    Client client(server.boundAddress());
+    ASSERT_TRUE(eventually(
+        [&] { return client.status(id).str("state") == "failed"; }));
+    Json summary = client.status(id);
+    EXPECT_EQ(summary.num("attempts"), kMaxJobAttempts);
+    std::string error = summary.str("error");
+    EXPECT_NE(error.find(std::to_string(kMaxJobAttempts) + " attempts"),
+              std::string::npos)
+        << error;
+    Json reply = client.result(id);
+    EXPECT_EQ(reply.str("state"), "failed");
+    EXPECT_EQ(client.list().size(), 1u);
+
+    // The disconnect path persisted the terminal result too.
+    std::string resultFile = cfg.stateDir + "/job-" + std::to_string(id) +
+                             ".result.json";
+    ASSERT_TRUE(std::filesystem::exists(resultFile));
+    EXPECT_EQ(Json::parse(core::readFile(resultFile)).str("state"),
+              "failed");
+    server.stop();
+}
+
 TEST(FleetServer, CoordinatorRestartRecoversFleetJobs)
 {
     std::string socket = sockPath("fleet-restart");

@@ -486,6 +486,33 @@ TEST(Snapshot, ResumeRejectsDifferentDesign)
     std::remove(snap.c_str());
 }
 
+TEST(Snapshot, ResumeRejectsDifferentSeed)
+{
+    MiniScenario sc;
+    std::string snap = tmpPath("seedmismatch.snap");
+    EngineConfig cfg = baseConfig();
+    cfg.maxGenerations = 1;
+    cfg.snapshotPath = snap;
+    auto engine = sc.engine(cfg);
+    engine.run();
+    EngineState state = loadSnapshot(snap);
+
+    // The RNG stream and population belong to seed 7: continuing them
+    // as seed 8 would be neither run, so resume refuses, naming both.
+    EngineConfig other = baseConfig();
+    other.seed = 8;
+    auto wrong = sc.engine(other);
+    try {
+        wrong.resume(state);
+        FAIL() << "expected a seed-mismatch rejection";
+    } catch (const std::runtime_error &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("seed 7"), std::string::npos) << what;
+        EXPECT_NE(what.find("seed 8"), std::string::npos) << what;
+    }
+    std::remove(snap.c_str());
+}
+
 // ------------------------------------------------------------------
 // The acceptance criterion, literally: SIGKILL the repair process
 // mid-run, resume from the latest snapshot, and the final repair

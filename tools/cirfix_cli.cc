@@ -10,6 +10,12 @@
  *                   (--golden golden.v | --oracle trace.csv)
  *                   [--pop N] [--gens N] [--budget SECONDS] [--seed N]
  *                   [--phi F] [--out repaired.v] [--trials N]
+ *                   [--log run.log] [--snapshot f.snap]
+ *                   [--islands K] [--migration-interval N] [--migrants M]
+ *                   (each trial runs as the job `submit` would send,
+ *                   through service::runRepairJob; --snapshot
+ *                   checkpoints every generation and resumes an
+ *                   existing checkpoint, in f.snap.d/ for K islands)
  *
  *   cirfix simulate --design design.v --tb <tb_module>
  *                   [--vcd out.vcd] [--trace out.csv]
@@ -35,7 +41,8 @@
  * fails the held-out bench, a discriminating witness bench is
  * generated, installed into the oracle, and the run resumes from its
  * discovery-point snapshot (pass --snapshot to enable resume; without
- * it each hardening round restarts).
+ * it each hardening round restarts). Hardening runs its own engine
+ * loop (core::hardenedRepair), not a service job.
  *
  * Service subcommands (see src/service/):
  *
@@ -87,7 +94,6 @@
 #include "benchmarks/registry.h"
 #include "core/engine.h"
 #include "core/faultloc.h"
-#include "core/island.h"
 #include "core/scenario.h"
 #include "core/snapshot.h"
 #include "core/witness.h"
@@ -242,43 +248,116 @@ std::string
 gatherSources(const Args &args)
 {
     std::string src = readFile(args.need("design"));
-    for (auto &e : args.extras)
-        src += "\n" + readFile(e);
+    for (auto &e : args.extras) {
+        src += '\n';
+        src += readFile(e);
+    }
     return src;
 }
 
-/** Expected behavior: golden design re-simulation or a CSV trace. */
-sim::Trace
-loadOracle(const Args &args, const sim::ProbeConfig &probe,
-           const std::string &tb, const std::string &extra_tb_src)
+// ---------------------------------------------------------------
+// Repair requests and results, shared by repair, localize, submit,
+// result and watch
+// ---------------------------------------------------------------
+
+/** The repair request `repair` runs and `submit` ships to a daemon:
+ *  the inputs plus the search flags, each defaulting to @p defaults. */
+service::JobSpec
+specFromArgs(const Args &args, const service::JobParams &defaults)
 {
+    service::JobSpec spec;
+    spec.designSource = gatherSources(args);
+    spec.tbModule = args.need("tb");
+    spec.dutModule = args.need("dut");
     if (args.flags.count("oracle"))
-        return sim::Trace::fromCsv(readFile(args.get("oracle")));
-    if (!args.flags.count("golden"))
+        spec.oracleCsv = readFile(args.get("oracle"));
+    else if (args.flags.count("golden"))
+        spec.goldenSource = readFile(args.get("golden"));
+    else
         throw UsageError("need --golden <file> or --oracle <csv>");
-    std::string golden_src = readFile(args.get("golden"));
-    golden_src += "\n" + extra_tb_src;
-    std::shared_ptr<const verilog::SourceFile> golden =
-        verilog::parse(golden_src);
-    auto design = sim::elaborate(golden, tb);
-    sim::TraceRecorder rec(*design, probe);
-    design->run();
-    return rec.takeTrace();
+    service::JobParams &p = spec.params;
+    p = defaults;
+    p.popSize = static_cast<int>(args.getLong("pop", p.popSize));
+    p.maxGenerations =
+        static_cast<int>(args.getLong("gens", p.maxGenerations));
+    p.maxSeconds = args.getDouble("budget", p.maxSeconds);
+    p.seed = static_cast<uint64_t>(
+        args.getLong("seed", static_cast<long>(p.seed)));
+    p.numThreads = static_cast<int>(args.getLong("threads", p.numThreads));
+    p.phi = args.getDouble("phi", p.phi);
+    p.evalDeadlineSeconds =
+        args.getDouble("deadline", p.evalDeadlineSeconds);
+    p.evalMemoryBudget = static_cast<uint64_t>(args.getLong(
+        "mem-budget", static_cast<long>(p.evalMemoryBudget)));
+    p.islands = static_cast<int>(args.getLong("islands", p.islands));
+    p.migrationInterval = static_cast<int>(
+        args.getLong("migration-interval", p.migrationInterval));
+    p.migrantsPerIsland = static_cast<int>(
+        args.getLong("migrants", p.migrantsPerIsland));
+    spec.priority = static_cast<int>(args.getLong("priority", 0));
+    try {
+        service::checkJobSpec(spec);
+    } catch (const std::runtime_error &e) {
+        throw UsageError(e.what());
+    }
+    return spec;
 }
 
-/** The --golden file holds the DUT only; reuse the tb from --design
- *  by stripping DUT modules that the golden file redefines. */
+/** One generation event as `watch` and `repair --log` print it. */
 std::string
-testbenchOnlySource(const std::string &combined_src,
-                    const std::string &golden_src)
+generationLine(const std::string &who, const service::Json &ev)
 {
-    auto combined = verilog::parse(combined_src);
-    auto golden = verilog::parse(golden_src);
-    std::string out;
-    for (auto &m : combined->modules)
-        if (!golden->findModule(m->name))
-            out += verilog::print(*m) + "\n";
-    return out;
+    std::ostringstream os;
+    os << who;
+    if (ev.has("island"))
+        os << " island " << ev.num("island") << " epoch "
+           << ev.num("epoch");
+    os << " gen " << ev.num("generation") << " best "
+       << ev.real("best_fitness") << " evals "
+       << service::countersFromJson(ev).fitnessEvals << "\n";
+    return os.str();
+}
+
+/**
+ * Print one result payload (a repair trial's or a finished job's):
+ * counters, outcomes, a K-island run's winner and fingerprint, then
+ * the patch, with the repaired design written to --out or stdout.
+ * @return kExitRepairFound or kExitNoRepair.
+ */
+int
+printResult(const service::Json &res, const Args &args)
+{
+    core::SearchCounters c = service::countersFromJson(res);
+    std::cout << "  " << c.fitnessEvals << " fitness probes, "
+              << res.num("generations") << " generations, "
+              << res.real("seconds") << "s\n"
+              << "  outcomes: " << c.outcomes.summary() << "\n";
+    if (c.earlyAborts > 0)
+        std::cout << "  early aborts: " << c.earlyAborts << " ("
+                  << c.rowsSkipped << "/" << c.rowsScored + c.rowsSkipped
+                  << " oracle rows skipped)\n";
+    if (c.lintRejects > 0)
+        std::cout << "  lint rejects: " << c.lintRejects
+                  << " (candidates never simulated)\n";
+    if (const service::Json *islands = res.find("islands")) {
+        if (islands->flag("found"))
+            std::cout << "  winner: island " << islands->num("winner_island")
+                      << " at epoch " << islands->num("winner_epoch")
+                      << "\n";
+        std::cout << "  fingerprint: " << islands->str("fingerprint")
+                  << "\n";
+    }
+    if (!res.flag("found"))
+        return kExitNoRepair;
+    std::cout << "repair found: " << res.str("patch") << "\n";
+    if (args.flags.count("out")) {
+        writeFile(args.get("out"), res.str("repaired_source"));
+        std::cout << "repaired design written to " << args.get("out")
+                  << "\n";
+    } else {
+        std::cout << res.str("repaired_source");
+    }
+    return kExitRepairFound;
 }
 
 int
@@ -315,33 +394,20 @@ cmdSimulate(const Args &args)
 int
 cmdLocalize(const Args &args)
 {
-    std::string src = gatherSources(args);
-    std::string tb = args.need("tb");
-    std::string dut = args.need("dut");
-    std::shared_ptr<const verilog::SourceFile> file =
-        verilog::parse(src);
-    sim::ProbeConfig probe = sim::deriveProbeConfig(*file, tb);
-
-    sim::Trace oracle = loadOracle(
-        args, probe, tb,
-        args.flags.count("golden")
-            ? testbenchOnlySource(src, readFile(args.get("golden")))
-            : "");
-
-    auto design = sim::elaborate(file, tb);
-    sim::TraceRecorder rec(*design, probe);
+    service::JobSpec spec = specFromArgs(args, {});
+    service::JobInputs in = service::buildJobInputs(spec);
+    auto design = sim::elaborate(in.faulty, spec.tbModule);
+    sim::TraceRecorder rec(*design, in.probe);
     design->run();
 
-    auto mismatch = core::outputMismatch(rec.trace(), oracle);
+    auto mismatch = core::outputMismatch(rec.trace(), in.oracle);
     std::cout << "mismatched outputs:";
     for (auto &m : mismatch)
         std::cout << " " << m;
     std::cout << "\n";
 
-    const verilog::Module *mod = file->findModule(dut);
-    if (!mod)
-        throw std::runtime_error("module not found: " + dut);
-    auto fl = core::faultLocalize(*mod, rec.trace(), oracle);
+    const verilog::Module *mod = in.faulty->findModule(spec.dutModule);
+    auto fl = core::faultLocalize(*mod, rec.trace(), in.oracle);
     std::cout << "fault localization: " << fl.nodeIds.size()
               << " implicated nodes after " << fl.iterations
               << " iterations\n";
@@ -575,238 +641,123 @@ cmdWitness(const Args &args)
     return ws.found ? kExitRepairFound : kExitNoRepair;
 }
 
+/** Trial @p trial's seed: trials are independent searches. */
+uint64_t
+trialSeed(uint64_t seed0, int trial)
+{
+    return seed0 + static_cast<uint64_t>(trial) * 7919;
+}
+
+/**
+ * `repair --harden 1`: witness-driven oracle hardening (witness.h). It
+ * needs the full scenario — the golden design (witness generation
+ * compares against it) and a held-out verification bench (which
+ * exposes overfitting in the first place).
+ */
+int
+repairHardened(const Args &args, const service::JobSpec &spec,
+               int trials)
+{
+    if (spec.goldenSource.empty())
+        throw UsageError("--harden 1 needs --golden <file>");
+    if (spec.params.islands > 1)
+        throw UsageError("--harden 1 does not combine with --islands");
+    auto design = verilog::parse(spec.designSource);
+    auto golden = verilog::parse(spec.goldenSource);
+    core::ProjectSpec proj;
+    proj.name = "cli";
+    proj.description = "cirfix repair --harden";
+    proj.goldenSource = spec.goldenSource;
+    proj.testbenchSource = service::testbenchOnlySource(*design, *golden);
+    proj.verifySource = readFile(args.need("verify-tb"));
+    proj.dutModule = spec.dutModule;
+    proj.tbModule = spec.tbModule;
+    proj.verifyModule = args.need("verify-module");
+    // The faulty DUT is every module of --design that the golden file
+    // also defines (the rest is the repair testbench).
+    std::string faulty_dut;
+    for (auto &m : design->modules)
+        if (golden->findModule(m->name))
+            faulty_dut += verilog::print(*m) + "\n";
+    core::EngineConfig cfg = service::engineConfigFromSpec(spec);
+    cfg.snapshotPath = args.get("snapshot");
+    core::Scenario sc =
+        core::buildScenarioFromSources(proj, faulty_dut, cfg.simLimits);
+    core::WitnessOptions wo = witnessOptionsFromArgs(args);
+    for (int trial = 0; trial < trials; ++trial) {
+        cfg.seed = trialSeed(spec.params.seed, trial);
+        wo.seed = cfg.seed;
+        std::cout << "trial " << trial + 1 << "/" << trials << " (seed "
+                  << cfg.seed << ", hardened)...\n";
+        core::HardenedRepairResult hr = core::hardenedRepair(sc, cfg, wo);
+        if (hr.overfitKills > 0)
+            std::cout << "  oracle hardening: " << hr.overfitKills
+                      << " overfit patch(es) killed by witnesses ("
+                      << hr.rounds << " round(s), " << hr.witnessTries
+                      << " stimuli tried, " << hr.resumedFromSnapshot
+                      << " snapshot resume(s))\n";
+        if (hr.result.found)
+            std::cout << "  held-out verification: "
+                      << (hr.correct ? "PASS" : "FAIL (plausible-only)")
+                      << "\n";
+        if (printResult(service::resultToJson(hr.result), args) ==
+            kExitRepairFound)
+            return kExitRepairFound;
+    }
+    std::cout << "no repair found within resource bounds\n";
+    return kExitNoRepair;
+}
+
+/**
+ * Each trial is the job a daemon worker would run for the same flags
+ * (service::runRepairJob), checkpointed at --snapshot FILE (FILE.d/
+ * for a K-island run): an existing checkpoint resumes, so rerunning
+ * an interrupted command continues it bit-identically.
+ */
 int
 cmdRepair(const Args &args)
 {
-    std::string src = gatherSources(args);
-    std::string tb = args.need("tb");
-    std::string dut = args.need("dut");
-    std::shared_ptr<const verilog::SourceFile> faulty =
-        verilog::parse(src);
-    sim::ProbeConfig probe = sim::deriveProbeConfig(*faulty, tb);
+    // The local command's defaults; a daemon job's are smaller.
+    service::JobParams defaults;
+    defaults.popSize = 500;
+    defaults.maxGenerations = 20;
+    defaults.maxSeconds = 60.0;
+    defaults.numThreads = 0;
+    defaults.seed = 1000;
+    service::JobSpec spec = specFromArgs(args, defaults);
+    const int trials = static_cast<int>(args.getLong("trials", 5));
+    if (args.getLong("harden", 0) != 0)
+        return repairHardened(args, spec, trials);
 
-    sim::Trace oracle = loadOracle(
-        args, probe, tb,
-        args.flags.count("golden")
-            ? testbenchOnlySource(src, readFile(args.get("golden")))
-            : "");
-
-    core::EngineConfig cfg;
-    cfg.popSize = static_cast<int>(args.getLong("pop", 500));
-    cfg.maxGenerations = static_cast<int>(args.getLong("gens", 20));
-    cfg.maxSeconds = args.getDouble("budget", 60.0);
-    cfg.fitness.phi = args.getDouble("phi", 2.0);
-    cfg.numThreads = static_cast<int>(args.getLong("threads", 0));
-    cfg.evalDeadlineSeconds =
-        args.getDouble("deadline", cfg.evalDeadlineSeconds);
-    cfg.evalMemoryBudget = static_cast<uint64_t>(args.getLong(
-        "mem-budget", static_cast<long>(cfg.evalMemoryBudget)));
-    cfg.earlyAbort = args.getLong("early-abort", 1) != 0;
-    cfg.lintPrescreen = args.getLong("lint", 1) != 0;
-    cfg.offspringPerGen =
-        static_cast<int>(args.getLong("offspring", 0));
-    cfg.snapshotPath = args.get("snapshot");
-    cfg.snapshotEvery =
-        static_cast<int>(args.getLong("snapshot-every", 1));
-    int trials = static_cast<int>(args.getLong("trials", 5));
-    uint64_t seed0 =
-        static_cast<uint64_t>(args.getLong("seed", 1000));
-
+    const std::string snapshot = args.get("snapshot");
     std::unique_ptr<std::ofstream> log;
     if (args.flags.count("log"))
         log = std::make_unique<std::ofstream>(args.get("log"));
-
-    auto report = [&](const core::RepairResult &res) {
-        std::cout << "  " << res.fitnessEvals << " fitness probes, "
-                  << res.generations << " generations, " << res.seconds
-                  << "s\n"
-                  << "  outcomes: " << res.outcomes.summary() << "\n";
-        if (res.earlyAborts > 0) {
-            uint64_t rows = res.rowsScored + res.rowsSkipped;
-            std::cout << "  early aborts: " << res.earlyAborts << " ("
-                      << res.rowsSkipped << "/" << rows
-                      << " oracle rows skipped)\n";
-        }
-        if (res.lintRejects > 0)
-            std::cout << "  lint rejects: " << res.lintRejects
-                      << " (candidates never simulated)\n";
-        if (!res.found)
-            return kExitNoRepair;
-        std::cout << "repair found: " << res.patch.describe() << "\n";
-        if (args.flags.count("out")) {
-            writeFile(args.get("out"), res.repairedSource);
-            std::cout << "repaired design written to "
-                      << args.get("out") << "\n";
-        } else {
-            std::cout << res.repairedSource;
-        }
-        return kExitRepairFound;
-    };
-
-    // --islands K: island-model evolution (core/island.h). K derived
-    // subpopulations evolve in parallel threads and exchange elites
-    // every --migration-interval generations; the run is bit-identical
-    // per (seed, K, schedule) and prints the canonical fingerprint so
-    // it can be compared against a distributed fleet run.
-    if (args.getLong("islands", 1) > 1) {
-        core::IslandConfig ic;
-        ic.islands = static_cast<int>(args.getLong("islands", 1));
-        ic.migrationInterval = static_cast<int>(args.getLong(
-            "migration-interval", ic.migrationInterval));
-        ic.migrantsPerIsland = static_cast<int>(
-            args.getLong("migrants", ic.migrantsPerIsland));
-        if (ic.migrationInterval < 1 || ic.migrantsPerIsland < 0)
-            throw UsageError("--migration-interval wants >= 1 and "
-                             "--migrants wants >= 0");
-        std::string snapDir = args.get("snapshot");
-        cfg.snapshotPath.clear();  // per-island paths live in snapDir
-        for (int trial = 0; trial < trials; ++trial) {
-            cfg.seed = seed0 + static_cast<uint64_t>(trial) * 7919;
-            std::function<void(const core::GenerationStats &)> onGen;
-            if (log)
-                onGen = [&log,
-                         trial](const core::GenerationStats &g) {
-                    *log << "trial " << trial + 1 << " island "
-                         << g.island << " epoch " << g.epoch << " gen "
-                         << g.generation << " best " << g.bestFitness
-                         << " evals " << g.fitnessEvals << "\n";
-                    log->flush();
-                };
-            std::cout << "trial " << trial + 1 << "/" << trials
-                      << " (seed " << cfg.seed << ", " << ic.islands
-                      << " islands, migrate every "
-                      << ic.migrationInterval << " gens)...\n";
-            core::IslandOutcome outcome =
-                core::runIslands(faulty, tb, dut, probe, oracle, cfg,
-                                 ic, snapDir, onGen);
-            for (const core::IslandStats &st : outcome.islands) {
-                std::cout << "  island " << st.island << ": "
-                          << st.generations << " generations, best "
-                          << st.bestFitness << ", "
-                          << st.fitnessEvals << " evals, "
-                          << st.fleetCacheHits << " fleet cache hits";
-                if (st.found)
-                    std::cout << " [found]";
-                std::cout << "\n";
-            }
-            std::cout << "  migration: "
-                      << outcome.migration.elitesExported
-                      << " elites exported, "
-                      << outcome.migration.migrantsBroadcast
-                      << " migrants broadcast, "
-                      << outcome.migration.migrantDuplicates
-                      << " duplicates, "
-                      << outcome.migration.elitesLost << " lost\n";
-            if (outcome.found)
-                std::cout << "  winner: island "
-                          << outcome.winnerIsland << " at epoch "
-                          << outcome.winnerEpoch << "\n";
-            std::cout << "  fingerprint: " << outcome.fingerprint
-                      << "\n";
-            if (report(outcome.result) == kExitRepairFound)
-                return kExitRepairFound;
-        }
-        std::cout << "no repair found within resource bounds\n";
-        return kExitNoRepair;
-    }
-
-    // --harden 1: witness-driven oracle hardening. Needs the full
-    // scenario — the golden design (witness generation compares
-    // against it) and a held-out verification bench (which exposes
-    // overfitting in the first place).
-    if (args.getLong("harden", 0) != 0) {
-        if (!args.flags.count("golden"))
-            throw UsageError("--harden 1 needs --golden <file>");
-        std::string golden_src = readFile(args.get("golden"));
-        core::ProjectSpec proj;
-        proj.name = "cli";
-        proj.description = "cirfix repair --harden";
-        proj.goldenSource = golden_src;
-        proj.testbenchSource = testbenchOnlySource(src, golden_src);
-        proj.verifySource = readFile(args.need("verify-tb"));
-        proj.dutModule = dut;
-        proj.tbModule = tb;
-        proj.verifyModule = args.need("verify-module");
-        // The faulty DUT is every module of --design that the golden
-        // file also defines (the rest is the repair testbench).
-        std::string faulty_dut;
-        {
-            auto dfile = verilog::parse(src);
-            auto gfile = verilog::parse(golden_src);
-            for (auto &m : dfile->modules)
-                if (gfile->findModule(m->name))
-                    faulty_dut += verilog::print(*m) + "\n";
-        }
-        core::Scenario sc = core::buildScenarioFromSources(
-            proj, faulty_dut, cfg.simLimits);
-        core::WitnessOptions wo = witnessOptionsFromArgs(args);
-        for (int trial = 0; trial < trials; ++trial) {
-            cfg.seed = seed0 + static_cast<uint64_t>(trial) * 7919;
-            wo.seed = cfg.seed;
-            std::cout << "trial " << trial + 1 << "/" << trials
-                      << " (seed " << cfg.seed << ", hardened)...\n";
-            core::HardenedRepairResult hr =
-                core::hardenedRepair(sc, cfg, wo);
-            if (hr.overfitKills > 0)
-                std::cout << "  oracle hardening: " << hr.overfitKills
-                          << " overfit patch(es) killed by witnesses ("
-                          << hr.rounds << " round(s), "
-                          << hr.witnessTries << " stimuli tried, "
-                          << hr.resumedFromSnapshot
-                          << " snapshot resume(s))\n";
-            if (hr.result.found)
-                std::cout << "  held-out verification: "
-                          << (hr.correct ? "PASS"
-                                         : "FAIL (plausible-only)")
-                          << "\n";
-            if (report(hr.result) == kExitRepairFound)
-                return kExitRepairFound;
-        }
-        std::cout << "no repair found within resource bounds\n";
-        return kExitNoRepair;
-    }
-
-    // --resume <snapshot>: continue an interrupted run bit-identically
-    // (one trial; the snapshot pins the seed and progress).
-    if (args.flags.count("resume")) {
-        core::EngineState state =
-            core::loadSnapshot(args.get("resume"));
-        cfg.seed = state.seed;
-        if (log) {
-            cfg.onGeneration = [&log](const core::GenerationStats &g) {
-                *log << "trial 1 gen " << g.generation << " best "
-                     << g.bestFitness << " evals " << g.fitnessEvals
-                     << " cache " << g.cache.hits << "/"
-                     << g.cache.misses << " " << g.outcomes.summary()
-                     << "\n";
-                log->flush();
-            };
-        }
-        core::RepairEngine engine(faulty, tb, dut, probe, oracle, cfg);
-        std::cout << "resuming from " << args.get("resume")
-                  << " (seed " << state.seed << ", "
-                  << state.generationsDone << " generations done)...\n";
-        return report(engine.resume(state));
-    }
-
+    const uint64_t seed0 = spec.params.seed;
     for (int trial = 0; trial < trials; ++trial) {
-        cfg.seed = seed0 + static_cast<uint64_t>(trial) * 7919;
-        if (log) {
-            cfg.onGeneration = [&log,
-                                trial](const core::GenerationStats &g) {
-                *log << "trial " << trial + 1 << " gen "
-                     << g.generation << " best " << g.bestFitness
-                     << " evals " << g.fitnessEvals << " cache "
-                     << g.cache.hits << "/" << g.cache.misses << " "
-                     << g.outcomes.summary() << "\n";
-                log->flush();
+        // A finished trial's checkpoint must not resume the next one.
+        if (trial > 0 && !snapshot.empty())
+            service::removeCheckpoint(snapshot);
+        spec.params.seed = trialSeed(seed0, trial);
+        std::cout << "trial " << trial + 1 << "/" << trials << " (seed "
+                  << spec.params.seed;
+        if (spec.params.islands > 1)
+            std::cout << ", " << spec.params.islands
+                      << " islands, migrate every "
+                      << spec.params.migrationInterval << " gens";
+        std::cout << ")...\n";
+        std::function<void(const core::GenerationStats &)> onGen;
+        if (log)
+            onGen = [&log, trial](const core::GenerationStats &g) {
+                *log << generationLine("trial " + std::to_string(trial + 1),
+                                       service::generationToJson(g))
+                     << std::flush;
             };
-        }
-        core::RepairEngine engine(faulty, tb, dut, probe, oracle, cfg);
-        std::cout << "trial " << trial + 1 << "/" << trials
-                  << " (seed " << cfg.seed << ")...\n";
-        core::RepairResult res = engine.run();
-        if (report(res) == kExitRepairFound)
+        service::SessionOutcome run =
+            service::runRepairJob(spec, snapshot, onGen, nullptr);
+        if (run.state == service::JobState::Failed)
+            throw std::runtime_error(run.error);
+        if (printResult(run.result, args) == kExitRepairFound)
             return kExitRepairFound;
     }
     std::cout << "no repair found within resource bounds\n";
@@ -951,51 +902,10 @@ clientOptionsFromArgs(const Args &args)
     return opts;
 }
 
-/** Shared by submit: the same repair inputs the local repair command
- *  takes, shipped over the wire as a JobSpec. */
-service::JobSpec
-specFromArgs(const Args &args)
-{
-    service::JobSpec spec;
-    spec.designSource = gatherSources(args);
-    spec.tbModule = args.need("tb");
-    spec.dutModule = args.need("dut");
-    if (args.flags.count("oracle"))
-        spec.oracleCsv = readFile(args.get("oracle"));
-    else if (args.flags.count("golden"))
-        spec.goldenSource = readFile(args.get("golden"));
-    else
-        throw UsageError("need --golden <file> or --oracle <csv>");
-    spec.params.popSize = static_cast<int>(
-        args.getLong("pop", spec.params.popSize));
-    spec.params.maxGenerations = static_cast<int>(
-        args.getLong("gens", spec.params.maxGenerations));
-    spec.params.maxSeconds =
-        args.getDouble("budget", spec.params.maxSeconds);
-    spec.params.seed = static_cast<uint64_t>(
-        args.getLong("seed", static_cast<long>(spec.params.seed)));
-    spec.params.numThreads = static_cast<int>(
-        args.getLong("threads", spec.params.numThreads));
-    spec.params.phi = args.getDouble("phi", spec.params.phi);
-    spec.params.evalDeadlineSeconds =
-        args.getDouble("deadline", spec.params.evalDeadlineSeconds);
-    spec.params.evalMemoryBudget = static_cast<uint64_t>(args.getLong(
-        "mem-budget",
-        static_cast<long>(spec.params.evalMemoryBudget)));
-    spec.params.islands = static_cast<int>(
-        args.getLong("islands", spec.params.islands));
-    spec.params.migrationInterval = static_cast<int>(args.getLong(
-        "migration-interval", spec.params.migrationInterval));
-    spec.params.migrantsPerIsland = static_cast<int>(
-        args.getLong("migrants", spec.params.migrantsPerIsland));
-    spec.priority = static_cast<int>(args.getLong("priority", 0));
-    return spec;
-}
-
 int
 cmdSubmit(const Args &args)
 {
-    service::JobSpec spec = specFromArgs(args);
+    service::JobSpec spec = specFromArgs(args, {});
     service::ClientOptions opts = clientOptionsFromArgs(args);
     // The request id makes a retried submit idempotent: if the
     // connection dies after the server enqueued but before the reply
@@ -1064,25 +974,13 @@ cmdResult(const Args &args)
                   << " but carries no result payload\n";
         return kExitInternal;
     }
-    std::cout << "job " << id << " " << state << ": "
-              << service::countersFromJson(*res).fitnessEvals
-              << " fitness probes, "
-              << res->num("generations") << " generations\n";
-    if (!res->flag("found")) {
+    std::cout << "job " << id << " " << state << "\n";
+    int code = printResult(*res, args);
+    if (code == kExitNoRepair)
         std::cout << (state == "canceled"
                           ? "canceled before a repair was found\n"
                           : "no repair found within resource bounds\n");
-        return kExitNoRepair;
-    }
-    std::cout << "repair found: " << res->str("patch") << "\n";
-    if (args.flags.count("out")) {
-        writeFile(args.get("out"), res->str("repaired_source"));
-        std::cout << "repaired design written to " << args.get("out")
-                  << "\n";
-    } else {
-        std::cout << res->str("repaired_source");
-    }
-    return kExitRepairFound;
+    return code;
 }
 
 int
@@ -1102,13 +1000,7 @@ cmdWatch(const Args &args)
                                         ev.str("message"));
         std::string kind = ev.str("event");
         if (kind == "generation") {
-            std::cout << "job " << id;
-            if (ev.has("island"))
-                std::cout << " island " << ev.num("island")
-                          << " epoch " << ev.num("epoch");
-            std::cout << " gen " << ev.num("generation") << " best "
-                      << ev.real("best_fitness") << " evals "
-                      << service::countersFromJson(ev).fitnessEvals << "\n"
+            std::cout << generationLine("job " + std::to_string(id), ev)
                       << std::flush;
         } else if (kind == "state") {
             std::cout << "job " << id << " " << ev.str("state");
@@ -1151,10 +1043,9 @@ commandFlags(const std::string &command)
         {"-h", {}},
         {"repair",
          {join({inputs, search,
-                {"trials", "out", "log", "early-abort", "lint",
-                 "offspring", "snapshot", "snapshot-every", "resume",
-                 "harden", "verify-tb", "verify-module", "tries",
-                 "cycles", "rounds"}})}},
+                {"trials", "out", "log", "snapshot", "harden",
+                 "verify-tb", "verify-module", "tries", "cycles",
+                 "rounds"}})}},
         {"simulate", {{"design", "extra", "tb", "vcd", "trace"}}},
         {"localize", {inputs}},
         {"lint",
@@ -1193,10 +1084,9 @@ usage(std::ostream &os)
         "(--golden g.v | --oracle t.csv)\n"
         "           [--pop N] [--gens N] [--budget S] [--seed N] "
         "[--phi F] [--trials N] [--threads N] [--out r.v]\n"
-        "           [--deadline S] [--mem-budget BYTES] "
-        "[--early-abort 0|1] [--offspring N] [--lint 0|1]\n"
-        "           [--snapshot f.snap] [--snapshot-every N] "
-        "[--resume f.snap]\n"
+        "           [--deadline S] [--mem-budget BYTES] [--log l.txt]\n"
+        "           [--snapshot f.snap]   (checkpoint each generation; "
+        "resumes f.snap if it exists)\n"
         "           [--harden 0|1 --verify-tb v.v --verify-module MOD "
         "[--tries N] [--cycles N] [--rounds N]]\n"
         "           [--islands K] [--migration-interval N] "
