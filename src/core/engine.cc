@@ -1131,13 +1131,14 @@ RepairEngine::runInternal(const EngineState *restore)
             next.resize(static_cast<size_t>(config_.popSize));
         popn = std::move(next);
         // Migration barrier: at each epoch boundary hand the truncated
-        // population to the island coordinator and splice the returned
+        // population to the migration hook and splice the returned
         // rank-ordered migrant set in, all before the boundary snapshot
         // below — a crash after the snapshot resumes with migrants
         // already injected and the ledger already appended, and a crash
         // before it re-runs the whole generation (same RNG stream, same
-        // export, same injection). The hook may block on remote islands
-        // but must not touch this engine's RNG.
+        // export, same injection). The hook may block until the other
+        // islands reach the barrier but must not touch this engine's
+        // RNG.
         if (config_.migrationInterval > 0 && config_.onMigration &&
             (gen + 1) % config_.migrationInterval == 0) {
             const int epoch = (gen + 1) / config_.migrationInterval;

@@ -71,9 +71,8 @@ struct QuarantineEntry
 
 /** One migration epoch's imported-migrant record (island runs): which
  *  patch keys this island injected at that epoch's generation
- *  boundary. Snapshotted (v8) so a resumed island — and the
- *  coordinator auditing it — can verify the replayed exchange matches
- *  the original bit for bit. */
+ *  boundary. Snapshotted (v8) so a resumed island's replayed exchange
+ *  can be checked against the ledger's sealed broadcasts. */
 struct MigrantRecord
 {
     int epoch = 0;
@@ -216,9 +215,9 @@ struct EngineConfig
      * 1-based epoch and the truncated population. Returns the migrant
      * set to inject; injection touches no RNG state, so the island's
      * own stochastic stream is independent of what (or when) the hook
-     * answers. The hook may block — a distributed island waits here
-     * for the coordinator's barrier — and may signal termination by
-     * arranging for shouldStop to return true afterwards.
+     * answers. The hook may block — runIslands() waits here for the
+     * epoch barrier — and may signal termination by arranging for
+     * shouldStop to return true afterwards.
      */
     std::function<std::vector<Variant>(int epoch,
                                        const std::vector<Variant> &)>

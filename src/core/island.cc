@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -224,14 +223,11 @@ SharedFitnessStore::quarantineSize() const
 
 // -------------------------------------------------- MigrationLedger
 
-MigrationLedger::MigrationLedger(IslandConfig cfg) : cfg_(cfg) {}
-
-void
-MigrationLedger::attachQuarantineFilter(
+MigrationLedger::MigrationLedger(
+    IslandConfig cfg,
     std::function<bool(const std::string &)> isQuarantined)
+    : cfg_(cfg), isQuarantined_(std::move(isQuarantined))
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    isQuarantined_ = std::move(isQuarantined);
 }
 
 void
@@ -242,7 +238,7 @@ MigrationLedger::submit(int island, int epoch,
     EpochState &st = epochs_[epoch];
     auto prior = st.submissions.find(island);
     if (prior != st.submissions.end()) {
-        // Failover re-export. A deterministic island re-derives the
+        // Resumed re-export. A deterministic island re-derives the
         // identical elite set; anything else means an elite was lost
         // (or fabricated) across the crash.
         auto keysOf = [](const std::vector<Variant> &vs) {
@@ -301,13 +297,12 @@ MigrationLedger::sealIfReadyLocked(int epoch)
     for (const Variant &v : st.migrants)
         st.migrantKeys.push_back(v.patch.key());
     st.sealed = true;
+    sealed_.notify_all();
 }
 
 MigrationLedger::Exchange
-MigrationLedger::poll(int island, int epoch)
+MigrationLedger::exchangeLocked(int epoch) const
 {
-    (void)island;
-    std::lock_guard<std::mutex> lock(mu_);
     Exchange ex;
     auto it = epochs_.find(epoch);
     if (it == epochs_.end() || !it->second.sealed)
@@ -318,11 +313,33 @@ MigrationLedger::poll(int island, int epoch)
     return ex;
 }
 
-void
-MigrationLedger::verifyReplay(int island,
-                              const std::vector<MigrantRecord> &ledger)
+MigrationLedger::Exchange
+MigrationLedger::poll(int epoch)
 {
-    (void)island;
+    std::lock_guard<std::mutex> lock(mu_);
+    return exchangeLocked(epoch);
+}
+
+MigrationLedger::Exchange
+MigrationLedger::wait(int epoch, const std::function<bool()> &stopped)
+{
+    std::unique_lock<std::mutex> lock(mu_);
+    auto isSealed = [&] {
+        auto it = epochs_.find(epoch);
+        return it != epochs_.end() && it->second.sealed;
+    };
+    // The timeout only polls the external stop: every seal notifies
+    // under mu_, so no wake-up is lost between the check and the wait.
+    while (!sealed_.wait_for(lock, std::chrono::milliseconds(20),
+                             isSealed))
+        if (stopped && stopped())
+            return {};
+    return exchangeLocked(epoch);
+}
+
+void
+MigrationLedger::verifyReplay(const std::vector<MigrantRecord> &ledger)
+{
     std::lock_guard<std::mutex> lock(mu_);
     for (const MigrantRecord &rec : ledger) {
         auto it = epochs_.find(rec.epoch);
@@ -376,184 +393,77 @@ MigrationLedger::broadcasts()
     return out;
 }
 
-std::string
-MigrationLedger::encode()
+LedgerState
+MigrationLedger::state()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::ostringstream os;
-    auto blob = [&os](const std::string &tag, const std::string &data) {
-        os << tag << ' ' << data.size() << '\n' << data << '\n';
-    };
-    os << "CIRFIX-ISLAND-LEDGER 1\n";
-    os << "config " << cfg_.islands << ' ' << cfg_.migrationInterval
-       << ' ' << cfg_.migrantsPerIsland << '\n';
-    os << "stats " << stats_.elitesExported << ' '
-       << stats_.migrantsBroadcast << ' ' << stats_.migrantDuplicates
-       << ' ' << stats_.elitesLost << '\n';
-    std::vector<std::pair<int, int>> done(doneAt_.begin(),
-                                          doneAt_.end());
-    std::sort(done.begin(), done.end());
-    os << "done " << done.size() << '\n';
-    for (auto [island, epoch] : done)
-        os << "d " << island << ' ' << epoch << '\n';
-    os << "winner " << winnerIsland_ << ' ' << winnerEpoch_ << '\n';
-    std::vector<int> sealed;
-    for (const auto &[epoch, st] : epochs_)
-        if (st.sealed)
-            sealed.push_back(epoch);
-    std::sort(sealed.begin(), sealed.end());
-    os << "epochs " << sealed.size() << '\n';
-    for (int epoch : sealed) {
-        const EpochState &st = epochs_.at(epoch);
-        std::vector<int> islands;
-        for (const auto &[i, vs] : st.submissions)
-            islands.push_back(i);
-        std::sort(islands.begin(), islands.end());
-        os << "epoch " << epoch << ' ' << islands.size() << '\n';
-        for (int i : islands)
-            blob("sub " + std::to_string(i),
-                 encodeVariants(st.submissions.at(i)));
-        blob("migrants", encodeVariants(st.migrants));
+    LedgerState out;
+    out.config = cfg_;
+    out.stats = stats_;
+    out.winnerIsland = winnerIsland_;
+    out.winnerEpoch = winnerEpoch_;
+    for (const auto &[epoch, st] : epochs_) {
+        if (!st.sealed)
+            continue;
+        LedgerState::Epoch e;
+        e.epoch = epoch;
+        e.submissions.assign(st.submissions.begin(), st.submissions.end());
+        std::sort(e.submissions.begin(), e.submissions.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+        e.migrants = st.migrants;
+        out.epochs.push_back(std::move(e));
     }
-    std::string body = os.str();
-    os << "checksum " << fingerprintSource(body) << '\n';
-    return os.str();
+    std::sort(out.epochs.begin(), out.epochs.end(),
+              [](const LedgerState::Epoch &a, const LedgerState::Epoch &b) {
+                  return a.epoch < b.epoch;
+              });
+    return out;
 }
 
 bool
-MigrationLedger::decode(const std::string &text)
+MigrationLedger::restore(const LedgerState &saved)
 {
-    try {
-        std::istringstream is(text);
-        auto expectLine = [&is](const std::string &tag) {
-            std::string got;
-            if (!(is >> got) || got != tag)
-                throw std::runtime_error("expected '" + tag + "'");
-        };
-        auto readBlob = [&is](const std::string &tag) {
-            std::string head;
-            // Tags may contain one space ("sub <i>"); read word-wise.
-            std::istringstream tags(tag);
-            std::string word;
-            while (tags >> word) {
-                std::string got;
-                if (!(is >> got) || got != word)
-                    throw std::runtime_error("expected '" + tag + "'");
-            }
-            size_t n = 0;
-            if (!(is >> n))
-                throw std::runtime_error("bad blob size");
-            is.get();  // newline
-            std::string data(n, '\0');
-            is.read(data.data(), static_cast<std::streamsize>(n));
-            if (is.gcount() != static_cast<std::streamsize>(n))
-                throw std::runtime_error("blob truncated");
-            is.get();  // trailing newline
-            return data;
-        };
-        // Verify the seal before trusting anything inside.
-        {
-            const std::string tag = "checksum ";
-            size_t cks = text.rfind("\nchecksum ");
-            if (cks == std::string::npos)
-                throw std::runtime_error("missing checksum");
-            uint64_t want = std::stoull(
-                text.substr(cks + 1 + tag.size()));
-            if (fingerprintSource(text.substr(0, cks + 1)) != want)
-                throw std::runtime_error("checksum mismatch");
-        }
-        expectLine("CIRFIX-ISLAND-LEDGER");
-        int v = 0;
-        if (!(is >> v) || v != 1)
-            throw std::runtime_error("unsupported ledger version");
-        IslandConfig cfg;
-        expectLine("config");
-        if (!(is >> cfg.islands >> cfg.migrationInterval >>
-              cfg.migrantsPerIsland))
-            throw std::runtime_error("bad config");
-        MigrationStats stats;
-        expectLine("stats");
-        if (!(is >> stats.elitesExported >> stats.migrantsBroadcast >>
-              stats.migrantDuplicates >> stats.elitesLost))
-            throw std::runtime_error("bad stats");
-        expectLine("done");
-        size_t ndone = 0;
-        is >> ndone;
-        std::unordered_map<int, int> doneAt;
-        for (size_t i = 0; i < ndone; ++i) {
-            expectLine("d");
-            int island = 0, epoch = 0;
-            if (!(is >> island >> epoch))
-                throw std::runtime_error("bad done record");
-            doneAt.emplace(island, epoch);
-        }
-        expectLine("winner");
-        int wIsland = -1, wEpoch = 0;
-        if (!(is >> wIsland >> wEpoch))
-            throw std::runtime_error("bad winner record");
-        expectLine("epochs");
-        size_t nepochs = 0;
-        is >> nepochs;
-        is.get();
-        std::unordered_map<int, EpochState> epochs;
-        for (size_t e = 0; e < nepochs; ++e) {
-            expectLine("epoch");
-            int epoch = 0;
-            size_t nsub = 0;
-            if (!(is >> epoch >> nsub))
-                throw std::runtime_error("bad epoch record");
-            is.get();
-            EpochState st;
-            for (size_t s = 0; s < nsub; ++s) {
-                // Peek the island index out of the "sub <i>" tag.
-                std::string word;
-                if (!(is >> word) || word != "sub")
-                    throw std::runtime_error("expected 'sub'");
-                int island = 0;
-                size_t n = 0;
-                if (!(is >> island >> n))
-                    throw std::runtime_error("bad sub record");
-                is.get();
-                std::string data(n, '\0');
-                is.read(data.data(),
-                        static_cast<std::streamsize>(n));
-                if (is.gcount() != static_cast<std::streamsize>(n))
-                    throw std::runtime_error("sub blob truncated");
-                is.get();
-                st.submissions.emplace(island, decodeVariants(data));
-            }
-            st.migrants = decodeVariants(readBlob("migrants"));
-            for (const Variant &mv : st.migrants)
-                st.migrantKeys.push_back(mv.patch.key());
-            st.sealed = true;
-            epochs.emplace(epoch, std::move(st));
-        }
-        std::lock_guard<std::mutex> lock(mu_);
-        cfg_ = cfg;
-        stats_ = stats;
-        doneAt_ = std::move(doneAt);
-        winnerIsland_ = wIsland;
-        winnerEpoch_ = wEpoch;
-        epochs_ = std::move(epochs);
-        return true;
-    } catch (const std::exception &) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (saved.config.islands != cfg_.islands ||
+        saved.config.migrationInterval != cfg_.migrationInterval ||
+        saved.config.migrantsPerIsland != cfg_.migrantsPerIsland)
         return false;
+    stats_ = saved.stats;
+    winnerIsland_ = saved.winnerIsland;
+    winnerEpoch_ = saved.winnerEpoch;
+    doneAt_.clear();
+    if (winnerIsland_ != -1)
+        doneAt_.emplace(winnerIsland_, winnerEpoch_);
+    epochs_.clear();
+    for (const LedgerState::Epoch &e : saved.epochs) {
+        EpochState &st = epochs_[e.epoch];
+        st.submissions.insert(e.submissions.begin(), e.submissions.end());
+        st.migrants = e.migrants;
+        for (const Variant &v : st.migrants)
+            st.migrantKeys.push_back(v.patch.key());
+        st.sealed = true;
     }
+    return true;
 }
 
-// ----------------------------------------------------- fingerprint
+// ------------------------------------------------------- runIslands
 
+namespace {
+
+/** The run's canonical hash (IslandOutcome::fingerprint). */
 uint64_t
-islandFingerprint(const IslandFingerprintInput &in)
+fingerprintOf(const IslandOutcome &out, uint64_t seed,
+              const IslandConfig &cfg)
 {
     std::ostringstream os;
     os << "island-fingerprint v1\n";
-    os << "seed " << in.seed << '\n';
-    os << "config " << in.config.islands << ' '
-       << in.config.migrationInterval << ' '
-       << in.config.migrantsPerIsland << '\n';
-    os << "winner " << in.winnerIsland << ' ' << in.winnerEpoch << '\n';
-    for (const IslandStats &st : in.islands) {
+    os << "seed " << seed << '\n';
+    os << "config " << cfg.islands << ' ' << cfg.migrationInterval << ' '
+       << cfg.migrantsPerIsland << '\n';
+    os << "winner " << out.winnerIsland << ' ' << out.winnerEpoch << '\n';
+    for (const IslandStats &st : out.islands) {
         os << "island " << st.island << ' ' << st.generations << ' '
            << (st.found ? 1 : 0) << ' ' << (st.stopped ? 1 : 0) << ' '
            << hexDouble(st.bestFitness) << '\n';
@@ -566,7 +476,7 @@ islandFingerprint(const IslandFingerprintInput &in)
                 os << "key " << key.size() << '\n' << key << '\n';
         }
     }
-    for (const auto &[epoch, keys] : in.broadcasts) {
+    for (const auto &[epoch, keys] : out.broadcasts) {
         os << "broadcast " << epoch << ' ' << keys.size() << '\n';
         for (const std::string &key : keys)
             os << "key " << key.size() << '\n' << key << '\n';
@@ -574,20 +484,7 @@ islandFingerprint(const IslandFingerprintInput &in)
     return fingerprintSource(os.str());
 }
 
-IslandFingerprintInput
-fingerprintInput(const IslandOutcome &outcome, uint64_t seed,
-                 const IslandConfig &cfg)
-{
-    IslandFingerprintInput in;
-    in.seed = seed;
-    in.config = cfg;
-    in.winnerIsland = outcome.winnerIsland;
-    in.winnerEpoch = outcome.winnerEpoch;
-    in.islands = outcome.islands;
-    in.broadcasts = outcome.broadcasts;
-    return in;
-}
-
+/** The digest of island @p island's finished run @p res. */
 IslandStats
 digestFromResult(int island, const RepairResult &res)
 {
@@ -605,10 +502,6 @@ digestFromResult(int island, const RepairResult &res)
     st.ledger = res.migrantLedger;
     return st;
 }
-
-// ------------------------------------------------------- runIslands
-
-namespace {
 
 int
 epochOf(int generations, int interval)
@@ -642,25 +535,29 @@ runIslands(std::shared_ptr<const verilog::SourceFile> faulty,
                          ".snap";
     };
 
-    MigrationLedger ledger(cfg);
     SharedFitnessStore store;
-    ledger.attachQuarantineFilter([&store](const std::string &key) {
+    MigrationLedger ledger(cfg, [&store](const std::string &key) {
         return store.isQuarantined(key);
     });
 
     // Crash recovery: island snapshots are only trustworthy together
     // with the ledger that fed them their migrants. A missing or
-    // corrupt ledger restarts the whole job from scratch (the rerun is
-    // deterministic, so the final result is unchanged — only work is
-    // lost).
+    // corrupt ledger, or one in another format version, restarts the
+    // whole job from scratch (the rerun is deterministic, so the final
+    // result is unchanged — only work is lost).
     if (!snapshotDir.empty() && K > 1) {
         bool haveSnaps = false;
         for (int i = 0; i < K; ++i)
             if (fs::exists(islandSnap(i)))
                 haveSnaps = true;
         bool ledgerOk = false;
-        if (fs::exists(ledgerPath))
-            ledgerOk = ledger.decode(readFileOrEmpty(ledgerPath));
+        try {
+            if (fs::exists(ledgerPath))
+                ledgerOk = ledger.restore(
+                    decodeLedger(readFile(ledgerPath)));
+        } catch (const std::runtime_error &) {
+            // Unreadable, damaged or another version: restart below.
+        }
         if (haveSnaps && !ledgerOk) {
             for (int i = 0; i < K; ++i)
                 fs::remove(islandSnap(i));
@@ -675,15 +572,17 @@ runIslands(std::shared_ptr<const verilog::SourceFile> faulty,
             return;
         std::lock_guard<std::mutex> lock(persistMu);
         try {
-            writeFileAtomic(ledgerPath, ledger.encode());
+            writeFileAtomic(ledgerPath, encodeLedger(ledger.state()));
         } catch (const std::runtime_error &) {
             // Best effort: the file only serves crash recovery, and a
             // failed write leaves the previous ledger in place.
         }
     };
 
-    std::mutex barrierMu;
-    std::condition_variable barrierCv;
+    auto externalStop = [&] {
+        return (shouldStop && shouldStop()) ||
+               (base.shouldStop && base.shouldStop());
+    };
     std::vector<char> stopFlags(static_cast<size_t>(K), 0);
     std::mutex genMu;
 
@@ -697,28 +596,10 @@ runIslands(std::shared_ptr<const verilog::SourceFile> faulty,
             ec.onMigration = [&, island](int epoch,
                                          const std::vector<Variant>
                                              &popn) {
-                std::vector<Variant> elites =
-                    selectElites(popn, cfg.migrantsPerIsland);
-                ledger.submit(island, epoch, std::move(elites));
-                barrierCv.notify_all();
-                // Bounded waits instead of a pure condvar predicate:
-                // the ledger has its own lock, so a notify could slip
-                // between poll and block — the timeout bounds that
-                // window, and external cancels stay responsive.
-                MigrationLedger::Exchange ex;
-                {
-                    std::unique_lock<std::mutex> lock(barrierMu);
-                    for (;;) {
-                        ex = ledger.poll(island, epoch);
-                        if (ex.ready)
-                            break;
-                        if ((shouldStop && shouldStop()) ||
-                            (base.shouldStop && base.shouldStop()))
-                            break;
-                        barrierCv.wait_for(
-                            lock, std::chrono::milliseconds(20));
-                    }
-                }
+                ledger.submit(island, epoch,
+                              selectElites(popn, cfg.migrantsPerIsland));
+                MigrationLedger::Exchange ex =
+                    ledger.wait(epoch, externalStop);
                 persistLedger();
                 if (!ex.ready || ex.stop) {
                     stopFlags[static_cast<size_t>(island)] = 1;
@@ -744,13 +625,7 @@ runIslands(std::shared_ptr<const verilog::SourceFile> faulty,
                 };
         }
         ec.shouldStop = [&, island] {
-            if (stopFlags[static_cast<size_t>(island)])
-                return true;
-            if (shouldStop && shouldStop())
-                return true;
-            if (base.shouldStop && base.shouldStop())
-                return true;
-            return false;
+            return stopFlags[static_cast<size_t>(island)] || externalStop();
         };
         if (onGeneration)
             ec.onGeneration = [&](const GenerationStats &gs) {
@@ -767,7 +642,7 @@ runIslands(std::shared_ptr<const verilog::SourceFile> faulty,
             if (!ec.snapshotPath.empty() &&
                 fs::exists(ec.snapshotPath)) {
                 EngineState state = loadSnapshot(ec.snapshotPath);
-                ledger.verifyReplay(island, state.migrantLedger);
+                ledger.verifyReplay(state.migrantLedger);
                 res = engine.resume(state);
             } else {
                 res = engine.run();
@@ -778,14 +653,12 @@ runIslands(std::shared_ptr<const verilog::SourceFile> faulty,
         }
         const RepairResult &res = results[static_cast<size_t>(island)];
         // Wind-down (external stop, no winner): do NOT mark the island
-        // done — a persisted done-mark would make a resumed run seal
-        // later epochs with partial submissions and diverge from the
-        // uninterrupted one. The island stays resumable.
-        // (Every other island sees the same shouldStop, so no barrier
-        // waits on the skipped mark.)
-        bool windDown = res.stopped && !res.found &&
-                        ((shouldStop && shouldStop()) ||
-                         (base.shouldStop && base.shouldStop()));
+        // done — the mark would seal later epochs with partial
+        // submissions, and the checkpoint would diverge from the
+        // uninterrupted run. The island stays resumable. (Every other
+        // island sees the same stop, so no barrier waits on the
+        // skipped mark.)
+        bool windDown = res.stopped && !res.found && externalStop();
         if (!windDown) {
             ledger.markDone(island,
                             epochOf(res.generations,
@@ -793,7 +666,6 @@ runIslands(std::shared_ptr<const verilog::SourceFile> faulty,
                             res.found);
             persistLedger();
         }
-        barrierCv.notify_all();
     };
 
     if (K == 1) {
@@ -836,8 +708,7 @@ runIslands(std::shared_ptr<const verilog::SourceFile> faulty,
         out.winnerIsland = -1;
         out.result = std::move(results[static_cast<size_t>(best)]);
     }
-    out.fingerprint =
-        islandFingerprint(fingerprintInput(out, base.seed, cfg));
+    out.fingerprint = fingerprintOf(out, base.seed, cfg);
     return out;
 }
 

@@ -16,9 +16,10 @@
  * scheduling, crashes and failover can change only *work* counters
  * (evaluations, cache hits, early aborts); the populations, the
  * migrant ledger, the winner and the final patch are bit-identical
- * per configuration. islandFingerprint() hashes exactly the invariant
- * part, so two runs — the CLI and a daemon worker, with or without a
- * crash and resume mid-epoch — can be compared with one integer.
+ * per configuration. IslandOutcome::fingerprint hashes exactly the
+ * invariant part, so two runs — the CLI and a daemon worker, with or
+ * without a crash and resume mid-epoch — can be compared with one
+ * integer.
  *
  * The soundness of cross-island fitness sharing (why a shared cache hit
  * cannot change the search) is argued in DESIGN.md "Island-model
@@ -35,6 +36,7 @@
  * for crash recovery.
  */
 
+#include <condition_variable>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -104,6 +106,9 @@ struct IslandOutcome
     /** Broadcast migrant keys per sealed epoch, ascending epoch. */
     std::vector<std::pair<int, std::vector<std::string>>> broadcasts;
     MigrationStats migration;
+    /** Canonical hash of the run: seed and configuration, per-island
+     *  digests (invariant fields only), the winner and every sealed
+     *  broadcast. Volatile work counters never enter. */
     uint64_t fingerprint = 0;
 };
 
@@ -179,25 +184,55 @@ class SharedFitnessStore
     std::unordered_map<std::string, QuarantineEntry> quarantine_;
 };
 
+/** The part of a MigrationLedger that runIslands() checkpoints next to
+ *  the islands' snapshots (encodeLedger/decodeLedger in snapshot.h):
+ *  the sealed epochs and the winner. Of the done marks only the
+ *  winner's is kept — it is part of the search, while an island that
+ *  merely ran out of generations is done only under this budget, and a
+ *  resume with a larger one must go on as one longer run would. */
+struct LedgerState
+{
+    /** decodeLedger() refuses any other version, and runIslands()
+     *  then restarts the job from scratch. */
+    static constexpr int kVersion = 2;
+
+    struct Epoch
+    {
+        int epoch = 0;
+        /** (island, elites), ascending island. */
+        std::vector<std::pair<int, std::vector<Variant>>> submissions;
+        std::vector<Variant> migrants;
+    };
+
+    IslandConfig config;
+    MigrationStats stats;
+    int winnerIsland = -1;
+    int winnerEpoch = 0;
+    /** Sealed epochs, ascending. */
+    std::vector<Epoch> epochs;
+};
+
 /**
- * The epoch barrier, transport-free. Islands submit() their elites at
- * each boundary and poll() until the epoch *seals* — every island has
- * either submitted that epoch or marked itself done. Sealing epoch e
- * fixes the winner decision for every epoch <= e (an island whose
- * discovery lies in epoch w never submits w, so its done-mark is part
- * of seal(e) for all e >= w), which is why stop decisions handed out
- * at barriers are timing-independent. All methods are internally
- * locked; poll() never blocks (callers wait on their own condition or
- * re-poll over the wire).
+ * The epoch barrier. Islands submit() their elites at each boundary
+ * and wait() until the epoch *seals* — every island has either
+ * submitted that epoch or marked itself done. Sealing epoch e fixes the
+ * winner decision for every epoch <= e (an island whose discovery lies
+ * in epoch w never submits w, so its done-mark is part of seal(e) for
+ * all e >= w), which is why stop decisions handed out at barriers are
+ * timing-independent. All methods are internally locked.
  */
 class MigrationLedger
 {
   public:
-    explicit MigrationLedger(IslandConfig cfg);
+    /** @p isQuarantined filters the broadcast (selectMigrants; may be
+     *  null). */
+    explicit MigrationLedger(
+        IslandConfig cfg,
+        std::function<bool(const std::string &)> isQuarantined = nullptr);
 
     /** Island @p island offers @p elites at epoch @p epoch. Idempotent
-     *  per (island, epoch): a failover re-export with identical keys
-     *  is ignored, a mismatching one counts elitesLost (the first
+     *  per (island, epoch): a resumed island's re-export with identical
+     *  keys is ignored, a mismatching one counts elitesLost (the first
      *  submission already fed the broadcast). */
     void submit(int island, int epoch, std::vector<Variant> elites);
 
@@ -214,14 +249,18 @@ class MigrationLedger
         std::vector<Variant> migrants;
     };
 
-    /** Barrier status for @p island at @p epoch (non-blocking). */
-    Exchange poll(int island, int epoch);
+    /** Barrier status at @p epoch (non-blocking). */
+    Exchange poll(int epoch);
 
-    /** Failover replay check: every ledger entry a resumed island
+    /** Block until @p epoch seals, or until @p stopped (polled every
+     *  20 ms with the ledger locked, so it must not call back into it;
+     *  may be null) returns true — then not ready. */
+    Exchange wait(int epoch, const std::function<bool()> &stopped);
+
+    /** Resume replay check: every ledger entry a resumed island
      *  carries must be a subset of the epoch's broadcast; a violation
      *  counts elitesLost. */
-    void verifyReplay(int island,
-                      const std::vector<MigrantRecord> &ledger);
+    void verifyReplay(const std::vector<MigrantRecord> &ledger);
 
     bool allDone();
     /** (-1, 0) while no winner is sealed. */
@@ -230,16 +269,11 @@ class MigrationLedger
     /** Sealed broadcasts, ascending epoch. */
     std::vector<std::pair<int, std::vector<std::string>>> broadcasts();
 
-    /** Serialized ledger state for crash recovery (runIslands()
-     *  persists it next to the islands' checkpoints). */
-    std::string encode();
-    /** @return false (leaving *this untouched) on a parse failure —
-     *  the caller restarts the job from scratch. */
-    bool decode(const std::string &text);
-
-    /** Quarantine filter for selectMigrants (may be null). */
-    void attachQuarantineFilter(
-        std::function<bool(const std::string &)> isQuarantined);
+    /** The checkpointed state (see LedgerState). */
+    LedgerState state();
+    /** Replace this ledger's state with @p saved. @return false (leaving
+     *  *this untouched) when @p saved belongs to another IslandConfig. */
+    bool restore(const LedgerState &saved);
 
   private:
     struct EpochState
@@ -251,8 +285,11 @@ class MigrationLedger
     };
 
     void sealIfReadyLocked(int epoch);
+    Exchange exchangeLocked(int epoch) const;
 
     std::mutex mu_;
+    /** Notified, under mu_, whenever an epoch seals. */
+    std::condition_variable sealed_;
     IslandConfig cfg_;
     std::function<bool(const std::string &)> isQuarantined_;
     std::unordered_map<int, EpochState> epochs_;
@@ -262,34 +299,9 @@ class MigrationLedger
     MigrationStats stats_;
 };
 
-/** Canonical fingerprint of a K-island run: configuration, per-island
- *  digests (invariant fields only), the winner and every sealed
- *  broadcast. Volatile work counters never enter. */
-struct IslandFingerprintInput
-{
-    uint64_t seed = 0;
-    IslandConfig config;
-    int winnerIsland = -1;
-    int winnerEpoch = 0;
-    std::vector<IslandStats> islands;
-    std::vector<std::pair<int, std::vector<std::string>>> broadcasts;
-};
-
-uint64_t islandFingerprint(const IslandFingerprintInput &in);
-
-/** Bit-exact double text ("%a" hexfloat): the form islandFingerprint()
+/** Bit-exact double text ("%a" hexfloat): the form the run fingerprint
  *  hashes and island digests ship, so both round-trip exactly. */
 std::string hexDouble(double d);
-
-/** The digest of island @p island's finished run @p res: its counters,
- *  generations, stop/found flags, best-seen fitness, minimized patch
- *  key and migrant ledger. */
-IslandStats digestFromResult(int island, const RepairResult &res);
-
-/** Build the fingerprint input from a finished outcome. */
-IslandFingerprintInput fingerprintInput(const IslandOutcome &outcome,
-                                        uint64_t seed,
-                                        const IslandConfig &cfg);
 
 /**
  * Run a K-island repair in-process: one engine thread per island, the

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "core/island.h"
 #include "core/templates.h"
 #include "verilog/parser.h"
 
@@ -135,7 +136,16 @@ class Writer
         blob("trace", v.trace.toCsv());
     }
 
-    std::string str() const { return os_.str(); }
+    /** Seal the body: a checksum record over every byte written so
+     *  far (so a bit flip inside a blob, which a length-prefixed parse
+     *  would accept, is caught on load) and the end marker. */
+    std::string
+    seal()
+    {
+        line("checksum " + std::to_string(fingerprintSource(os_.str())));
+        line("end");
+        return os_.str();
+    }
 
   private:
     std::ostringstream os_;
@@ -257,8 +267,19 @@ class Reader
         return v;
     }
 
-    bool done() const { return pos_ >= text_.size(); }
-    size_t pos() const { return pos_; }
+    /** The parse must end exactly at the checksum record verifySeal()
+     *  checked (at @p sealAt), followed by the end marker and nothing
+     *  else. */
+    void
+    expectSeal(size_t sealAt)
+    {
+        if (pos_ != sealAt)
+            corrupt("'checksum' record is not where the body ends");
+        tokens("checksum", 2);
+        tokens("end", 1);
+        if (pos_ != text_.size())
+            corrupt("trailing garbage after 'end' marker");
+    }
 
   private:
     const std::string &text_;
@@ -366,13 +387,7 @@ encodeSnapshot(const EngineState &state)
         v.error = c.entry.error;
         w.writeVariant(v);
     }
-    // Seal the body: the checksum covers every byte written so far, so
-    // any bit flip inside a blob (which a length-prefixed parse would
-    // accept) is caught on load.
-    std::string body = w.str();
-    w.line("checksum " + std::to_string(fingerprintSource(body)));
-    w.line("end");
-    return w.str();
+    return w.seal();
 }
 
 namespace {
@@ -383,8 +398,10 @@ namespace {
  * match the bytes before the checksum line. Doing this up front means
  * a bit flip deep inside a blob payload is reported as file damage
  * rather than as whatever downstream parse error it happens to cause.
+ * @return the offset of the checksum record, where the parse of the
+ * body must end (Reader::expectSeal).
  */
-void
+size_t
 verifySeal(const std::string &text)
 {
     const std::string endmark = "end\n";
@@ -411,6 +428,7 @@ verifySeal(const std::string &text)
         corrupt("checksum mismatch (file damaged): stored " +
                 std::to_string(want) + ", computed " +
                 std::to_string(got));
+    return cks + 1;
 }
 
 } // namespace
@@ -444,7 +462,7 @@ decodeSnapshot(const std::string &text)
                 std::to_string(EngineState::kOldestReadableVersion) +
                 ".." + std::to_string(EngineState::kVersion) + ")");
     }
-    verifySeal(text);
+    const size_t sealAt = verifySeal(text);
     st.seed = r.parseU64(r.tokens("seed", 2)[1]);
     st.designFingerprint = r.parseU64(r.tokens("fingerprint", 2)[1]);
     st.provenance = r.blob("provenance");
@@ -547,19 +565,7 @@ decodeSnapshot(const std::string &text)
         c.entry.error = std::move(v.error);
         st.cache.push_back(std::move(c));
     }
-    {
-        // The checksum record covers every byte before itself.
-        size_t body_end = r.pos();
-        uint64_t want = r.parseU64(r.tokens("checksum", 2)[1]);
-        uint64_t got = fingerprintSource(text.substr(0, body_end));
-        if (want != got)
-            corrupt("checksum mismatch (file damaged): stored " +
-                    std::to_string(want) + ", computed " +
-                    std::to_string(got));
-    }
-    r.tokens("end", 1);
-    if (!r.done())
-        corrupt("trailing garbage after 'end' marker");
+    r.expectSeal(sealAt);
     return st;
 }
 
@@ -622,31 +628,80 @@ readFileOrEmpty(const std::string &path)
 }
 
 std::string
-encodeVariants(const std::vector<Variant> &variants)
+encodeLedger(const LedgerState &state)
 {
     Writer w;
-    w.line("CIRFIX-VARIANTS 1");
-    w.line("count " + std::to_string(variants.size()));
-    for (const Variant &v : variants)
-        w.writeVariant(v);
-    return w.str();
+    w.line("CIRFIX-ISLAND-LEDGER " + std::to_string(LedgerState::kVersion));
+    w.line("config " + std::to_string(state.config.islands) + " " +
+           std::to_string(state.config.migrationInterval) + " " +
+           std::to_string(state.config.migrantsPerIsland));
+    const MigrationStats &ms = state.stats;
+    w.line("stats " + std::to_string(ms.elitesExported) + " " +
+           std::to_string(ms.migrantsBroadcast) + " " +
+           std::to_string(ms.migrantDuplicates) + " " +
+           std::to_string(ms.elitesLost));
+    w.line("winner " + std::to_string(state.winnerIsland) + " " +
+           std::to_string(state.winnerEpoch));
+    auto variants = [&w](const std::string &tag,
+                         const std::vector<Variant> &vs) {
+        w.line(tag + " " + std::to_string(vs.size()));
+        for (const Variant &v : vs)
+            w.writeVariant(v);
+    };
+    w.line("epochs " + std::to_string(state.epochs.size()));
+    for (const LedgerState::Epoch &e : state.epochs) {
+        w.line("epoch " + std::to_string(e.epoch) + " " +
+               std::to_string(e.submissions.size()));
+        for (const auto &[island, elites] : e.submissions)
+            variants("sub " + std::to_string(island), elites);
+        variants("migrants", e.migrants);
+    }
+    return w.seal();
 }
 
-std::vector<Variant>
-decodeVariants(const std::string &text)
+LedgerState
+decodeLedger(const std::string &text)
 {
     Reader r(text);
-    auto magic = r.tokens("CIRFIX-VARIANTS", 2);
-    if (r.parseLong(magic[1]) != 1)
-        corrupt("unsupported variants version " + magic[1]);
-    size_t n = r.parseSize(r.tokens("count", 2)[1]);
-    std::vector<Variant> out;
-    out.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        out.push_back(r.readVariant());
-    if (!r.done())
-        corrupt("trailing garbage after variants");
-    return out;
+    if (r.parseLong(r.tokens("CIRFIX-ISLAND-LEDGER", 2)[1]) !=
+        LedgerState::kVersion)
+        corrupt("unsupported ledger version");
+    const size_t sealAt = verifySeal(text);
+    LedgerState st;
+    auto c = r.tokens("config", 4);
+    st.config.islands = static_cast<int>(r.parseLong(c[1]));
+    st.config.migrationInterval = static_cast<int>(r.parseLong(c[2]));
+    st.config.migrantsPerIsland = static_cast<int>(r.parseLong(c[3]));
+    auto s = r.tokens("stats", 5);
+    st.stats.elitesExported = r.parseLong(s[1]);
+    st.stats.migrantsBroadcast = r.parseLong(s[2]);
+    st.stats.migrantDuplicates = r.parseLong(s[3]);
+    st.stats.elitesLost = r.parseLong(s[4]);
+    auto w = r.tokens("winner", 3);
+    st.winnerIsland = static_cast<int>(r.parseLong(w[1]));
+    st.winnerEpoch = static_cast<int>(r.parseLong(w[2]));
+    auto variants = [&r](const std::string &count) {
+        std::vector<Variant> vs;
+        for (size_t n = r.parseSize(count); n > 0; --n)
+            vs.push_back(r.readVariant());
+        return vs;
+    };
+    size_t nepochs = r.parseSize(r.tokens("epochs", 2)[1]);
+    for (size_t i = 0; i < nepochs; ++i) {
+        auto eh = r.tokens("epoch", 3);
+        LedgerState::Epoch e;
+        e.epoch = static_cast<int>(r.parseLong(eh[1]));
+        size_t nsub = r.parseSize(eh[2]);
+        for (size_t k = 0; k < nsub; ++k) {
+            auto sh = r.tokens("sub", 3);
+            int island = static_cast<int>(r.parseLong(sh[1]));
+            e.submissions.emplace_back(island, variants(sh[2]));
+        }
+        e.migrants = variants(r.tokens("migrants", 2)[1]);
+        st.epochs.push_back(std::move(e));
+    }
+    r.expectSeal(sealAt);
+    return st;
 }
 
 } // namespace cirfix::core

@@ -122,9 +122,9 @@ struct EngineState
     int islandCount = 0;
     /** Migration epochs completed when the snapshot was taken. */
     int migrationEpoch = 0;
-    /** Per-epoch keys of the migrants actually injected (v8). The
-     *  coordinator replays this on failover to verify the resumed
-     *  island re-derived the same schedule. */
+    /** Per-epoch keys of the migrants actually injected (v8).
+     *  runIslands() checks them against the ledger's sealed broadcasts
+     *  when the island resumes (MigrationLedger::verifyReplay). */
     std::vector<MigrantRecord> migrantLedger;
     std::vector<Variant> population;
     /** Sorted by key (so snapshots are byte-stable). */
@@ -166,15 +166,15 @@ std::string readFile(const std::string &path);
 /** As readFile(), but "" when the file cannot be opened. */
 std::string readFileOrEmpty(const std::string &path);
 
-/** Serialize a list of variants (patch + fitness + validity) using the
- *  snapshot wire format. Used by the fleet to ship elite migrants and
- *  shared cache entries between workers; traces are included so a
- *  fleet cache hit is indistinguishable from a local one. */
-std::string encodeVariants(const std::vector<Variant> &variants);
+struct LedgerState;
 
-/** Parse encodeVariants() output. @throws std::runtime_error on
- *  structural corruption. @p faulty is the design the patches apply
- *  to (patch donors are reparsed against it, as in decodeSnapshot). */
-std::vector<Variant> decodeVariants(const std::string &text);
+/** Serialize a K-island run's barrier state (island.h) in the snapshot
+ *  text format: its own "CIRFIX-ISLAND-LEDGER" magic, variants written
+ *  as in a snapshot's population, the same checksum and end seal. */
+std::string encodeLedger(const LedgerState &state);
+
+/** Parse encodeLedger() output. @throws std::runtime_error on another
+ *  ledger version or any corruption. */
+LedgerState decodeLedger(const std::string &text);
 
 } // namespace cirfix::core

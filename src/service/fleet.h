@@ -51,12 +51,13 @@ struct FleetConfig
     /** Worker count below which the coordinator degrades admission
      *  (halved queue depth, rejections coded degraded). */
     int minWorkers = 1;
-    /** The admission posture and nothing else. true (`cirfix
-     *  coordinator`): a submit with no local and no live remote worker
-     *  is rejected with no_workers, and fewer live remote workers than
-     *  minWorkers halve the queue depth (degraded). false (`cirfix
-     *  serve`): admission ignores remote workers, which are extra
-     *  capacity. Jobs are claimed and run the same way in both. */
+    /** The admission posture and nothing else. true (`cirfix serve
+     *  --min-workers N`, N >= 1): a submit with no local and no live
+     *  remote worker is rejected with no_workers, and fewer live
+     *  remote workers than minWorkers halve the queue depth
+     *  (degraded). false (the default): admission ignores remote
+     *  workers, which are extra capacity. Jobs are claimed and run the
+     *  same way in both. */
     bool requireWorkers = false;
 };
 

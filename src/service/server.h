@@ -7,8 +7,8 @@
  * or TCP address (transport.h). Every job, a K-island one included,
  * runs whole on one fleet Worker (fleet.h) that claims it under a
  * lease and streams progress and engine snapshots back. Remote workers
- * connect over the same listener; "cirfix coordinator" is the same
- * daemon with the stricter admission posture (FleetConfig).
+ * connect over the same listener; "cirfix serve --min-workers N" is the
+ * same daemon with the stricter admission posture (FleetConfig).
  *
  * Thread model:
  *  - an accept thread poll()s the (non-blocking) listening socket plus
@@ -22,8 +22,8 @@
  *    socketpair whose other end is a worker connection like a dialed
  *    one, so local jobs take the same leases, heartbeats and
  *    stale-commit checks as remote ones. They do not count as remote
- *    workers for the admission posture. A coordinator runs with N = 0
- *    by default and only remote execution.
+ *    workers for the admission posture. With N = 0 the daemon only
+ *    admits, and remote workers run every job.
  *
  * Durability: a job is persisted to the state dir at admission
  * (<dir>/job-<id>.json, atomic tmp+rename), checkpointed every

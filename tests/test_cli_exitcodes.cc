@@ -182,6 +182,25 @@ TEST(CliExitCodes, ServeAcceptsSocketStateDirAndWorkers)
               4);
 }
 
+TEST(CliExitCodes, ServeTakesTheFleetAdmissionFlags)
+{
+    // The coordinator posture is serve --min-workers N; the command
+    // that used to set it is gone.
+    EXPECT_EQ(runCli("coordinator --listen unix:c --state-dir d"), 3);
+    EXPECT_EQ(runCli("serve --socket s --state-dir d --lease-seconds 0"),
+              3);
+    EXPECT_EQ(runCli("serve --socket s --state-dir d --min-workers -1"),
+              3);
+    EXPECT_EQ(runCli("serve --socket s --state-dir d --local-workers 1"),
+              3);
+    // Accepted: the daemon then fails on its state directory.
+    std::string file = tmpFile("cli_serve_fleet_file", "");
+    EXPECT_EQ(runCli("serve --listen unix:" + file + ".sock --state-dir " +
+                     file + "/state --workers 0 --min-workers 2 "
+                     "--lease-seconds 5"),
+              4);
+}
+
 TEST(CliExitCodes, InternalErrorsExitFour)
 {
     // Unreadable input file.

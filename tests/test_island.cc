@@ -3,22 +3,27 @@
  * Island-model evolution tests (core/island.h): deterministic seed and
  * config derivation, the strict elite/migrant total order, barrier
  * sealing and the lex-min winner rule, ledger idempotency and
- * crash-recovery round-trips, the shared fitness store, and the
+ * crash-recovery round-trips (the ledger file refuses truncation, bit
+ * flips and older versions), the shared fitness store, and the
  * end-to-end determinism contract — K=1 equals a plain run, K=3 reruns
- * are bit-identical, and a wind-down + resume converges to the same
- * fingerprint as an uninterrupted run.
+ * are bit-identical, a wind-down + resume converges to the same
+ * fingerprint as an uninterrupted run, and so does a finished
+ * checkpoint rerun with a larger generation budget.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
 #include "core/island.h"
+#include "core/snapshot.h"
 #include "sim/elaborate.h"
 #include "sim/probe.h"
 #include "verilog/parser.h"
@@ -293,14 +298,14 @@ TEST(Island, LedgerSealsOnlyWhenEveryIslandSubmittedOrIsDone)
 {
     MigrationLedger ledger(threeIslands());
     ledger.submit(0, 1, {makeVariant(1, 0.9)});
-    EXPECT_FALSE(ledger.poll(0, 1).ready);
+    EXPECT_FALSE(ledger.poll(1).ready);
     ledger.submit(1, 1, {makeVariant(2, 0.8)});
-    EXPECT_FALSE(ledger.poll(1, 1).ready);
+    EXPECT_FALSE(ledger.poll(1).ready);
 
     // Island 2 found a repair inside epoch 1: it never submits epoch 1
     // — its done-mark completes the barrier instead.
     ledger.markDone(2, 1, true);
-    MigrationLedger::Exchange ex = ledger.poll(0, 1);
+    MigrationLedger::Exchange ex = ledger.poll(1);
     ASSERT_TRUE(ex.ready);
     // A winner at epoch <= 1 exists, so everyone stops here.
     EXPECT_TRUE(ex.stop);
@@ -342,7 +347,7 @@ TEST(Island, LedgerSubmitIsIdempotentAndCountsMismatchedReplays)
     ledger.submit(1, 1, {});
     ledger.submit(2, 1, {});
     std::vector<std::string> sealed =
-        keysOf(ledger.poll(0, 1).migrants);
+        keysOf(ledger.poll(1).migrants);
     EXPECT_EQ(sealed, keysOf(elites));  // the first export fed the merge
 }
 
@@ -352,44 +357,51 @@ TEST(Island, LedgerVerifyReplayFlagsForeignInjections)
     ledger.submit(0, 1, {makeVariant(1, 0.9)});
     ledger.submit(1, 1, {makeVariant(2, 0.8)});
     ledger.submit(2, 1, {});
-    ASSERT_TRUE(ledger.poll(0, 1).ready);
+    ASSERT_TRUE(ledger.poll(1).ready);
 
     // A resumed island whose injected keys are a subset of the sealed
     // broadcast is consistent.
     MigrantRecord good;
     good.epoch = 1;
     good.keys = {makeVariant(1, 0).patch.key()};
-    ledger.verifyReplay(1, {good});
+    ledger.verifyReplay({good});
     EXPECT_EQ(ledger.stats().elitesLost, 0);
 
     // A key the broadcast never carried: that history is not ours.
     MigrantRecord foreign;
     foreign.epoch = 1;
     foreign.keys = {makeVariant(42, 0).patch.key()};
-    ledger.verifyReplay(1, {foreign});
+    ledger.verifyReplay({foreign});
     EXPECT_EQ(ledger.stats().elitesLost, 1);
 
     // An epoch this ledger never sealed: every key counts.
     MigrantRecord unknown;
     unknown.epoch = 9;
     unknown.keys = {"a", "b"};
-    ledger.verifyReplay(1, {unknown});
+    ledger.verifyReplay({unknown});
     EXPECT_EQ(ledger.stats().elitesLost, 3);
+}
+
+/** Three islands, two sealed epochs, a winner. */
+void
+fillLedger(MigrationLedger *ledger)
+{
+    ledger->submit(0, 1, {makeVariant(1, 0.9), makeVariant(2, 0.8)});
+    ledger->submit(1, 1, {makeVariant(3, 0.7)});
+    ledger->submit(2, 1, {});
+    ledger->markDone(2, 2, true);
+    ledger->submit(0, 2, {makeVariant(4, 0.95)});
+    ledger->submit(1, 2, {makeVariant(5, 0.6)});
 }
 
 TEST(Island, LedgerEncodeDecodeRoundTripsAndRejectsCorruption)
 {
     MigrationLedger ledger(threeIslands());
-    ledger.submit(0, 1, {makeVariant(1, 0.9), makeVariant(2, 0.8)});
-    ledger.submit(1, 1, {makeVariant(3, 0.7)});
-    ledger.submit(2, 1, {});
-    ledger.markDone(2, 2, true);
-    ledger.submit(0, 2, {makeVariant(4, 0.95)});
-    ledger.submit(1, 2, {makeVariant(5, 0.6)});
+    fillLedger(&ledger);
 
-    std::string bytes = ledger.encode();
+    std::string bytes = encodeLedger(ledger.state());
     MigrationLedger restored(threeIslands());
-    ASSERT_TRUE(restored.decode(bytes));
+    ASSERT_TRUE(restored.restore(decodeLedger(bytes)));
     EXPECT_EQ(restored.winner(), ledger.winner());
     EXPECT_EQ(restored.allDone(), ledger.allDone());
     auto a = ledger.broadcasts(), b = restored.broadcasts();
@@ -397,7 +409,7 @@ TEST(Island, LedgerEncodeDecodeRoundTripsAndRejectsCorruption)
     EXPECT_EQ(restored.stats().elitesExported,
               ledger.stats().elitesExported);
     // decode(encode(x)) re-encodes byte-exactly.
-    EXPECT_EQ(restored.encode(), bytes);
+    EXPECT_EQ(encodeLedger(restored.state()), bytes);
 
     // Corruption (bit flip, truncation, garbage) is refused and the
     // target ledger stays untouched — the caller restarts the job.
@@ -405,11 +417,89 @@ TEST(Island, LedgerEncodeDecodeRoundTripsAndRejectsCorruption)
     std::string flipped = bytes;
     size_t mid = flipped.size() / 2;
     flipped[mid] = flipped[mid] == '0' ? '1' : '0';
-    EXPECT_FALSE(untouched.decode(flipped));
-    EXPECT_FALSE(untouched.decode(bytes.substr(0, bytes.size() / 2)));
-    EXPECT_FALSE(untouched.decode("not a ledger\n"));
+    EXPECT_THROW(decodeLedger(flipped), std::runtime_error);
+    EXPECT_THROW(decodeLedger(bytes.substr(0, bytes.size() / 2)),
+                 std::runtime_error);
+    EXPECT_THROW(decodeLedger("not a ledger\n"), std::runtime_error);
+    // A ledger of another island configuration is refused as well.
+    IslandConfig other = threeIslands();
+    other.migrationInterval = 3;
+    MigrationLedger foreign(other);
+    EXPECT_FALSE(untouched.restore(foreign.state()));
     EXPECT_TRUE(untouched.broadcasts().empty());
     EXPECT_EQ(untouched.winner(), (std::pair<int, int>{-1, 0}));
+}
+
+TEST(Island, LedgerKeepsOnlyTheWinnersDoneMark)
+{
+    MigrationLedger ledger(threeIslands());
+    fillLedger(&ledger);
+    ledger.markDone(0, 2, false);
+    ledger.markDone(1, 2, false);
+    ASSERT_TRUE(ledger.allDone());
+
+    // Islands 0 and 1 were done only under this generation budget: a
+    // restored ledger waits for them again, and for the winner not.
+    MigrationLedger restored(threeIslands());
+    ASSERT_TRUE(restored.restore(decodeLedger(encodeLedger(ledger.state()))));
+    EXPECT_FALSE(restored.allDone());
+    EXPECT_EQ(restored.winner(), (std::pair<int, int>{2, 2}));
+    restored.submit(0, 3, {makeVariant(6, 0.5)});
+    EXPECT_FALSE(restored.poll(3).ready);
+    restored.submit(1, 3, {});
+    MigrationLedger::Exchange ex = restored.poll(3);
+    ASSERT_TRUE(ex.ready);
+    EXPECT_TRUE(ex.stop);
+}
+
+/** The islands.ledger a finished three-island run leaves behind: three
+ *  sealed epochs of variants with donor code and traces. */
+std::string
+finishedRunLedger(const std::string &name)
+{
+    MiniScenario sc;
+    std::string dir = tmpDir(name);
+    sc.islands(baseConfig(), threeIslands(), dir);
+    std::ifstream is(dir + "/islands.ledger", std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(is)),
+                      std::istreambuf_iterator<char>());
+    std::filesystem::remove_all(dir);
+    return bytes;
+}
+
+TEST(Island, LedgerFileRejectsTruncationAtEveryRecordBoundary)
+{
+    std::string bytes = finishedRunLedger("ledger-truncate");
+    ASSERT_NO_THROW(decodeLedger(bytes));
+    size_t boundaries = 0;
+    for (size_t nl = bytes.find('\n'); nl + 1 < bytes.size();
+         nl = bytes.find('\n', nl + 1)) {
+        ++boundaries;
+        EXPECT_THROW(decodeLedger(bytes.substr(0, nl + 1)),
+                     std::runtime_error)
+            << "prefix of " << nl + 1 << " bytes decoded";
+    }
+    EXPECT_GT(boundaries, 100u);
+    // A cut inside a blob payload, and bytes after the end marker.
+    size_t blob = bytes.find("trace blob ");
+    ASSERT_NE(blob, std::string::npos);
+    EXPECT_THROW(decodeLedger(bytes.substr(0, blob + 20)),
+                 std::runtime_error);
+    EXPECT_THROW(decodeLedger(bytes + "stray\n"), std::runtime_error);
+}
+
+TEST(Island, LedgerFileRejectsEverySingleBitFlip)
+{
+    // One bit per byte, cycling through the eight positions, over the
+    // whole file: header records, blob payloads, checksum and end.
+    std::string bytes = finishedRunLedger("ledger-bitflip");
+    ASSERT_NO_THROW(decodeLedger(bytes));
+    for (size_t i = 0; i < bytes.size(); ++i) {
+        std::string flipped = bytes;
+        flipped[i] = static_cast<char>(flipped[i] ^ (1 << (i % 8)));
+        EXPECT_THROW(decodeLedger(flipped), std::runtime_error)
+            << "byte " << i;
+    }
 }
 
 // ------------------------------------------------------------------
@@ -645,6 +735,72 @@ TEST(Island, CorruptLedgerRestartsFromScratchDeterministically)
     IslandOutcome restarted = sc.islands(base, ic, dir);
     EXPECT_TRUE(restarted.found);
     EXPECT_EQ(restarted.fingerprint, reference.fingerprint);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Island, LedgerInTheOlderFormatRestartsFromScratch)
+{
+    MiniScenario sc;
+    EngineConfig base = baseConfig();
+    IslandConfig ic = threeIslands();
+    IslandOutcome reference = sc.islands(base, ic);
+
+    std::string dir = tmpDir("island-v1");
+    std::atomic<int> gens{0};
+    std::atomic<bool> stop{false};
+    runIslands(
+        sc.faulty, "tb", "dut", sc.probe, sc.oracle, base, ic, dir,
+        [&](const GenerationStats &) {
+            if (++gens >= 5)
+                stop.store(true);
+        },
+        [&] { return stop.load(); });
+    bool haveSnaps = false;
+    for (int i = 0; i < ic.islands; ++i)
+        haveSnaps |= std::filesystem::exists(
+            dir + "/island-" + std::to_string(i) + ".snap");
+    ASSERT_TRUE(haveSnaps);
+
+    // A well-formed ledger as the version-1 writer sealed it (its own
+    // checksum line, no end marker): this build refuses it, so the
+    // island snapshots go too and the job reruns from generation 0.
+    std::string v1 = "CIRFIX-ISLAND-LEDGER 1\nconfig 3 2 2\n"
+                     "stats 0 0 0 0\ndone 0\nwinner -1 0\nepochs 0\n";
+    v1 += "checksum " + std::to_string(fingerprintSource(v1)) + "\n";
+    EXPECT_THROW(decodeLedger(v1), std::runtime_error);
+    {
+        std::ofstream os(dir + "/islands.ledger", std::ios::trunc);
+        os << v1;
+    }
+
+    IslandOutcome restarted = sc.islands(base, ic, dir);
+    EXPECT_TRUE(restarted.found);
+    EXPECT_EQ(restarted.fingerprint, reference.fingerprint);
+    EXPECT_EQ(restarted.migration.elitesLost, 0);
+    std::filesystem::remove_all(dir);
+}
+
+/** A finished checkpoint, run again with a larger generation budget,
+ *  continues as the longer run would have: islands that only ran out
+ *  of generations are not done for the new budget. */
+TEST(Island, ExtendingAFinishedCheckpointMatchesTheLongerRun)
+{
+    MiniScenario sc;
+    EngineConfig base = baseConfig();
+    IslandConfig ic;
+    ic.islands = 2;
+    IslandOutcome reference = sc.islands(base, ic);
+
+    std::string dir = tmpDir("island-extend");
+    EngineConfig shorter = base;
+    shorter.maxGenerations = 2;
+    IslandOutcome first = sc.islands(shorter, ic, dir);
+    ASSERT_FALSE(first.found);
+    IslandOutcome extended = sc.islands(base, ic, dir);
+    EXPECT_EQ(extended.fingerprint, reference.fingerprint);
+    EXPECT_EQ(extended.found, reference.found);
+    EXPECT_EQ(extended.broadcasts, reference.broadcasts);
+    EXPECT_EQ(extended.migration.elitesLost, 0);
     std::filesystem::remove_all(dir);
 }
 

@@ -425,12 +425,14 @@ TEST(PatchKey, OperatorOutputsMatchRebuiltEdits)
         expectFieldKeys(b);
     }
 
-    std::vector<Variant> variants(made.size());
+    EngineState state;
+    state.population.resize(made.size());
     for (size_t i = 0; i < made.size(); ++i) {
-        variants[i].patch = made[i];
-        variants[i].evaluated = true;
+        state.population[i].patch = made[i];
+        state.population[i].evaluated = true;
     }
-    std::vector<Variant> back = decodeVariants(encodeVariants(variants));
+    std::vector<Variant> back =
+        decodeSnapshot(encodeSnapshot(state)).population;
     ASSERT_EQ(back.size(), made.size());
     for (size_t i = 0; i < back.size(); ++i) {
         expectFieldKeys(back[i].patch);

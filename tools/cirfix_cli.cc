@@ -49,14 +49,12 @@
  *   cirfix serve    --socket PATH | --listen ADDR  --state-dir DIR
  *                   [--workers N] [--queue-depth N]
  *                   [--max-eval-budget N] [--max-budget-seconds S]
- *
- *   cirfix coordinator --listen ADDR --state-dir DIR
- *                   [--local-workers N] [--min-workers N]
- *                   [--lease-seconds S] [admission flags as serve]
- *                   (fleet coordinator: jobs run on remote workers)
+ *                   [--min-workers N] [--lease-seconds S]
+ *                   (--min-workers N >= 1: a fleet coordinator that
+ *                   rejects submits while no worker is connected)
  *
  *   cirfix worker   --connect ADDR --work-dir DIR [--name NAME]
- *                   (claims and executes jobs from a coordinator)
+ *                   (claims and executes jobs from a serve daemon)
  *
  *   cirfix submit   --socket|--connect ADDR <repair inputs>
  *                   [--priority N]
@@ -780,38 +778,6 @@ onStopSignal(int)
         g_worker->requestStop();  // async-signal-safe (atomic store)
 }
 
-/** Shared by serve and coordinator: admission caps from flags. */
-void
-admissionFromArgs(const Args &args, service::AdmissionLimits *limits)
-{
-    limits->queueDepth = static_cast<int>(
-        args.getLong("queue-depth", limits->queueDepth));
-    limits->maxEvalBudget =
-        args.getLong("max-eval-budget", limits->maxEvalBudget);
-    limits->maxBudgetSeconds =
-        args.getDouble("max-budget-seconds", limits->maxBudgetSeconds);
-}
-
-int
-runServer(const service::ServerConfig &cfg, const char *banner)
-{
-    service::Server server(cfg);
-    server.start();
-    g_server = &server;
-    std::signal(SIGINT, onStopSignal);
-    std::signal(SIGTERM, onStopSignal);
-    std::cout << banner << " listening on " << server.boundAddress()
-              << " (state dir " << cfg.stateDir << ", " << cfg.workers
-              << " local worker" << (cfg.workers == 1 ? "" : "s")
-              << ")\n"
-              << std::flush;
-    server.wait();
-    server.stop();
-    g_server = nullptr;
-    std::cout << "daemon stopped; interrupted jobs resume on restart\n";
-    return 0;
-}
-
 int
 cmdServe(const Args &args)
 {
@@ -825,29 +791,41 @@ cmdServe(const Args &args)
         cfg.listenAddress = socket;
     cfg.stateDir = args.need("state-dir");
     cfg.workers = static_cast<int>(args.getLong("workers", 1));
-    admissionFromArgs(args, &cfg.limits);
-    return runServer(cfg, "cirfix-repaird");
-}
-
-int
-cmdCoordinator(const Args &args)
-{
-    service::ServerConfig cfg;
-    cfg.listenAddress = args.need("listen");
-    cfg.stateDir = args.need("state-dir");
-    // A coordinator executes nothing itself by default: jobs wait for
-    // remote workers, and submits with zero workers are rejected with
-    // no_workers. --local-workers N blends in local capacity.
-    cfg.workers = static_cast<int>(args.getLong("local-workers", 0));
-    cfg.fleet.requireWorkers = true;
-    cfg.fleet.minWorkers =
-        static_cast<int>(args.getLong("min-workers", 1));
+    service::AdmissionLimits &limits = cfg.limits;
+    limits.queueDepth = static_cast<int>(
+        args.getLong("queue-depth", limits.queueDepth));
+    limits.maxEvalBudget =
+        args.getLong("max-eval-budget", limits.maxEvalBudget);
+    limits.maxBudgetSeconds =
+        args.getDouble("max-budget-seconds", limits.maxBudgetSeconds);
+    // --min-workers N >= 1 is the fleet-coordinator posture: submits
+    // are rejected while no worker is connected, and fewer than N
+    // remote workers halve the queue depth.
+    long minWorkers = args.getLong("min-workers", 0);
+    if (minWorkers < 0)
+        throw UsageError("--min-workers must not be negative");
+    cfg.fleet.requireWorkers = minWorkers > 0;
+    cfg.fleet.minWorkers = static_cast<int>(minWorkers);
     cfg.fleet.leaseSeconds =
         args.getDouble("lease-seconds", cfg.fleet.leaseSeconds);
     if (cfg.fleet.leaseSeconds <= 0)
         throw UsageError("--lease-seconds must be positive");
-    admissionFromArgs(args, &cfg.limits);
-    return runServer(cfg, "cirfix-coordinator");
+
+    service::Server server(cfg);
+    server.start();
+    g_server = &server;
+    std::signal(SIGINT, onStopSignal);
+    std::signal(SIGTERM, onStopSignal);
+    std::cout << "cirfix-repaird listening on " << server.boundAddress()
+              << " (state dir " << cfg.stateDir << ", " << cfg.workers
+              << " local worker" << (cfg.workers == 1 ? "" : "s")
+              << ")\n"
+              << std::flush;
+    server.wait();
+    server.stop();
+    g_server = nullptr;
+    std::cout << "daemon stopped; interrupted jobs resume on restart\n";
+    return 0;
 }
 
 int
@@ -1034,8 +1012,6 @@ commandFlags(const std::string &command)
                         "deadline", "mem-budget", "islands",
                         "migration-interval",     "migrants"};
     const Set client = {"socket", "connect", "timeout", "retry"};
-    const Set admission = {"queue-depth", "max-eval-budget",
-                           "max-budget-seconds"};
     const Set lint = {"waivers", "check"};
     static const std::map<std::string, CommandFlags> kCommands = {
         {"help", {}},
@@ -1055,12 +1031,9 @@ commandFlags(const std::string &command)
          {{"golden", "patched", "dut", "seed", "tries", "cycles", "out"},
           {"json"}}},
         {"serve",
-         {join({admission,
-                {"socket", "listen", "state-dir", "workers"}})}},
-        {"coordinator",
-         {join({admission,
-                {"listen", "state-dir", "local-workers", "min-workers",
-                 "lease-seconds"}})}},
+         {{"socket", "listen", "state-dir", "workers", "queue-depth",
+           "max-eval-budget", "max-budget-seconds", "min-workers",
+           "lease-seconds"}}},
         {"worker", {{"connect", "work-dir", "name"}}},
         {"submit", {join({client, inputs, search, {"priority"}})}},
         {"status", {join({client, {"id"}})}},
@@ -1111,10 +1084,8 @@ usage(std::ostream &os)
         "[--workers N]\n"
         "           [--queue-depth N] [--max-eval-budget N] "
         "[--max-budget-seconds S]\n"
-        "  coordinator --listen ADDR --state-dir D "
-        "[--local-workers N]\n"
-        "           [--min-workers N] [--lease-seconds S] "
-        "[admission flags as serve]\n"
+        "           [--min-workers N] [--lease-seconds S]   (N >= 1: "
+        "reject submits until a worker connects)\n"
         "  worker   --connect ADDR --work-dir D [--name NAME]\n"
         "  submit   --socket|--connect ADDR <repair inputs> "
         "[--priority N]\n"
@@ -1169,8 +1140,6 @@ main(int argc, char **argv)
             return cmdWitness(args);
         if (args.command == "serve")
             return cmdServe(args);
-        if (args.command == "coordinator")
-            return cmdCoordinator(args);
         if (args.command == "worker")
             return cmdWorker(args);
         if (args.command == "submit")
