@@ -4,14 +4,17 @@
  * @file
  * Shared harness for the experiment binaries: scaled GP configuration
  * (overridable via environment variables), the multi-trial protocol of
- * Section 4.2 (5 independent seeded trials per scenario, stopping at
- * the first acceptable repair), and table formatting helpers.
+ * Section 4.2 (independent seeded trials per scenario, stopping at the
+ * first acceptable repair), and table formatting helpers.
  *
  * Environment knobs:
- *   CIRFIX_TRIALS  trials per scenario            (default 5)
- *   CIRFIX_POP     GP population size             (default 200)
- *   CIRFIX_GENS    max generations per trial      (default 25)
- *   CIRFIX_BUDGET  wall-clock seconds per trial   (default 10)
+ *   CIRFIX_TRIALS  trials per scenario            (default 3)
+ *   CIRFIX_POP     GP population size             (default 500)
+ *   CIRFIX_GENS    max generations per trial      (default 20)
+ *   CIRFIX_BUDGET  wall-clock seconds per trial   (default 8)
+ *
+ * A trial the wall clock ends before its last generation, without a
+ * repair, is not a "no repair": its scenario reports timed-out.
  */
 
 #include <cstdio>
@@ -58,6 +61,10 @@ struct ScenarioOutcome
     long fitnessEvals = 0;    //!< probes of the first successful trial
     long totalEvals = 0;      //!< probes across all executed trials
     int trialsRun = 0;
+    /** Some trial ran out of CIRFIX_BUDGET seconds before its last
+     *  generation without finding a repair: the outcome depends on
+     *  the host's speed. */
+    bool timedOut = false;
     int editCount = 0;        //!< minimized patch size (when found)
     double totalSeconds = 0;
     core::Patch patch;        //!< first successful (minimized) patch
@@ -98,6 +105,9 @@ runScenario(const core::DefectSpec &defect,
         }
         out.totalEvals += res.fitnessEvals;
         out.totalSeconds += res.seconds;
+        if (!res.found && !res.stopped &&
+            res.generations < cfg.maxGenerations)
+            out.timedOut = true;
         if (res.found) {
             out.plausible = true;
             out.repairSeconds = res.seconds;
@@ -116,7 +126,7 @@ inline const char *
 outcomeName(const ScenarioOutcome &o)
 {
     if (!o.plausible)
-        return "no-repair";
+        return o.timedOut ? "timed-out" : "no-repair";
     return o.correct ? "correct" : "plausible-only";
 }
 

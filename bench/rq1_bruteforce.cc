@@ -58,7 +58,10 @@ main()
         bf_time += bf.seconds;
 
         std::printf("%-26s | %-10s %10.2f %8ld | %-10s %10.2f %10ld\n",
-                    id, cf.plausible ? "repaired" : "no",
+                    id,
+                    cf.plausible ? "repaired"
+                    : cf.timedOut ? "timed-out"
+                                  : "no",
                     cf.plausible ? cf.repairSeconds : cfg.maxSeconds,
                     cf.plausible ? cf.fitnessEvals : cf.totalEvals,
                     bf.found ? "repaired" : "no", bf.seconds,

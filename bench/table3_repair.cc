@@ -35,11 +35,13 @@ main()
     int cat1_total = 0, cat1_plausible = 0;
     int cat2_total = 0, cat2_plausible = 0;
     int agree_repaired = 0;
+    int timed_out = 0;
 
     for (const core::DefectSpec &d : allDefects()) {
         ScenarioOutcome out = runScenario(d, cfg, trials);
         plausible += out.plausible;
         correct += out.correct;
+        timed_out += !out.plausible && out.timedOut;
         (d.category == 1 ? cat1_total : cat2_total)++;
         if (out.plausible)
             (d.category == 1 ? cat1_plausible : cat2_plausible)++;
@@ -77,5 +79,9 @@ main()
     std::printf("  per-row repaired/not-repaired agreement with "
                 "Table 3: %d/32\n",
                 agree_repaired);
+    if (timed_out > 0)
+        std::printf("  WARNING: %d row(s) timed out before their last "
+                    "generation; raise CIRFIX_BUDGET\n",
+                    timed_out);
     return 0;
 }

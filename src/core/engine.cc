@@ -1,9 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -77,9 +74,8 @@ RepairEngine::RepairEngine(std::shared_ptr<const SourceFile> faulty,
                            EngineConfig config)
     : faulty_(std::move(faulty)), tbModule_(std::move(tb_module)),
       dutModule_(std::move(dut_module)), probe_(std::move(probe)),
-      oracle_(std::move(oracle)), config_(config),
-      oracleProfile_(OracleProfile::build(oracle_, config.fitness)),
-      rng_(config.seed), cache_(kFitnessCacheSize)
+      oracle_(std::move(oracle)), config_(config), rng_(config.seed),
+      cache_(kFitnessCacheSize)
 {
     // The pre-screen diffs every candidate against the *baseline*
     // design's lint fingerprint: only findings the mutation introduced
@@ -115,20 +111,13 @@ RepairEngine::RepairEngine(std::shared_ptr<const SourceFile> faulty,
     }
     baselineValid_ = isValid(*faulty_);
 
-    // Witness benches: parse each generated testbench once and
-    // precompute the score an absent trace earns against its oracle
-    // (the worst case an early-aborted candidate is charged). Both are
-    // immutable after construction — worker threads read them.
+    // Witness benches: parse each generated testbench once; immutable
+    // after construction — worker threads read them.
     witnessRt_.reserve(config_.witnessBenches.size());
-    for (const OracleBench &b : config_.witnessBenches) {
-        WitnessRuntime rt;
-        rt.bench = &b;
-        rt.file = std::shared_ptr<const SourceFile>(
-            verilog::parse(b.source));
-        rt.missing = evaluateFitness(Trace{}, b.oracle, config_.fitness);
-        witnessTotal_ += rt.missing.total;
-        witnessRt_.push_back(std::move(rt));
-    }
+    for (const OracleBench &b : config_.witnessBenches)
+        witnessRt_.push_back(WitnessRuntime{
+            &b,
+            std::shared_ptr<const SourceFile>(verilog::parse(b.source))});
 }
 
 EvalPool &
@@ -145,43 +134,14 @@ RepairEngine::pool()
     return *pool_;
 }
 
-double
-RepairEngine::abortCutoff(double threshold) const
-{
-    // With witness benches installed the survival threshold is a
-    // COMBINED fitness, but the streaming scorer only bounds the main
-    // bench. combined_ub <= (main_ub*Tm + Tw)/(Tm+Tw) (every witness
-    // bit assumed to match), so aborting when
-    // main_ub < (threshold*(Tm+Tw) - Tw)/Tm is sound: even a perfect
-    // witness score could not lift the candidate back to the
-    // threshold.
-    if (witnessTotal_ <= 0 || !std::isfinite(threshold))
-        return threshold;
-    const double tm = oracleProfile_.suffixWeight.empty()
-                          ? 0.0
-                          : oracleProfile_.suffixWeight[0];
-    return tm > 0 ? (threshold * (tm + witnessTotal_) - witnessTotal_) /
-                        tm
-                  : -std::numeric_limits<double>::infinity();
-}
-
 Variant
 RepairEngine::evaluateUncached(const Patch &patch) const
-{
-    return evaluateUncached(patch, EvalHints{});
-}
-
-Variant
-RepairEngine::evaluateUncached(const Patch &patch,
-                               const EvalHints &hints) const
 {
     using SimStatus = sim::Scheduler::Status;
 
     Variant v;
     v.patch = patch;
     v.evaluated = true;
-    if (hints.lowestBound)
-        *hints.lowestBound = std::numeric_limits<double>::infinity();
 
     std::shared_ptr<SourceFile> patched =
         applyPatch(*faulty_, patch);
@@ -204,28 +164,6 @@ RepairEngine::evaluateUncached(const Patch &patch,
             std::shared_ptr<const SourceFile>(patched), tbModule_,
             guards);
         TraceRecorder rec(*design, probe_);
-        std::optional<StreamingFitness> scorer;
-        if (hints.streaming) {
-            scorer.emplace(oracle_, probe_.signals, config_.fitness,
-                           &oracleProfile_);
-            const double cutoff = abortCutoff(hints.abortThreshold);
-            double *lowest = hints.lowestBound;
-            rec.setSampleCallback(
-                [&scorer, cutoff, lowest](
-                    sim::SimTime t,
-                    const std::vector<sim::LogicVec> &values) {
-                    scorer->onSample(t, values);
-                    const double ub = scorer->upperBound();
-                    if (lowest)
-                        *lowest = std::min(*lowest, ub);
-                    // Strictly below: a candidate that can still TIE
-                    // the survival threshold must finish (ties can
-                    // survive the truncation merge).
-                    return ub < cutoff
-                               ? TraceRecorder::SampleAction::Stop
-                               : TraceRecorder::SampleAction::Continue;
-                });
-        }
         sim::RunLimits limits = config_.simLimits;
         if (limits.maxWallSeconds <= 0)
             limits.maxWallSeconds = config_.evalDeadlineSeconds;
@@ -240,40 +178,14 @@ RepairEngine::evaluateUncached(const Patch &patch,
           case SimStatus::Crashed:
             v.outcome = EvalOutcome::Crashed;
             break;
-          case SimStatus::EarlyStop:
-            v.outcome = EvalOutcome::EarlyAbort;
-            break;
           default:
             break;  // Finished / Idle / MaxTime: a real result
         }
         if (v.outcome == EvalOutcome::Ok) {
             v.trace = rec.takeTrace();
-            if (scorer) {
-                v.fit = scorer->finish();
-                v.rowsScored = scorer->rowsReached();
-            } else {
-                v.fit =
-                    evaluateFitness(v.trace, oracle_, config_.fitness);
-            }
+            v.fit = evaluateFitness(v.trace, oracle_, config_.fitness);
             if (!witnessRt_.empty())
                 scoreWitnessBenches(*patched, v);
-        } else if (v.outcome == EvalOutcome::EarlyAbort) {
-            // A deliberate cutoff, not a failure: the candidate stays
-            // valid and keeps its partial score (remaining oracle rows
-            // read as missing, exactly as a short trace would in the
-            // batch path). The partial fitness is <= the upper bound
-            // that triggered the stop, so the candidate cannot survive
-            // selection, win the trial, or advance the trajectory.
-            v.trace = rec.takeTrace();
-            v.fit = scorer->finish();
-            v.rowsScored = scorer->rowsReached();
-            v.error = design->scheduler().abortReason();
-            // Witness benches are never simulated for an aborted
-            // candidate; their rows read as missing (worst case), which
-            // keeps the combined score under the upper bound that
-            // triggered the stop.
-            for (const WitnessRuntime &w : witnessRt_)
-                v.fit = combineFitness(v.fit, w.missing);
         } else {
             v.valid = false;
             v.error = design->scheduler().abortReason();
@@ -455,8 +367,7 @@ RepairEngine::evaluate(const Patch &patch)
 
 std::vector<Variant>
 RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
-                            std::vector<bool> &simulated_out,
-                            const std::vector<double> *elite_fitness)
+                            std::vector<bool> &simulated_out)
 {
     const size_t n = patches.size();
     enum class Source {
@@ -474,17 +385,6 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
     std::unordered_map<std::string, size_t> first_occurrence;
     std::vector<size_t> fresh;  //!< child indices that must simulate
 
-    // Early-abort survival tracker, seeded with the merge-pool members
-    // already decided (the elites) and fed every resolved child in
-    // child order. Any snapshot of its threshold is a lower bound on
-    // the generation's final survival cutoff, so aborting strictly
-    // below it is sound (see DESIGN.md).
-    const bool abort_armed = elite_fitness && config_.earlyAbort;
-    SurvivalTracker tracker(static_cast<size_t>(config_.popSize));
-    if (abort_armed)
-        for (double f : *elite_fitness)
-            tracker.submit(f);
-
     // Quarantine + cache lookups and in-batch dedup in child order, on
     // this thread (so all accounting and LRU order are
     // schedule-independent). Quarantine wins over everything: a
@@ -496,8 +396,6 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
             source[i] = Source::Quarantined;
             ++counters_.outcomes.quarantineHits;
             out[i] = quarantinedVariant(patches[i], q->second);
-            if (abort_armed)
-                tracker.submit(out[i].fit.fitness);
             continue;
         }
         auto dup = first_occurrence.find(keys[i]);
@@ -505,16 +403,11 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
             source[i] = Source::Duplicate;
             dup_of[i] = dup->second;
             cache_.noteDuplicateHit();
-            // Duplicates resolve after simulation; not submitting them
-            // keeps the threshold conservative (sound, merely fewer
-            // aborts).
             continue;
         }
         if (const FitnessCache::Entry *hit = cache_.find(keys[i])) {
             source[i] = Source::Cached;
             out[i] = cachedVariant(patches[i], *hit);
-            if (abort_armed)
-                tracker.submit(out[i].fit.fitness);
             continue;
         }
         first_occurrence.emplace(keys[i], i);
@@ -522,12 +415,11 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
     }
 
     // Consult the fleet-shared cache once for everything the local
-    // cache missed. A fleet hit carries an exact score (aborted
-    // evaluations are never published), so substituting it for a fresh
-    // simulation cannot change any search decision — only how much
-    // work this island performs. Hits are adopted into the local cache
-    // during the ordered merge below, exactly where a fresh result
-    // would have landed.
+    // cache missed. A fleet hit carries an exact score, so substituting
+    // it for a fresh simulation cannot change any search decision —
+    // only how much work this island performs. Hits are adopted into
+    // the local cache during the ordered merge below, exactly where a
+    // fresh result would have landed.
     if (config_.fleetLookup && !fresh.empty()) {
         std::vector<std::string> ask;
         ask.reserve(fresh.size());
@@ -542,15 +434,11 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
             if (auto q = condemned.find(keys[i]); q != condemned.end()) {
                 source[i] = Source::FleetQuarantined;
                 out[i] = quarantinedVariant(patches[i], q->second);
-                if (abort_armed)
-                    tracker.submit(out[i].fit.fitness);
                 continue;
             }
             if (auto h = hits.find(keys[i]); h != hits.end()) {
                 source[i] = Source::FleetCached;
                 out[i] = cachedVariant(patches[i], h->second);
-                if (abort_armed)
-                    tracker.submit(out[i].fit.fitness);
                 continue;
             }
             still.push_back(i);
@@ -558,63 +446,12 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
         fresh = std::move(still);
     }
 
-    // One dispatch for every fresh simulation; the tracker is still fed
-    // in fixed-size chunks, in child order (see evaluateBatch in
-    // engine.h). A job's started-with threshold is at most its chunk's
-    // exact T_k: chunk k cannot settle before the job finishes, chunks
-    // settle in order, and thresholds never decrease. Upper bounds
-    // never increase, so a run that neither aborted nor saw a bound
-    // below abortCutoff(T_k) is the run under T_k, bit for bit;
-    // settlement re-runs every other child that ran under a threshold
-    // other than T_k. The aborted set thus depends on the seed alone.
-    constexpr size_t kAbortChunk = 16;
-    const size_t chunks = (fresh.size() + kAbortChunk - 1) / kAbortChunk;
-    std::atomic<double> settled{tracker.threshold()};
-    std::vector<double> ran_under(fresh.size());
-    std::vector<double> lowest(fresh.size());
-    std::vector<size_t> open(chunks, 0);  // unfinished jobs per chunk
-    std::mutex settle_mu;
-    size_t next_unsettled = 0;  // guarded by settle_mu
-    auto settle = [&](size_t c) {
-        const double exact = tracker.threshold();
-        const double cutoff = abortCutoff(exact);
-        const size_t end = std::min(fresh.size(), (c + 1) * kAbortChunk);
-        for (size_t j = c * kAbortChunk; j < end; ++j) {
-            Variant &v = out[fresh[j]];
-            if (ran_under[j] != exact &&
-                (v.outcome == EvalOutcome::EarlyAbort ||
-                 lowest[j] < cutoff)) {
-                EvalHints hints;
-                hints.streaming = true;
-                hints.abortThreshold = exact;
-                v = evaluateUncached(patches[fresh[j]], hints);
-            }
-            tracker.submit(v.fit.fitness);
-        }
-        settled.store(tracker.threshold(), std::memory_order_release);
-    };
+    // One dispatch for every fresh simulation.
     std::vector<std::function<void()>> jobs;
     jobs.reserve(fresh.size());
-    for (size_t j = 0; j < fresh.size(); ++j) {
-        ++open[j / kAbortChunk];
-        jobs.push_back([&, j] {
-            EvalHints hints;
-            hints.streaming = true;
-            if (abort_armed) {
-                hints.abortThreshold =
-                    settled.load(std::memory_order_acquire);
-                hints.lowestBound = &lowest[j];
-            }
-            ran_under[j] = hints.abortThreshold;
-            out[fresh[j]] = evaluateUncached(patches[fresh[j]], hints);
-            if (!abort_armed)
-                return;
-            std::lock_guard<std::mutex> lock(settle_mu);
-            --open[j / kAbortChunk];
-            while (next_unsettled < chunks && open[next_unsettled] == 0)
-                settle(next_unsettled++);
-        });
-    }
+    for (size_t i : fresh)
+        jobs.push_back(
+            [&, i] { out[i] = evaluateUncached(patches[i]); });
     pool().run(jobs);
 
     // Merge in child order; only this thread touches the cache, the
@@ -627,20 +464,7 @@ RepairEngine::evaluateBatch(const std::vector<Patch> &patches,
           case Source::Fresh:
             simulated_out[i] = out[i].valid;
             counters_.outcomes.add(out[i].outcome);
-            if (out[i].valid) {
-                counters_.rowsScored += out[i].rowsScored;
-                counters_.rowsSkipped +=
-                    oracle_.rows().size() -
-                    std::min<size_t>(oracle_.rows().size(),
-                                     out[i].rowsScored);
-            }
-            if (out[i].outcome == EvalOutcome::EarlyAbort) {
-                // Never cached: the partial score is only meaningful
-                // against this generation's threshold. A later
-                // encounter (possibly under a lower cutoff, or during
-                // minimization) must re-simulate in full.
-                ++counters_.earlyAborts;
-            } else if (out[i].outcome == EvalOutcome::LintReject) {
+            if (out[i].outcome == EvalOutcome::LintReject) {
                 // Never cached (pure function of the patch) and never
                 // quarantined (the patch never simulated, so it earned
                 // no pathology verdict).
@@ -1009,12 +833,9 @@ RepairEngine::runInternal(const EngineState *restore)
         // (a) Pre-draw every stochastic decision for the generation on
         // this thread: parent picks, operator choices, edit sites. The
         // RNG stream therefore never depends on evaluation scheduling.
-        const int offspring = config_.offspringPerGen > 0
-                                  ? config_.offspringPerGen
-                                  : config_.popSize;
         std::vector<Patch> planned;
         int attempts = 0;
-        const int max_attempts = offspring * 16 + 16;
+        const int max_attempts = config_.popSize * 16 + 16;
         // Fault localization of each parent slot, computed on first
         // use: popn is fixed while planning, so a parent drawn again
         // this generation reuses its result.
@@ -1033,7 +854,7 @@ RepairEngine::runInternal(const EngineState *restore)
                     oracle_);
             return *fl;
         };
-        while (static_cast<int>(planned.size()) < offspring &&
+        while (static_cast<int>(planned.size()) < config_.popSize &&
                attempts++ < max_attempts) {
             if (elapsed() >= config_.maxSeconds || stopRequested())
                 break;
@@ -1077,26 +898,9 @@ RepairEngine::runInternal(const EngineState *restore)
             break;
         }
 
-        // (b) Fan the children out to the pool, (c) merge in child
-        // order. The elites' fitness values seed the early-abort
-        // survival tracker: they are the only merge-pool members known
-        // before the offspring evaluate, and they match what the merge
-        // below will actually carry over.
-        std::vector<double> elite_fitness;
-        {
-            elite_fitness.reserve(popn.size());
-            for (const Variant &v : popn)
-                elite_fitness.push_back(v.fit.fitness);
-            std::sort(elite_fitness.begin(), elite_fitness.end(),
-                      std::greater<double>());
-            const size_t elites = static_cast<size_t>(std::max(
-                1, static_cast<int>(config_.elitism *
-                                    static_cast<double>(popn.size()))));
-            if (elite_fitness.size() > elites)
-                elite_fitness.resize(elites);
-        }
+        // (b) Fan the children out to the pool, (c) merge in child order.
         std::vector<bool> simulated;
-        auto vs = evaluateBatch(planned, simulated, &elite_fitness);
+        auto vs = evaluateBatch(planned, simulated);
         std::vector<Variant> children;
         if (const Variant *w = absorb(vs, simulated, children))
             return finish(w);
@@ -1105,10 +909,7 @@ RepairEngine::runInternal(const EngineState *restore)
         // Stable sorts here and below: the survivor ORDER (which
         // tournament indexes into) must be a function of the members'
         // input order and fitness alone, never of how the sort
-        // algorithm permutes ties — that makes it provably independent
-        // of score perturbations below the truncation cutoff (e.g. an
-        // early-aborted candidate carrying a partial score in one run
-        // and an exact fleet-shared score in another).
+        // algorithm permutes ties.
         std::stable_sort(popn.begin(), popn.end(),
                          [](const Variant &a, const Variant &b) {
                              return a.fit.fitness > b.fit.fitness;

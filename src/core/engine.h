@@ -18,7 +18,6 @@
 
 #include <chrono>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <random>
@@ -50,16 +49,10 @@ struct Variant
     sim::Trace trace;     //!< instrumented-testbench output (cached)
     bool valid = false;   //!< structurally valid ("compiles")
     bool evaluated = false;
-    /** How the evaluation ended; anything but Ok means worst fitness.
-     *  EarlyAbort is the exception: the candidate simulated normally
-     *  until the streaming cutoff fired, and fit holds the partial
-     *  score (remaining oracle rows read as missing). */
+    /** How the evaluation ended; anything but Ok means worst fitness. */
     EvalOutcome outcome = EvalOutcome::Ok;
     /** Diagnostic message for non-Ok outcomes. */
     std::string error;
-    /** Oracle rows actually scored against simulation output when the
-     *  evaluation used the streaming scorer (0 otherwise). */
-    uint64_t rowsScored = 0;
 };
 
 /** Why a quarantined patch key is never re-simulated. */
@@ -105,26 +98,6 @@ struct EngineConfig
      * "Parallel evaluation").
      */
     int numThreads = 0;
-    /**
-     * Streaming-fitness early abort: stop simulating a candidate once
-     * the upper bound on its final fitness falls strictly below the
-     * generation's survival threshold (the popSize-th best fitness
-     * among elites and offspring evaluated so far). Sound by
-     * construction — an aborted candidate is guaranteed to be dropped
-     * by the popSize-truncation merge, so final repair results are
-     * bit-identical to full evaluation (see DESIGN.md, "Streaming
-     * fitness & early abort"). Cache accounting may differ: aborted
-     * evaluations are never cached.
-     */
-    bool earlyAbort = true;
-    /**
-     * Children produced per generation (lambda). 0 keeps the classic
-     * popSize offspring. With the default merge (elites + popSize
-     * children truncated to popSize) the cutoff rarely fires; raising
-     * lambda above popSize makes selection pressure — and the abort —
-     * do real work per generation.
-     */
-    int offspringPerGen = 0;
     /**
      * Wall-clock deadline per candidate evaluation in seconds, layered
      * on the statement/callback budgets (0 disables). Reaps candidates
@@ -176,10 +149,7 @@ struct EngineConfig
      * passes the main-bench simulation is also simulated under each of
      * these, and the per-bench fitness results fold into one combined
      * score (combineFitness) — so plausibility requires matching the
-     * main oracle AND every witness. Streaming early abort stays sound:
-     * the main-bench cutoff is transformed so a candidate aborts only
-     * when even a perfect witness score could not reach the survival
-     * threshold.
+     * main oracle AND every witness.
      */
     std::vector<OracleBench> witnessBenches;
     /**
@@ -227,11 +197,10 @@ struct EngineConfig
     /**
      * Fleet-shared fitness lookup, consulted once per evaluation batch
      * for the keys that missed the local cache. Hits skip simulation
-     * and are adopted into the local cache; they carry exact scores
-     * (aborted evaluations are never published), so the search
-     * trajectory — population sequence, winner, final patch — is
-     * bit-identical with or without sharing. Only the work-accounting
-     * counters (evals, rows scored, early aborts) depend on what the
+     * and are adopted into the local cache; they carry exact scores,
+     * so the search trajectory — population sequence, winner, final
+     * patch — is bit-identical with or without sharing. Only the
+     * work-accounting counters (evals, cache hits) depend on what the
      * rest of the fleet already scored.
      */
     std::function<void(
@@ -253,8 +222,8 @@ struct EngineConfig
 
 /**
  * The search's counters, declared once: fitness probes (the paper's
- * RQ3 cost measure), mutants, pre-screen and streaming accounting,
- * per-outcome and fitness-cache counts. The engine keeps one;
+ * RQ3 cost measure), mutants, pre-screen rejects, per-outcome and
+ * fitness-cache counts. The engine keeps one;
  * GenerationStats, RepairResult and IslandStats extend it and
  * EngineState stores it. forEachCounter() below lists every field
  * with its wire name; operator+= and service::countersToJson() are
@@ -265,11 +234,6 @@ struct SearchCounters
     long fitnessEvals = 0;    //!< fitness probes (simulations)
     long invalidMutants = 0;  //!< mutants rejected by validation
     long totalMutants = 0;    //!< children produced
-    long earlyAborts = 0;     //!< stopped by the streaming cutoff
-    /** Oracle rows scored against simulation output (streaming). */
-    uint64_t rowsScored = 0;
-    /** Oracle rows the cutoff skipped (work saved by early abort). */
-    uint64_t rowsSkipped = 0;
     long lintRejects = 0;     //!< rejected by the lint pre-screen
     /** Evaluations this process satisfied from the fleet-shared cache
      *  / quarantine (0 without a fleetLookup hook). Work accounting,
@@ -302,9 +266,6 @@ forEachCounter(F &&f, Counters &...c)
     f("", "fitness_evals", c.fitnessEvals...);
     f("", "invalid_mutants", c.invalidMutants...);
     f("", "total_mutants", c.totalMutants...);
-    f("", "early_aborts", c.earlyAborts...);
-    f("", "rows_scored", c.rowsScored...);
-    f("", "rows_skipped", c.rowsSkipped...);
     f("", "lint_rejects", c.lintRejects...);
     f("", "fleet_cache_hits", c.fleetCacheHits...);
     f("", "fleet_quarantine_hits", c.fleetQuarantineHits...);
@@ -355,6 +316,8 @@ struct RepairResult : SearchCounters
     /** Per-epoch imported-migrant keys (island runs; empty without
      *  migration). Deterministic per (seed, K, migration schedule). */
     std::vector<MigrantRecord> migrantLedger;
+    /** Always 0: the engine no longer aborts; bench/e2e still reads it. */
+    long earlyAborts = 0;
 };
 
 /**
@@ -393,37 +356,12 @@ class RepairEngine
     Variant evaluate(const Patch &patch);
 
     /**
-     * Per-evaluation knobs for the streaming scorer. Defaults
-     * reproduce classic batch scoring exactly.
-     */
-    struct EvalHints
-    {
-        /** Score online as samples arrive (bit-identical results). */
-        bool streaming = false;
-        /** Stop the simulation once the fitness upper bound falls
-         *  strictly below this (-inf never aborts). Requires
-         *  streaming. */
-        double abortThreshold =
-            -std::numeric_limits<double>::infinity();
-        /** When non-null (and streaming), receives the lowest
-         *  streaming upper bound the run saw (+inf when no sample
-         *  arrived). A run under a threshold t <= T that did not stop
-         *  and whose lowest bound is not below abortCutoff(T) is
-         *  bit-identical to the run under T. */
-        double *lowestBound = nullptr;
-    };
-
-    /**
      * Cache-free, counter-free evaluation. Thread-safe: touches only
      * immutable engine state (the faulty AST, probe, oracle, config)
      * and objects owned by the call, so any number of invocations may
      * run concurrently. This is what run() fans out to worker threads.
      */
     Variant evaluateUncached(const Patch &patch) const;
-
-    /** As above, with streaming/early-abort control. */
-    Variant evaluateUncached(const Patch &patch,
-                             const EvalHints &hints) const;
 
     /**
      * The static checks a candidate must pass before it is simulated:
@@ -485,32 +423,10 @@ class RepairEngine
      * cache updated) in child order. @p simulated_out receives, per
      * child, whether a real simulation ran (the caller charges
      * fitnessEvals in order).
-     *
-     * @p elite_fitness, when non-null, arms the early-abort cutoff:
-     * the values seed a SurvivalTracker (they are the merge-pool
-     * members already known — the generation's elites), and offspring
-     * results feed it in child order, one fixed-size chunk at a time.
-     * Chunk k's exact threshold T_k is the tracker's value before its
-     * results go in. Chunks are units of settlement, not dispatch
-     * barriers: a job runs under the newest settled threshold (a
-     * lower bound on its T_k), and when a chunk's last job finishes
-     * the chunk is settled — every child whose run could differ under
-     * T_k is re-simulated under T_k — before its results feed the
-     * tracker. The aborted set is therefore a function of the seed
-     * alone, at any thread count; at one thread every job already
-     * runs under its T_k and nothing is re-simulated.
      */
-    std::vector<Variant>
-    evaluateBatch(const std::vector<Patch> &patches,
-                  std::vector<bool> &simulated_out,
-                  const std::vector<double> *elite_fitness = nullptr);
+    std::vector<Variant> evaluateBatch(const std::vector<Patch> &patches,
+                                       std::vector<bool> &simulated_out);
     EvalPool &pool();
-    /** The main-bench streaming upper bound below which a run under
-     *  survival threshold @p threshold stops. Equal to @p threshold
-     *  without witness benches; otherwise rescaled so that even a
-     *  perfect witness score could not lift the combined fitness back
-     *  to it. Non-decreasing in @p threshold. */
-    double abortCutoff(double threshold) const;
     const Variant &tournament(const std::vector<Variant> &popn);
 
     /**
@@ -523,13 +439,11 @@ class RepairEngine
     bool scoreWitnessBenches(const verilog::SourceFile &patched,
                              Variant &v) const;
 
-    /** Per-witness-bench immutable runtime state (parsed TB source,
-     *  worst-case score of a missing trace). */
+    /** Per-witness-bench immutable runtime state. */
     struct WitnessRuntime
     {
         const OracleBench *bench = nullptr;  //!< into config_'s vector
-        std::shared_ptr<const verilog::SourceFile> file;
-        FitnessResult missing;  //!< empty trace scored vs the oracle
+        std::shared_ptr<const verilog::SourceFile> file;  //!< parsed TB
     };
 
     std::shared_ptr<const verilog::SourceFile> faulty_;
@@ -537,15 +451,9 @@ class RepairEngine
     sim::ProbeConfig probe_;
     Trace oracle_;
     EngineConfig config_;
-    /** Shared per-oracle-row weights for upper-bound computation;
-     *  immutable after construction (worker threads read it). */
-    OracleProfile oracleProfile_;
-    /** Witness benches parsed and profiled once at construction;
-     *  immutable afterwards (worker threads read them). */
+    /** Witness benches parsed once at construction; immutable
+     *  afterwards (worker threads read them). */
     std::vector<WitnessRuntime> witnessRt_;
-    /** Total achievable fitness sum over all witness benches (the T_w
-     *  of the early-abort threshold transform). */
-    double witnessTotal_ = 0.0;
     std::mt19937_64 rng_;
     FitnessCache cache_;
     std::unique_ptr<EvalPool> pool_;  //!< created lazily by run()

@@ -16,7 +16,6 @@ evalOutcomeName(EvalOutcome o)
       case EvalOutcome::Deadline: return "deadline";
       case EvalOutcome::Oom: return "oom";
       case EvalOutcome::Crashed: return "crashed";
-      case EvalOutcome::EarlyAbort: return "early-abort";
       case EvalOutcome::LintReject: return "lint-reject";
     }
     return "?";

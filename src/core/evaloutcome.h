@@ -26,12 +26,6 @@ enum class EvalOutcome {
     Deadline,   //!< per-candidate wall-clock watchdog fired
     Oom,        //!< per-candidate memory budget exhausted
     Crashed,    //!< any other exception escaping the evaluation
-    EarlyAbort, //!< streaming-fitness cutoff stopped the simulation:
-                //!< the candidate provably cannot reach the survival
-                //!< threshold. Deliberate and benign — never
-                //!< quarantined and never cached (a later generation
-                //!< with a lower threshold must be able to re-score
-                //!< the same patch fully).
     LintReject, //!< the static lint pre-screen found a *new*
                 //!< error-severity diagnostic relative to the baseline
                 //!< design's fingerprint (e.g. a fresh zero-delay
@@ -41,7 +35,7 @@ enum class EvalOutcome {
                 //!< recomputing it is cheaper than a cache slot.
 };
 
-inline constexpr int kEvalOutcomeCount = 9;
+inline constexpr int kEvalOutcomeCount = 8;
 
 const char *evalOutcomeName(EvalOutcome o);
 

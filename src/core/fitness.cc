@@ -9,12 +9,8 @@ using sim::LogicVec;
 
 namespace {
 
-/**
- * Score one oracle value against one (already width-matched) simulation
- * value. Shared by the batch and streaming paths so both accumulate in
- * the same order with the same arithmetic — the bit-identity guarantee
- * between evaluateFitness and StreamingFitness::finish rests on this.
- */
+/** Score one oracle value against one (already width-matched)
+ *  simulation value. */
 void
 scoreBits(const LogicVec &ov, const LogicVec &sv, double phi,
           FitnessResult &r)
@@ -45,22 +41,6 @@ scoreBits(const LogicVec &ov, const LogicVec &sv, double phi,
     }
 }
 
-/** oracle var -> sim column (by name), -1 when absent. */
-std::vector<int>
-mapColumns(const Trace &expected, const std::vector<std::string> &sim_vars)
-{
-    std::vector<int> cols(expected.vars().size(), -1);
-    for (size_t i = 0; i < expected.vars().size(); ++i) {
-        for (size_t j = 0; j < sim_vars.size(); ++j) {
-            if (sim_vars[j] == expected.vars()[i]) {
-                cols[i] = static_cast<int>(j);
-                break;
-            }
-        }
-    }
-    return cols;
-}
-
 } // namespace
 
 FitnessResult
@@ -69,8 +49,17 @@ evaluateFitness(const Trace &sim_result, const Trace &expected,
 {
     FitnessResult r;
 
-    // Column mapping oracle var -> simulation var (by name).
-    std::vector<int> sim_col = mapColumns(expected, sim_result.vars());
+    // Column mapping oracle var -> simulation var (by name), -1 when
+    // absent.
+    std::vector<int> sim_col(expected.vars().size(), -1);
+    for (size_t i = 0; i < expected.vars().size(); ++i) {
+        for (size_t j = 0; j < sim_result.vars().size(); ++j) {
+            if (sim_result.vars()[j] == expected.vars()[i]) {
+                sim_col[i] = static_cast<int>(j);
+                break;
+            }
+        }
+    }
 
     for (const Trace::Row &orow : expected.rows()) {
         const Trace::Row *srow = sim_result.rowAt(orow.time);
@@ -89,115 +78,6 @@ evaluateFitness(const Trace &sim_result, const Trace &expected,
     if (r.total > 0)
         r.fitness = std::max(0.0, r.sum) / r.total;
     return r;
-}
-
-OracleProfile
-OracleProfile::build(const Trace &expected, const FitnessParams &params)
-{
-    OracleProfile p;
-    const auto &rows = expected.rows();
-    p.suffixWeight.assign(rows.size() + 1, 0.0);
-    for (size_t i = rows.size(); i-- > 0;) {
-        double w = 0.0;
-        for (const LogicVec &ov : rows[i].values) {
-            for (int b = 0; b < ov.width(); ++b) {
-                Bit o = ov.bit(b);
-                w += (o == Bit::Zero || o == Bit::One) ? 1.0
-                                                       : params.phi;
-            }
-        }
-        p.suffixWeight[i] = p.suffixWeight[i + 1] + w;
-    }
-    return p;
-}
-
-StreamingFitness::StreamingFitness(const Trace &expected,
-                                   const std::vector<std::string> &sim_vars,
-                                   const FitnessParams &params,
-                                   const OracleProfile *profile)
-    : expected_(expected), params_(params),
-      simCol_(mapColumns(expected, sim_vars)), profile_(profile)
-{
-    if (!profile_) {
-        ownProfile_ = OracleProfile::build(expected, params);
-        profile_ = &ownProfile_;
-    }
-}
-
-void
-StreamingFitness::scoreOracleRow(const Trace::Row &orow,
-                                 const std::vector<LogicVec> *values)
-{
-    for (size_t v = 0; v < orow.values.size(); ++v) {
-        const LogicVec &ov = orow.values[v];
-        LogicVec sv = LogicVec::xs(ov.width());
-        if (values && simCol_[v] >= 0 &&
-            static_cast<size_t>(simCol_[v]) < values->size())
-            sv = (*values)[static_cast<size_t>(simCol_[v])].resized(
-                ov.width());
-        scoreBits(ov, sv, params_.phi, r_);
-    }
-}
-
-void
-StreamingFitness::commitPending()
-{
-    const auto &rows = expected_.rows();
-    // Oracle rows the simulation skipped past read as missing.
-    while (next_ < rows.size() && rows[next_].time < pendingTime_)
-        scoreOracleRow(rows[next_++], nullptr);
-    if (next_ < rows.size() && rows[next_].time == pendingTime_)
-        scoreOracleRow(rows[next_++], &pendingValues_);
-    // Pending rows at non-oracle timestamps are simply ignored, like
-    // rowAt misses in the batch path.
-    havePending_ = false;
-}
-
-void
-StreamingFitness::onSample(sim::SimTime time,
-                           const std::vector<LogicVec> &values)
-{
-    if (finished_)
-        return;
-    // A re-sample at the same instant replaces the pending values
-    // (Trace::addRow keeps the latest row for a timestamp), so a row
-    // only commits once time has advanced past it.
-    if (havePending_ && time != pendingTime_)
-        commitPending();
-    pendingTime_ = time;
-    pendingValues_ = values;
-    havePending_ = true;
-}
-
-const FitnessResult &
-StreamingFitness::finish()
-{
-    if (finished_)
-        return r_;
-    if (havePending_)
-        commitPending();
-    reached_ = next_;
-    const auto &rows = expected_.rows();
-    while (next_ < rows.size())
-        scoreOracleRow(rows[next_++], nullptr);
-    if (r_.total > 0)
-        r_.fitness = std::max(0.0, r_.sum) / r_.total;
-    finished_ = true;
-    return r_;
-}
-
-double
-StreamingFitness::upperBound() const
-{
-    // Best case: every unscored oracle bit (including the pending,
-    // uncommitted row) matches exactly, contributing its full weight to
-    // both sum and total. (s+W)/(t+W) is increasing in W and any
-    // mismatch strictly lowers it, so this dominates every completion.
-    double w = profile_->suffixWeight[next_];
-    double total = r_.total + w;
-    if (total <= 0)
-        return 0.0;
-    return std::max(0.0, r_.sum + w) / total;
 }
 
 } // namespace cirfix::core

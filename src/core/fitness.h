@@ -22,10 +22,6 @@
  */
 
 #include <cstdint>
-#include <limits>
-#include <queue>
-#include <string>
-#include <vector>
 
 #include "sim/trace.h"
 
@@ -70,142 +66,5 @@ struct FitnessResult
 FitnessResult evaluateFitness(const Trace &sim_result,
                               const Trace &expected,
                               const FitnessParams &params = {});
-
-/**
- * Precomputed per-oracle-row score weights, shared across every
- * candidate evaluation of a run (they depend only on the oracle and
- * phi). suffixWeight[i] is the maximum fitness-sum contribution of
- * oracle rows i..end: each oracle bit contributes +1 if defined, +phi
- * otherwise, when the simulation matches it exactly — the best case
- * StreamingFitness::upperBound() assumes for unscored rows.
- */
-struct OracleProfile
-{
-    std::vector<double> suffixWeight;  //!< size rows()+1, last entry 0
-
-    static OracleProfile build(const Trace &expected,
-                               const FitnessParams &params = {});
-};
-
-/**
- * Online version of evaluateFitness: scores each sampled clock-edge
- * row as the simulator produces it instead of materializing the full
- * trace first, and exposes an upper bound on the final fitness so the
- * engine can stop simulating candidates that provably cannot survive
- * selection.
- *
- * finish() is bit-identical to evaluateFitness() on the trace the fed
- * samples would have materialized: both walk oracle rows in order,
- * match simulation rows by exact timestamp, read missing rows/columns
- * as all-x, and accumulate in the same order with the same arithmetic.
- * Re-samples at the same instant replace the previous values (the
- * Trace::addRow contract), which is why the scorer holds one pending
- * row and only commits it once time advances past it.
- */
-class StreamingFitness
-{
-  public:
-    /**
-     * @param expected The oracle trace; must outlive the scorer.
-     * @param sim_vars Column names of the rows that will be fed (the
-     *                 TraceRecorder's probe order).
-     * @param profile  Optional precomputed weights for this oracle and
-     *                 phi (built on the fly when null); must outlive
-     *                 the scorer.
-     */
-    StreamingFitness(const Trace &expected,
-                     const std::vector<std::string> &sim_vars,
-                     const FitnessParams &params = {},
-                     const OracleProfile *profile = nullptr);
-
-    /** Feed the next sampled row; times must be non-decreasing. */
-    void onSample(sim::SimTime time,
-                  const std::vector<sim::LogicVec> &values);
-
-    /**
-     * Score all remaining oracle rows as missing (all-x) and return
-     * the final result. Idempotent; onSample() is ignored afterwards.
-     */
-    const FitnessResult &finish();
-
-    /**
-     * Highest final fitness still reachable: every unscored oracle bit
-     * assumed to match exactly. Monotonically non-increasing as rows
-     * commit, and always >= the eventual finish().fitness.
-     */
-    double upperBound() const;
-
-    /** Oracle rows committed so far (excludes the pending row). */
-    size_t rowsScored() const { return next_; }
-
-    /** Oracle rows the simulation actually reached, frozen by
-     *  finish() before the missing-tail scoring: the per-candidate
-     *  "work done" figure the bench reports. */
-    size_t rowsReached() const { return reached_; }
-
-  private:
-    void commitPending();
-    void scoreOracleRow(const Trace::Row &orow,
-                        const std::vector<sim::LogicVec> *values);
-
-    const Trace &expected_;
-    FitnessParams params_;
-    std::vector<int> simCol_;
-    OracleProfile ownProfile_;        //!< used when none was passed in
-    const OracleProfile *profile_;
-    size_t next_ = 0;                 //!< first oracle row not scored
-    size_t reached_ = 0;              //!< next_ when finish() ran
-    bool havePending_ = false;
-    sim::SimTime pendingTime_ = 0;
-    std::vector<sim::LogicVec> pendingValues_;
-    FitnessResult r_;
-    bool finished_ = false;
-};
-
-/**
- * Tracks the generation's survival threshold for early-abort decisions:
- * the k-th best fitness among the values submitted so far (elites plus
- * already-evaluated offspring). Because submitting more values can only
- * raise the k-th best, any snapshot of threshold() is a lower bound on
- * the final cutoff — so a candidate whose upper bound falls strictly
- * below it is guaranteed to be dropped by the popSize-truncation merge
- * no matter what the remaining offspring score (see DESIGN.md,
- * "Streaming fitness & early abort").
- */
-class SurvivalTracker
-{
-  public:
-    /** @param k Survivor count (the engine's popSize). */
-    explicit SurvivalTracker(size_t k) : k_(k) {}
-
-    void
-    submit(double fitness)
-    {
-        if (topK_.size() < k_) {
-            topK_.push(fitness);
-        } else if (!topK_.empty() && fitness > topK_.top()) {
-            topK_.pop();
-            topK_.push(fitness);
-        }
-    }
-
-    /** True once k values have been submitted (threshold meaningful). */
-    bool armed() const { return k_ > 0 && topK_.size() >= k_; }
-
-    /** k-th best fitness seen, or -inf until armed. */
-    double
-    threshold() const
-    {
-        return armed() ? topK_.top()
-                       : -std::numeric_limits<double>::infinity();
-    }
-
-  private:
-    size_t k_;
-    /** Min-heap holding the k best values submitted. */
-    std::priority_queue<double, std::vector<double>,
-                        std::greater<double>>
-        topK_;
-};
 
 } // namespace cirfix::core

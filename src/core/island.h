@@ -14,19 +14,16 @@
  * deterministic merge — fitness descending, patch key ascending,
  * deduplicated, minus fleet-quarantined keys. Timing, thread
  * scheduling, crashes and failover can change only *work* counters
- * (evaluations, cache hits, early aborts); the populations, the
+ * (evaluations, cache hits); the populations, the
  * migrant ledger, the winner and the final patch are bit-identical
  * per configuration. IslandOutcome::fingerprint hashes exactly the
  * invariant part, so two runs — the CLI and a daemon worker, with or
  * without a crash and resume mid-epoch — can be compared with one
  * integer.
  *
- * The soundness of cross-island fitness sharing (why a shared cache hit
- * cannot change the search) is argued in DESIGN.md "Island-model
- * evolution": local caches never store early-aborted scores, so every
- * shared entry is exact, and an exact score substituted for a
- * would-have-aborted simulation still falls below the survival cutoff
- * that would have aborted it.
+ * Cross-island fitness sharing cannot change the search (DESIGN.md
+ * "Island-model evolution"): every shared entry is the exact score a
+ * fresh simulation of the same patch would produce.
  *
  * runIslands() is the one island driver: "cirfix repair --islands K"
  * calls it, and so does the service worker that claims a K-island job
@@ -157,7 +154,9 @@ std::vector<std::string> injectMigrants(std::vector<Variant> *popn,
 
 /** Thread-safe cross-island fitness/quarantine store, keyed by
  *  Patch::key. One instance per runIslands() call, which its islands
- *  share through their engines' fleetLookup/fleetPublish hooks. */
+ *  share through their engines' fleetLookup/fleetPublish hooks. Every
+ *  entry is an exact score: what a fresh simulation of the patch
+ *  would give on any island. */
 class SharedFitnessStore
 {
   public:

@@ -315,14 +315,7 @@ encodeSnapshot(const EngineState &state)
            << c.fitnessEvals << " " << c.invalidMutants << " "
            << c.totalMutants << " "
            << doubleToken(state.elapsedSeconds) << " "
-           << doubleToken(state.bestSeen);
-        w.line(os.str());
-    }
-    {
-        std::ostringstream os;
-        const SearchCounters &c = state.counters;
-        os << "stream " << c.earlyAborts << " " << c.rowsScored << " "
-           << c.rowsSkipped << " " << c.lintRejects;
+           << doubleToken(state.bestSeen) << " " << c.lintRejects;
         w.line(os.str());
     }
     {
@@ -468,21 +461,18 @@ decodeSnapshot(const std::string &text)
     st.provenance = r.blob("provenance");
     st.rngState = r.blob("rng");
     {
-        auto p = r.tokens("progress", 7);
+        auto p = r.tokens("progress", version < 10 ? 7 : 8);
         st.generationsDone = static_cast<int>(r.parseLong(p[1]));
         st.counters.fitnessEvals = r.parseLong(p[2]);
         st.counters.invalidMutants = r.parseLong(p[3]);
         st.counters.totalMutants = r.parseLong(p[4]);
         st.elapsedSeconds = tokenToDouble(p[5]);
         st.bestSeen = tokenToDouble(p[6]);
+        if (version >= 10)
+            st.counters.lintRejects = r.parseLong(p[7]);
     }
-    {
-        auto s = r.tokens("stream", 5);
-        st.counters.earlyAborts = r.parseLong(s[1]);
-        st.counters.rowsScored = r.parseU64(s[2]);
-        st.counters.rowsSkipped = r.parseU64(s[3]);
-        st.counters.lintRejects = r.parseLong(s[4]);
-    }
+    if (version < 10) // early aborts, rows scored and skipped are retired
+        st.counters.lintRejects = r.parseLong(r.tokens("stream", 5)[4]);
     if (version < 9)
         r.tokens("compiled", 7); // retired compiled-backend counters
     if (version >= 8) {
@@ -527,13 +517,20 @@ decodeSnapshot(const std::string &text)
                                    tokenToDouble(p[2]));
     }
     {
-        auto o = r.tokens("outcomes",
-                          static_cast<size_t>(kEvalOutcomeCount) + 2);
-        for (int i = 0; i < kEvalOutcomeCount; ++i)
+        // Before v10 the line also counted the retired early-abort
+        // outcome, just before lint-reject; that count is dropped.
+        const bool hasEarlyAbort = version < 10;
+        const size_t n =
+            static_cast<size_t>(kEvalOutcomeCount) + hasEarlyAbort;
+        auto o = r.tokens("outcomes", n + 2);
+        for (int i = 0; i < kEvalOutcomeCount; ++i) {
+            const bool skip =
+                hasEarlyAbort &&
+                static_cast<EvalOutcome>(i) == EvalOutcome::LintReject;
             st.counters.outcomes.counts[static_cast<size_t>(i)] =
-                r.parseLong(o[static_cast<size_t>(i) + 1]);
-        st.counters.outcomes.quarantineHits =
-            r.parseLong(o[static_cast<size_t>(kEvalOutcomeCount) + 1]);
+                r.parseLong(o[static_cast<size_t>(i) + 1 + skip]);
+        }
+        st.counters.outcomes.quarantineHits = r.parseLong(o[n + 1]);
     }
     size_t npop = r.parseSize(r.tokens("population", 2)[1]);
     for (size_t i = 0; i < npop; ++i)

@@ -21,8 +21,8 @@
  * re-inserting LRU-first, so hit/miss/eviction behavior after resume
  * matches the uninterrupted run).
  *
- * Format: versioned line-oriented text ("CIRFIX-SNAPSHOT 9" magic;
- * v7 and v8 files still load),
+ * Format: versioned line-oriented text ("CIRFIX-SNAPSHOT 10" magic;
+ * v7 to v9 files still load),
  * length-prefixed blobs for strings that may contain newlines, and
  * hexfloat (%a) doubles so round-trips are bit-exact. The body is
  * sealed by a trailing "checksum" record (FNV-1a over every byte
@@ -65,7 +65,7 @@ struct EngineState
     /** Bump when the on-disk layout changes; readers reject other
      *  versions rather than misparse. Version 2 added the sealing
      *  checksum record; version 3 widened the outcome-count line for
-     *  EvalOutcome::EarlyAbort; version 4 widened it again for
+     *  the early-abort outcome; version 4 widened it again for
      *  EvalOutcome::LintReject and added lintRejects to the "stream"
      *  line; version 5 added the witness-bench section (oracle
      *  provenance: which hardening benches the recorded fitness values
@@ -82,8 +82,12 @@ struct EngineState
      *  an empty ledger); snapshots NEWER than this build are rejected
      *  with both versions named so the fix (upgrade the binary) is
      *  obvious. Version 9 dropped the "compiled" line along with the
-     *  compiled backend; decoding a v7/v8 file skips it. */
-    static constexpr int kVersion = 9;
+     *  compiled backend; decoding a v7/v8 file skips it. Version 10
+     *  dropped the "stream" line and the early-abort outcome count
+     *  along with early abort, and moved lintRejects to the end of the
+     *  "progress" line; decoding an older file drops the retired
+     *  counts. */
+    static constexpr int kVersion = 10;
     /** Oldest version decodeSnapshot() still accepts. */
     static constexpr int kOldestReadableVersion = 7;
 
@@ -102,7 +106,7 @@ struct EngineState
     std::string rngState;
     int generationsDone = 0;
     /** The engine's counters at the checkpoint. The "progress",
-     *  "stream", "outcomes" and "cachestats" lines carry them; the two
+     *  "outcomes" and "cachestats" lines carry them; the two
      *  fleet counters are not written (decode leaves them 0), because
      *  they count one process's hits, not search state. */
     SearchCounters counters;

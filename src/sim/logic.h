@@ -31,7 +31,7 @@ namespace cirfix::sim {
  * never touch the heap. The simulator hot path allocates LogicVec
  * temporaries for every expression evaluation and every recorded
  * sample, so this removes two global-allocator round trips per
- * temporary (see DESIGN.md, "Streaming fitness & early abort").
+ * temporary (see DESIGN.md, "Simulator allocations").
  *
  * The interface is the subset of std::vector<uint64_t> the logic
  * implementation uses; growth semantics are assign-only (a LogicVec

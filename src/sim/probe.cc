@@ -119,13 +119,6 @@ TraceRecorder::sample()
     values.reserve(refs_.size());
     for (auto &r : refs_)
         values.push_back(r.sig->value());
-    if (onSample_ &&
-        onSample_(now, values) == SampleAction::Stop)
-        design_.scheduler().noteEarlyStop(
-            "streaming-fitness cutoff: candidate cannot reach the "
-            "survival threshold");
-    // The row is recorded even when stopping so the partial trace (and
-    // its batch re-score) matches what the scorer saw.
     trace_.addRow(now, std::move(values));
 }
 

@@ -18,7 +18,6 @@
  * variable set, and picks the testbench's clock signal.
  */
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,33 +53,8 @@ ProbeConfig deriveProbeConfig(const verilog::SourceFile &file,
 class TraceRecorder
 {
   public:
-    /** What a sample observer wants the simulation to do next. */
-    enum class SampleAction {
-        Continue,  //!< keep simulating
-        Stop,      //!< stop the run (Scheduler::Status::EarlyStop)
-    };
-
-    /**
-     * Per-sample observer: called with each recorded row (settled
-     * end-of-slot values) before it is appended to the trace. Returning
-     * Stop latches a clean EarlyStop on the scheduler — the run loop
-     * exits once the current time slot's postponed callbacks drain, and
-     * the partially recorded trace remains available. This is the hook
-     * the streaming-fitness scorer uses to abort candidates whose
-     * remaining samples cannot change their fate.
-     */
-    using SampleCallback = std::function<SampleAction(
-        SimTime, const std::vector<LogicVec> &)>;
-
     /** Attach to @p design; must be called before run(). */
     TraceRecorder(Design &design, const ProbeConfig &config);
-
-    /**
-     * Install the per-sample observer. Per-recorder (not on the shared
-     * ProbeConfig) because concurrent candidate evaluations share one
-     * ProbeConfig but each needs its own scorer state.
-     */
-    void setSampleCallback(SampleCallback cb) { onSample_ = std::move(cb); }
 
     const Trace &trace() const { return trace_; }
     Trace takeTrace() { return std::move(trace_); }
@@ -93,7 +67,6 @@ class TraceRecorder
     SimTime startTime_;
     bool pending_ = false;
     Trace trace_;
-    SampleCallback onSample_;
 };
 
 } // namespace cirfix::sim

@@ -142,12 +142,6 @@ Scheduler::noteCrash(const std::string &reason)
     note(reason, AbortKind::Crash);
 }
 
-void
-Scheduler::noteEarlyStop(const std::string &reason)
-{
-    note(reason, AbortKind::Early);
-}
-
 Scheduler::RunResult
 Scheduler::run(SimTime max_time, uint64_t max_callbacks,
                double max_wall_seconds)

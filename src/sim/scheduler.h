@@ -58,7 +58,7 @@ struct SimAbort : std::runtime_error
      * the elab-throw path previously defaulted every such abort to
      * "runaway".
      */
-    enum class Cause { Budget, Deadline, Crash, EarlyStop };
+    enum class Cause { Budget, Deadline, Crash };
 
     explicit SimAbort(const std::string &what, Cause c = Cause::Budget)
         : std::runtime_error(what), cause(c)
@@ -194,8 +194,6 @@ class Scheduler
         Runaway,    //!< callback/statement budget exhausted, sim aborted
         Deadline,   //!< wall-clock deadline exceeded, sim aborted
         Crashed,    //!< internal error escaped a process, sim aborted
-        EarlyStop,  //!< consumer requested stop (streaming fitness
-                    //!< early abort): a clean, deliberate cutoff
     };
 
     struct RunResult
@@ -244,13 +242,6 @@ class Scheduler
     void noteDeadline(const std::string &reason);
     /** Record an internal-error abort (status Crashed). */
     void noteCrash(const std::string &reason);
-    /**
-     * Record a deliberate consumer-requested stop (status EarlyStop).
-     * Used by the streaming-fitness probe once the remaining samples
-     * cannot change the candidate's fate; unlike the other notes this
-     * is not a failure — the partial result is meaningful.
-     */
-    void noteEarlyStop(const std::string &reason);
     bool aborted() const { return aborted_; }
     const std::string &abortReason() const { return abortReason_; }
 
@@ -264,7 +255,6 @@ class Scheduler
         switch (abortKind_) {
           case AbortKind::Deadline: return Status::Deadline;
           case AbortKind::Crash: return Status::Crashed;
-          case AbortKind::Early: return Status::EarlyStop;
           case AbortKind::Budget: break;
         }
         return Status::Runaway;
@@ -353,7 +343,7 @@ class Scheduler
     void retireHead();
 
     /** What kind of abort latched first (decides the run status). */
-    enum class AbortKind { Budget, Deadline, Crash, Early };
+    enum class AbortKind { Budget, Deadline, Crash };
 
     void note(const std::string &reason, AbortKind kind);
 

@@ -1,19 +1,23 @@
 /**
  * @file
  * Tests for the parallel candidate-evaluation substrate: the EvalPool
- * thread pool, the patch-keyed LRU fitness cache, and — the core
- * contract — that a repair trial is bit-identical for a given seed at
- * any thread count (determinism regression harness).
+ * thread pool, the patch-keyed LRU fitness cache, the evaluation
+ * outcome names, and — the core contract — that a repair trial is
+ * bit-identical for a given seed at any thread count (determinism
+ * regression harness).
  */
 
 #include <atomic>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "benchmarks/registry.h"
 #include "core/engine.h"
 #include "core/evalpool.h"
+#include "core/scenario.h"
 #include "sim/elaborate.h"
 #include "sim/probe.h"
 #include "verilog/parser.h"
@@ -314,6 +318,62 @@ TEST(EvalPoolDeterminism, ConcurrentUncachedEvaluationsAgree)
         EXPECT_DOUBLE_EQ(out[size_t(i)].fit.fitness,
                          out[0].fit.fitness);
         EXPECT_EQ(out[size_t(i)].trace.toCsv(), out[0].trace.toCsv());
+    }
+}
+
+TEST(EvalOutcome, NamesRoundTripAndAreDistinct)
+{
+    std::set<std::string> seen;
+    for (int i = 0; i < kEvalOutcomeCount; ++i) {
+        auto o = static_cast<EvalOutcome>(i);
+        std::string name = evalOutcomeName(o);
+        EXPECT_FALSE(name.empty());
+        EXPECT_TRUE(seen.insert(name).second)
+            << "duplicate outcome name " << name;
+        EXPECT_EQ(evalOutcomeFromName(name), o);
+    }
+    EXPECT_THROW(evalOutcomeFromName("no-such-outcome"),
+                 std::runtime_error);
+}
+
+/** The semantic fields that must not depend on the thread count. */
+std::string
+semanticFingerprint(const RepairResult &r)
+{
+    std::ostringstream os;
+    os << r.found << '|' << r.patch.key() << '|' << r.repairedSource
+       << '|' << r.finalFitness.sum << '/' << r.finalFitness.total
+       << '|' << r.generations << '|' << r.totalMutants << '|'
+       << r.invalidMutants;
+    for (const auto &[evals, fit] : r.fitnessTrajectory)
+        os << '|' << evals << ':' << fit;
+    return os.str();
+}
+
+/** A benchmark defect searched on the pool: evaluateBatch's parallel
+ *  fan-out and child-order merge give the same repair at 1, 4 and 8
+ *  threads. */
+TEST(ParallelEval, RepairResultsBitIdenticalAcrossThreadCounts)
+{
+    const ProjectSpec &p = cirfix::bench::getProject("counter");
+    const DefectSpec &d =
+        cirfix::bench::getDefect("counter_incorrect_reset");
+    Scenario sc = buildScenario(p, d);
+    auto runTrial = [&sc](int threads) {
+        EngineConfig cfg;
+        cfg.popSize = 20;
+        cfg.maxGenerations = 5;
+        cfg.seed = 7;
+        cfg.numThreads = threads;
+        cfg.maxSeconds = 1e9;  // the clock must not shape the search
+        RepairEngine engine = sc.makeEngine(cfg);
+        return engine.run();
+    };
+
+    std::string want = semanticFingerprint(runTrial(1));
+    for (int threads : {1, 4, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        EXPECT_EQ(semanticFingerprint(runTrial(threads)), want);
     }
 }
 

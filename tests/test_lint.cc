@@ -579,10 +579,8 @@ TEST(LintPrescreen, RejectionIsDeterministicAcrossThreadCounts)
     core::EngineConfig cfg;
     cfg.popSize = 20;
     cfg.maxGenerations = 6;
-    cfg.offspringPerGen = 40;
     cfg.seed = 7;
     cfg.maxSeconds = 1e9;
-    cfg.earlyAbort = true;
 
     std::vector<core::RepairResult> results;
     for (int threads : {1, 4, 8}) {
@@ -623,10 +621,8 @@ TEST(LintPrescreen, OffAndOnAgreeOnTheRepair)
     core::EngineConfig cfg;
     cfg.popSize = 20;
     cfg.maxGenerations = 6;
-    cfg.offspringPerGen = 40;
     cfg.seed = 7;
     cfg.maxSeconds = 1e9;
-    cfg.earlyAbort = true;
     cfg.numThreads = 4;
 
     core::EngineConfig off_cfg = cfg;

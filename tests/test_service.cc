@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -24,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/snapshot.h"
 #include "service/client.h"
 #include "service/framing.h"
 #include "service/jobqueue.h"
@@ -974,11 +976,51 @@ TEST(ServiceServer, RestartKeepsAFinishedJobsStatus)
     ASSERT_EQ(before.num("generation"), 6);
     ASSERT_GT(before.num("fitness_evals"), 0);
 
+    // Rewrite the result file as a daemon with early abort wrote it:
+    // the retired early_aborts, rows_scored and rows_skipped counters
+    // and an early-abort outcome count, which a restored job ignores.
+    const std::string rf =
+        cfg.stateDir + "/job-" + std::to_string(id) + ".result.json";
+    Json old = Json::parse(core::readFile(rf));
+    for (const char *part : {"result", "progress"}) {
+        Json &c = old[part];
+        ASSERT_TRUE(c.find("outcomes")) << part;
+        c["early_aborts"] = 3;
+        c["rows_scored"] = 575;
+        c["rows_skipped"] = 12;
+        c["outcomes"]["early-abort"] = 3;
+    }
+    core::writeFileAtomic(rf, old.dump());
+
     cfg.workers = 0;
     Server server(cfg);
     server.start();
     Json after = Client(cfg.listenAddress).status(id);
+    // `cirfix result` still prints the restored job: no repair (exit
+    // 2), its probe count, and nothing of the retired counters.
+    std::string printed;
+    int status = -1;
+    {
+        std::string cmd = std::string(CIRFIX_CLI_BIN) + " result --socket " +
+                          cfg.listenAddress + " --id " +
+                          std::to_string(id) + " 2>&1";
+        FILE *p = ::popen(cmd.c_str(), "r");
+        ASSERT_NE(p, nullptr);
+        char buf[4096];
+        size_t n;
+        while ((n = std::fread(buf, 1, sizeof buf, p)) > 0)
+            printed.append(buf, n);
+        status = ::pclose(p);
+    }
     server.stop();
+    ASSERT_TRUE(WIFEXITED(status)) << printed;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << printed;
+    EXPECT_NE(printed.find(std::to_string(before.num("fitness_evals")) +
+                           " fitness probes, 6 generations"),
+              std::string::npos)
+        << printed;
+    EXPECT_NE(printed.find("outcomes: ok="), std::string::npos) << printed;
+    EXPECT_EQ(printed.find("early"), std::string::npos) << printed;
     // lease_stats are daemon-wide totals since start(); the job's own
     // summary must come back field for field.
     before.remove("lease_stats");

@@ -18,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include "benchmarks/registry.h"
 #include "core/engine.h"
+#include "core/scenario.h"
 #include "core/snapshot.h"
 #include "sim/elaborate.h"
 #include "sim/probe.h"
@@ -186,9 +188,9 @@ TEST(Snapshot, RejectsGarbageAndWrongVersion)
     auto engine = sc.engine(cfg);
     engine.run();
     std::string bytes = slurp(cfg.snapshotPath);
-    ASSERT_EQ(bytes.rfind("CIRFIX-SNAPSHOT 9\n", 0), 0u);
+    ASSERT_EQ(bytes.rfind("CIRFIX-SNAPSHOT 10\n", 0), 0u);
     std::string wrong = bytes;
-    wrong.replace(0, 18, "CIRFIX-SNAPSHOT 99\n");
+    wrong.replace(0, 19, "CIRFIX-SNAPSHOT 99\n");
     try {
         decodeSnapshot(wrong);
         FAIL() << "expected version rejection";
@@ -197,14 +199,14 @@ TEST(Snapshot, RejectsGarbageAndWrongVersion)
         // readable range) and tells the user the remedy.
         std::string what = e.what();
         EXPECT_NE(what.find("version 99"), std::string::npos) << what;
-        EXPECT_NE(what.find("7..9"), std::string::npos) << what;
+        EXPECT_NE(what.find("7..10"), std::string::npos) << what;
         EXPECT_NE(what.find("newer cirfix"), std::string::npos)
             << what;
     }
     // A version-1 file (no checksum seal) is likewise rejected by
     // version, not misparsed.
     std::string v1 = bytes;
-    v1.replace(0, 18, "CIRFIX-SNAPSHOT 1\n");
+    v1.replace(0, 19, "CIRFIX-SNAPSHOT 1\n");
     EXPECT_THROW(decodeSnapshot(v1), std::runtime_error);
     // Truncation anywhere must throw, never misparse.
     EXPECT_THROW(decodeSnapshot(bytes.substr(0, bytes.size() / 2)),
@@ -253,34 +255,49 @@ TEST(Snapshot, IslandProvenanceAndLedgerRoundTrip)
 
 TEST(Snapshot, V7FileLoadsAsPlainRun)
 {
-    // Forward compat: v7 (no island records) and v8 snapshots still
-    // load. Both carry the retired "compiled" counters line, which the
-    // decoder must skip; a v7 file comes back as "not an island run" —
-    // island -1 of 0, empty ledger — rather than garbage or a
-    // rejection. Each old stream is synthesized from a fresh v9 one,
-    // so it must decode to exactly the same state and resume to the
-    // same result.
+    // Forward compat: v7 (no island records), v8 and v9 snapshots
+    // still load. v9 and older carry the retired "stream" line (early
+    // aborts, rows scored and skipped, lint rejects) and an early-abort
+    // outcome count, v7 and v8 also the retired "compiled" counters
+    // line; the decoder must drop them all. A v7 file comes back as
+    // "not an island run" — island -1 of 0, empty ledger — rather than
+    // garbage or a rejection. Each old stream is synthesized from a
+    // fresh v10 one, so it must decode to exactly the same state and
+    // resume to the same result.
     MiniScenario sc;
     EngineConfig cfg = baseConfig();
     cfg.maxGenerations = 1;
     cfg.snapshotPath = tmpPath("v7compat.snap");
     auto engine = sc.engine(cfg);
     engine.run();
-    std::string v9 = slurp(cfg.snapshotPath);
-    ASSERT_EQ(v9.rfind("CIRFIX-SNAPSHOT 9\n", 0), 0u);
-    EXPECT_EQ(v9.find("\ncompiled "), std::string::npos);
+    std::string v10 = slurp(cfg.snapshotPath);
+    ASSERT_EQ(v10.rfind("CIRFIX-SNAPSHOT 10\n", 0), 0u);
+    EXPECT_EQ(v10.find("\nstream "), std::string::npos);
+    EXPECT_EQ(v10.find("\ncompiled "), std::string::npos);
 
     // Stamp @p version and re-seal the checksum.
     auto reseal = [](std::string body, const std::string &version) {
-        body.replace(0, 18, "CIRFIX-SNAPSHOT " + version + "\n");
+        body.replace(0, body.find('\n') + 1,
+                     "CIRFIX-SNAPSHOT " + version + "\n");
         size_t seal = body.rfind("\nchecksum ");
         EXPECT_NE(seal, std::string::npos);
         body.erase(seal + 1);
         return body + "checksum " +
                std::to_string(fingerprintSource(body)) + "\nend\n";
     };
+    // v9: lintRejects ended the "stream" line after "progress", and
+    // the outcomes line counted early aborts just before lint rejects.
+    std::string body = v10;
+    size_t progressEnd = body.find('\n', body.find("\nprogress ") + 1);
+    ASSERT_NE(progressEnd, std::string::npos);
+    size_t lintAt = body.rfind(' ', progressEnd);
+    body.replace(lintAt, 1, "\nstream 3 575 12 ");
+    size_t outcomesEnd = body.find('\n', body.find("\noutcomes ") + 1);
+    ASSERT_NE(outcomesEnd, std::string::npos);
+    size_t quarantineAt = body.rfind(' ', outcomesEnd);
+    body.insert(body.rfind(' ', quarantineAt - 1), " 5");
+    std::string v9 = reseal(body, "9");
     // v8: the retired counters line sat right before the island record.
-    std::string body = v9;
     size_t isl = body.find("\nisland ");
     ASSERT_NE(isl, std::string::npos);
     body.insert(isl + 1, "compiled 3 1 7 2 4096 5\n");
@@ -295,9 +312,9 @@ TEST(Snapshot, V7FileLoadsAsPlainRun)
     std::string v7 = reseal(body, "7");
 
     auto fresh = sc.engine(baseConfig());
-    RepairResult want = fresh.resume(decodeSnapshot(v9));
+    RepairResult want = fresh.resume(decodeSnapshot(v10));
     ASSERT_TRUE(want.found);
-    for (const std::string *old : {&v7, &v8}) {
+    for (const std::string *old : {&v7, &v8, &v9}) {
         SCOPED_TRACE(old->substr(0, 17));
         EngineState st = decodeSnapshot(*old);
         EXPECT_EQ(st.islandIndex, -1);
@@ -305,7 +322,7 @@ TEST(Snapshot, V7FileLoadsAsPlainRun)
         EXPECT_EQ(st.migrationEpoch, 0);
         EXPECT_TRUE(st.migrantLedger.empty());
         EXPECT_EQ(st.seed, cfg.seed);
-        EXPECT_EQ(encodeSnapshot(st), v9);
+        EXPECT_EQ(encodeSnapshot(st), v10);
 
         auto resumer = sc.engine(baseConfig());
         RepairResult resumed = resumer.resume(st);
@@ -316,6 +333,35 @@ TEST(Snapshot, V7FileLoadsAsPlainRun)
         EXPECT_EQ(resumed.fitnessEvals, want.fitnessEvals);
     }
     std::remove(cfg.snapshotPath.c_str());
+}
+
+/** A checkpoint written by a v9 build, before early abort went:
+ *  counter_incorrect_reset at pop 8, seed 7, one thread, stopped after
+ *  generation 3 of 8. It resumes to the uninterrupted run's result,
+ *  which the same build recorded as 52 fitness probes over 8
+ *  generations, no repair. */
+TEST(Snapshot, V9CheckpointFromAnOlderBuildResumes)
+{
+    const DefectSpec &d = bench::getDefect("counter_incorrect_reset");
+    Scenario sc = buildScenario(bench::getProject(d.project), d);
+    EngineConfig cfg;
+    cfg.popSize = 8;
+    cfg.maxGenerations = 8;
+    cfg.maxSeconds = 1e9;  // the clock must not shape the search
+    cfg.seed = 7;
+    cfg.numThreads = 1;
+    RepairResult full = sc.makeEngine(cfg).run();
+    EXPECT_FALSE(full.found);
+    EXPECT_EQ(full.generations, 8);
+    EXPECT_EQ(full.fitnessEvals, 52);
+
+    EngineState st = loadSnapshot(std::string(CIRFIX_TEST_DATA_DIR) +
+                                  "/counter_incorrect_reset_pop8_gen3"
+                                  ".v9.snap");
+    EXPECT_EQ(st.generationsDone, 3);
+    EXPECT_EQ(st.counters.fitnessEvals, 23);
+    RepairResult resumed = sc.makeEngine(cfg).resume(st);
+    expectSameResult(full, resumed);
 }
 
 TEST(Snapshot, ResumeRejectsIslandProvenanceMismatch)

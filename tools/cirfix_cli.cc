@@ -330,10 +330,6 @@ printResult(const service::Json &res, const Args &args)
               << res.num("generations") << " generations, "
               << res.real("seconds") << "s\n"
               << "  outcomes: " << c.outcomes.summary() << "\n";
-    if (c.earlyAborts > 0)
-        std::cout << "  early aborts: " << c.earlyAborts << " ("
-                  << c.rowsSkipped << "/" << c.rowsScored + c.rowsSkipped
-                  << " oracle rows skipped)\n";
     if (c.lintRejects > 0)
         std::cout << "  lint rejects: " << c.lintRejects
                   << " (candidates never simulated)\n";
