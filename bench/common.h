@@ -86,23 +86,14 @@ runScenario(const core::DefectSpec &defect,
     const core::ProjectSpec &project =
         bench::getProject(defect.project);
     core::Scenario sc = core::buildScenario(project, defect);
+    if (oracle_override)
+        sc.oracle = *oracle_override;  // the held-out oracle stays
 
     for (int trial = 0; trial < trials; ++trial) {
         core::EngineConfig cfg = base_cfg;
-        cfg.seed = 1000 + static_cast<uint64_t>(trial) * 7919;
+        cfg.seed = core::trialSeed(1000, trial);
         ++out.trialsRun;
-        core::RepairResult res;
-        if (oracle_override) {
-            const std::string &dut =
-                defect.repairModule.empty() ? project.dutModule
-                                            : defect.repairModule;
-            core::RepairEngine engine(sc.faulty, project.tbModule, dut,
-                                      sc.probe, *oracle_override, cfg);
-            res = engine.run();
-        } else {
-            core::RepairEngine engine = sc.makeEngine(cfg);
-            res = engine.run();
-        }
+        core::RepairResult res = sc.makeEngine(cfg).run();
         out.totalEvals += res.fitnessEvals;
         out.totalSeconds += res.seconds;
         if (!res.found && !res.stopped &&

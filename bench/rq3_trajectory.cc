@@ -30,7 +30,7 @@ main()
 
     bool shown = false;
     for (int trial = 0; trial < defaultTrials() && !shown; ++trial) {
-        cfg.seed = 1000 + static_cast<uint64_t>(trial) * 7919;
+        cfg.seed = core::trialSeed(1000, trial);
         core::RepairEngine engine = sc.makeEngine(cfg);
         core::RepairResult res = engine.run();
         if (!res.found)

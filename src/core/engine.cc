@@ -8,7 +8,6 @@
 
 #include "core/island.h"
 #include "core/snapshot.h"
-#include "sim/elaborate.h"
 #include "verilog/parser.h"
 #include "verilog/printer.h"
 #include "verilog/validate.h"
@@ -16,9 +15,7 @@
 namespace cirfix::core {
 
 using namespace verilog;
-using sim::Design;
 using sim::ProbeConfig;
-using sim::TraceRecorder;
 
 size_t
 uniformIndex(std::mt19937_64 &rng, size_t n)
@@ -111,6 +108,13 @@ RepairEngine::RepairEngine(std::shared_ptr<const SourceFile> faulty,
     }
     baselineValid_ = isValid(*faulty_);
 
+    // The containment every candidate and witness simulation runs under.
+    guards_.memBudgetBytes = config_.evalMemoryBudget;
+    guards_.faultPlan = config_.faultPlan;
+    limits_ = config_.simLimits;
+    if (limits_.maxWallSeconds <= 0)
+        limits_.maxWallSeconds = config_.evalDeadlineSeconds;
+
     // Witness benches: parse each generated testbench once; immutable
     // after construction — worker threads read them.
     witnessRt_.reserve(config_.witnessBenches.size());
@@ -137,8 +141,6 @@ RepairEngine::pool()
 Variant
 RepairEngine::evaluateUncached(const Patch &patch) const
 {
-    using SimStatus = sim::Scheduler::Status;
-
     Variant v;
     v.patch = patch;
     v.evaluated = true;
@@ -150,79 +152,22 @@ RepairEngine::evaluateUncached(const Patch &patch) const
         v.valid = false;  // worst fitness, no simulation
         return v;
     }
-    v.valid = true;
 
-    // Total containment: no failure mode of a candidate may escape
-    // this function. Every escape hatch degrades to a worst-fitness
-    // Variant tagged with its EvalOutcome.
-    std::unique_ptr<sim::Design> design;
-    try {
-        sim::SimGuards guards;
-        guards.memBudgetBytes = config_.evalMemoryBudget;
-        guards.faultPlan = config_.faultPlan;
-        design = sim::elaborate(
-            std::shared_ptr<const SourceFile>(patched), tbModule_,
-            guards);
-        TraceRecorder rec(*design, probe_);
-        sim::RunLimits limits = config_.simLimits;
-        if (limits.maxWallSeconds <= 0)
-            limits.maxWallSeconds = config_.evalDeadlineSeconds;
-        auto rr = design->run(limits);
-        switch (rr.status) {
-          case SimStatus::Runaway:
-            v.outcome = EvalOutcome::Runaway;
-            break;
-          case SimStatus::Deadline:
-            v.outcome = EvalOutcome::Deadline;
-            break;
-          case SimStatus::Crashed:
-            v.outcome = EvalOutcome::Crashed;
-            break;
-          default:
-            break;  // Finished / Idle / MaxTime: a real result
-        }
-        if (v.outcome == EvalOutcome::Ok) {
-            v.trace = rec.takeTrace();
-            v.fit = evaluateFitness(v.trace, oracle_, config_.fitness);
-            if (!witnessRt_.empty())
-                scoreWitnessBenches(*patched, v);
-        } else {
-            v.valid = false;
-            v.error = design->scheduler().abortReason();
-        }
-    } catch (const sim::ElabError &e) {
-        v.valid = false;
-        v.outcome = EvalOutcome::ElabFail;
-        v.error = e.what();
-    } catch (const sim::SimOom &e) {
-        v.valid = false;
-        v.outcome = EvalOutcome::Oom;
-        v.error = e.what();
-    } catch (const sim::SimAbort &e) {
-        // A budget/deadline abort thrown outside a process (continuous
-        // assignment or function evaluation) unwinds through run();
-        // the scheduler's latch knows which kind fired first. On
-        // elab-throw paths no Design (and no latch) exists yet, so
-        // classify by the cause carried on the exception instead of
-        // defaulting to Runaway.
-        v.valid = false;
-        bool deadline =
-            design && design->scheduler().aborted()
-                ? design->scheduler().abortStatus() ==
-                      SimStatus::Deadline
-                : e.cause == sim::SimAbort::Cause::Deadline;
-        v.outcome = deadline ? EvalOutcome::Deadline
-                             : EvalOutcome::Runaway;
-        v.error = e.what();
-    } catch (const std::exception &e) {
-        v.valid = false;
-        v.outcome = EvalOutcome::Crashed;
-        v.error = e.what();
-    } catch (...) {
-        v.valid = false;
-        v.outcome = EvalOutcome::Crashed;
-        v.error = "unknown exception";
+    // Total containment (runGuarded): every failure mode of the
+    // simulation degrades to a worst-fitness Variant tagged with its
+    // EvalOutcome.
+    GuardedRun run =
+        runGuarded(patched, tbModule_, probe_, guards_, limits_);
+    v.outcome = run.outcome;
+    v.valid = run.outcome == EvalOutcome::Ok;
+    if (!v.valid) {
+        v.error = std::move(run.error);
+        return v;
     }
+    v.trace = std::move(run.trace);
+    v.fit = evaluateFitness(v.trace, oracle_, config_.fitness);
+    if (!witnessRt_.empty())
+        scoreWitnessBenches(*patched, v);
     return v;
 }
 
@@ -272,12 +217,10 @@ RepairEngine::screen(const SourceFile &patched, const Patch &patch,
     return EvalOutcome::Ok;
 }
 
-bool
+void
 RepairEngine::scoreWitnessBenches(const SourceFile &patched,
                                   Variant &v) const
 {
-    using SimStatus = sim::Scheduler::Status;
-
     for (const WitnessRuntime &w : witnessRt_) {
         // Pair the patched DUT modules with the witness testbench in a
         // fresh file. Node ids are irrelevant here: the combined file
@@ -289,41 +232,19 @@ RepairEngine::scoreWitnessBenches(const SourceFile &patched,
         for (const auto &m : w.file->modules)
             combined->modules.push_back(m->cloneModule());
 
-        sim::SimGuards guards;
-        guards.memBudgetBytes = config_.evalMemoryBudget;
-        guards.faultPlan = config_.faultPlan;
-        auto design = sim::elaborate(
-            std::shared_ptr<const SourceFile>(std::move(combined)),
-            w.bench->module, guards);
-        TraceRecorder rec(*design, w.bench->probe);
-        sim::RunLimits limits = config_.simLimits;
-        if (limits.maxWallSeconds <= 0)
-            limits.maxWallSeconds = config_.evalDeadlineSeconds;
-        auto rr = design->run(limits);
-        switch (rr.status) {
-          case SimStatus::Runaway:
-            v.outcome = EvalOutcome::Runaway;
-            break;
-          case SimStatus::Deadline:
-            v.outcome = EvalOutcome::Deadline;
-            break;
-          case SimStatus::Crashed:
-            v.outcome = EvalOutcome::Crashed;
-            break;
-          default:
-            break;  // Finished / Idle / MaxTime: a real result
-        }
-        if (v.outcome != EvalOutcome::Ok) {
+        GuardedRun run = runGuarded(std::move(combined), w.bench->module,
+                                    w.bench->probe, guards_, limits_);
+        if (run.outcome != EvalOutcome::Ok) {
+            v.outcome = run.outcome;
             v.valid = false;
-            v.error = "witness bench '" + w.bench->module +
-                      "': " + design->scheduler().abortReason();
-            return false;
+            v.error =
+                "witness bench '" + w.bench->module + "': " + run.error;
+            return;
         }
         v.fit = combineFitness(
-            v.fit, evaluateFitness(rec.takeTrace(), w.bench->oracle,
+            v.fit, evaluateFitness(run.trace, w.bench->oracle,
                                    config_.fitness));
     }
-    return true;
 }
 
 Variant

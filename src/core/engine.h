@@ -431,12 +431,12 @@ class RepairEngine
 
     /**
      * Simulate @p patched under every configured witness bench and fold
-     * the per-bench scores into v.fit. Returns false (and marks @p v
-     * failed with the offending bench named in v.error) when a witness
-     * simulation ends in a pathology instead of a result. Thread-safe
-     * like evaluateUncached: reads only immutable engine state.
+     * the per-bench scores into v.fit. A witness simulation that ends
+     * in anything but Ok marks @p v failed with that outcome and the
+     * offending bench named in v.error. Thread-safe like
+     * evaluateUncached: reads only immutable engine state.
      */
-    bool scoreWitnessBenches(const verilog::SourceFile &patched,
+    void scoreWitnessBenches(const verilog::SourceFile &patched,
                              Variant &v) const;
 
     /** Per-witness-bench immutable runtime state. */
@@ -451,6 +451,10 @@ class RepairEngine
     sim::ProbeConfig probe_;
     Trace oracle_;
     EngineConfig config_;
+    /** Guards and limits of every candidate and witness simulation,
+     *  derived from config_ once at construction. */
+    sim::SimGuards guards_;
+    sim::RunLimits limits_;
     /** Witness benches parsed once at construction; immutable
      *  afterwards (worker threads read them). */
     std::vector<WitnessRuntime> witnessRt_;
@@ -485,5 +489,13 @@ class RepairEngine
  * selection bias); this uses std::uniform_int_distribution instead.
  */
 size_t uniformIndex(std::mt19937_64 &rng, size_t n);
+
+/** The seed of trial @p trial in a multi-trial run that starts at
+ *  @p seed0: trials are independent searches. */
+inline uint64_t
+trialSeed(uint64_t seed0, int trial)
+{
+    return seed0 + static_cast<uint64_t>(trial) * 7919;
+}
 
 } // namespace cirfix::core

@@ -1,7 +1,10 @@
 #include "core/evaloutcome.h"
 
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+
+#include "sim/elaborate.h"
 
 namespace cirfix::core {
 
@@ -61,6 +64,65 @@ OutcomeCounts::summary() const
     }
     os << " quarantine-hits=" << quarantineHits;
     return os.str();
+}
+
+GuardedRun
+runGuarded(std::shared_ptr<const verilog::SourceFile> file,
+           const std::string &top, const sim::ProbeConfig &probe,
+           const sim::SimGuards &guards, const sim::RunLimits &limits)
+{
+    using SimStatus = sim::Scheduler::Status;
+
+    GuardedRun r;
+    std::unique_ptr<sim::Design> design;
+    std::optional<sim::TraceRecorder> rec;  // dies before the design
+    try {
+        design = sim::elaborate(std::move(file), top, guards);
+        rec.emplace(*design, probe);
+        switch (design->run(limits).status) {
+          case SimStatus::Runaway:
+            r.outcome = EvalOutcome::Runaway;
+            break;
+          case SimStatus::Deadline:
+            r.outcome = EvalOutcome::Deadline;
+            break;
+          case SimStatus::Crashed:
+            r.outcome = EvalOutcome::Crashed;
+            break;
+          default:
+            break;  // Finished / Idle / MaxTime: a real result
+        }
+        if (r.outcome != EvalOutcome::Ok)
+            r.error = design->scheduler().abortReason();
+    } catch (const sim::ElabError &e) {
+        r.outcome = EvalOutcome::ElabFail;
+        r.error = e.what();
+    } catch (const sim::SimOom &e) {
+        r.outcome = EvalOutcome::Oom;
+        r.error = e.what();
+    } catch (const sim::SimAbort &e) {
+        // A budget/deadline abort thrown outside a process (continuous
+        // assignment or function evaluation) unwinds through run();
+        // this design's scheduler latch knows which kind fired first.
+        // On elab-throw paths no Design (and no latch) exists yet, so
+        // classify by the cause carried on the exception instead.
+        bool deadline = design && design->scheduler().aborted()
+                            ? design->scheduler().abortStatus() ==
+                                  SimStatus::Deadline
+                            : e.cause == sim::SimAbort::Cause::Deadline;
+        r.outcome = deadline ? EvalOutcome::Deadline
+                             : EvalOutcome::Runaway;
+        r.error = e.what();
+    } catch (const std::exception &e) {
+        r.outcome = EvalOutcome::Crashed;
+        r.error = e.what();
+    } catch (...) {
+        r.outcome = EvalOutcome::Crashed;
+        r.error = "unknown exception";
+    }
+    if (rec)
+        r.trace = rec->takeTrace();
+    return r;
 }
 
 } // namespace cirfix::core

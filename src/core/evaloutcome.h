@@ -14,7 +14,11 @@
  */
 
 #include <array>
+#include <memory>
 #include <string>
+
+#include "sim/design.h"
+#include "sim/probe.h"
 
 namespace cirfix::core {
 
@@ -72,5 +76,29 @@ struct OutcomeCounts
     /** One line: "ok=120 parse-fail=3 ... quarantine-hits=2". */
     std::string summary() const;
 };
+
+/** How one guarded simulation ended (see runGuarded). */
+struct GuardedRun
+{
+    EvalOutcome outcome = EvalOutcome::Ok;
+    /** The rows recorded before the run ended: all of them on Ok, a
+     *  prefix (possibly empty) otherwise. */
+    sim::Trace trace;
+    std::string error;  //!< why the run failed; empty on Ok
+};
+
+/**
+ * The one way src/ simulates and records a design: elaborate @p file
+ * from @p top under @p guards, record @p probe, run under @p limits,
+ * and classify how the run ended. No exception escapes: elaboration
+ * errors, memory-budget exhaustion, aborts thrown outside a process and
+ * any other exception all become an outcome plus its message, exactly
+ * as in-process pathologies (Runaway, Deadline, Crashed) do.
+ */
+GuardedRun runGuarded(std::shared_ptr<const verilog::SourceFile> file,
+                      const std::string &top,
+                      const sim::ProbeConfig &probe,
+                      const sim::SimGuards &guards,
+                      const sim::RunLimits &limits);
 
 } // namespace cirfix::core

@@ -2,17 +2,14 @@
 
 #include <stdexcept>
 
-#include "sim/elaborate.h"
 #include "verilog/parser.h"
 #include "verilog/printer.h"
 
 namespace cirfix::core {
 
 using namespace verilog;
-using sim::Design;
 using sim::ProbeConfig;
 using sim::RunLimits;
-using sim::TraceRecorder;
 
 const char *
 paperOutcomeName(PaperOutcome o)
@@ -54,17 +51,6 @@ parseCombined(const std::string &dut_src, const std::string &tb_src)
         parse(dut_src + "\n" + tb_src));
 }
 
-Trace
-simulateAndRecord(std::shared_ptr<const SourceFile> file,
-                  const std::string &top, const ProbeConfig &probe,
-                  const RunLimits &limits)
-{
-    auto design = sim::elaborate(std::move(file), top);
-    TraceRecorder rec(*design, probe);
-    design->run(limits);
-    return rec.takeTrace();
-}
-
 } // namespace
 
 int
@@ -97,7 +83,7 @@ applyRewrites(const std::string &source,
 
 Trace
 recordGoldenTrace(const ProjectSpec &project, bool verify_bench,
-                  const RunLimits &limits)
+                  const RunLimits &limits, ProbeConfig *probe_out)
 {
     const std::string &tb_src =
         verify_bench ? project.verifySource : project.testbenchSource;
@@ -105,7 +91,14 @@ recordGoldenTrace(const ProjectSpec &project, bool verify_bench,
         verify_bench ? project.verifyModule : project.tbModule;
     auto file = parseCombined(project.goldenSource, tb_src);
     ProbeConfig probe = sim::deriveProbeConfig(*file, top);
-    return simulateAndRecord(std::move(file), top, probe, limits);
+    GuardedRun run = runGuarded(std::move(file), top, probe, {}, limits);
+    if (run.outcome != EvalOutcome::Ok)  // a partial trace is no oracle
+        throw std::runtime_error(
+            "golden " + project.name + " under '" + top + "' ended " +
+            evalOutcomeName(run.outcome) + ": " + run.error);
+    if (probe_out)
+        *probe_out = std::move(probe);
+    return std::move(run.trace);
 }
 
 Scenario
@@ -115,27 +108,14 @@ buildScenarioFromSources(const ProjectSpec &project,
 {
     Scenario sc;
     sc.project = &project;
-
     // Expected behavior: record from the previously-functioning design
-    // (paper Section 4.1.2).
-    auto golden = parseCombined(project.goldenSource,
-                                project.testbenchSource);
-    sc.probe = sim::deriveProbeConfig(*golden, project.tbModule);
-    sc.oracle =
-        simulateAndRecord(golden, project.tbModule, sc.probe, limits);
-
+    // (paper Section 4.1.2), plus the held-out verification data.
+    sc.oracle = recordGoldenTrace(project, false, limits, &sc.probe);
     sc.faulty = parseCombined(faulty_dut_src, project.testbenchSource);
-
-    // Held-out verification data.
     sc.verifySource = project.verifySource;
     sc.verifyModule = project.verifyModule;
-    auto verify_golden =
-        parseCombined(project.goldenSource, project.verifySource);
-    sc.verifyProbe =
-        sim::deriveProbeConfig(*verify_golden, project.verifyModule);
-    sc.verifyOracle = simulateAndRecord(
-        verify_golden, project.verifyModule, sc.verifyProbe, limits);
-
+    sc.verifyOracle =
+        recordGoldenTrace(project, true, limits, &sc.verifyProbe);
     return sc;
 }
 
@@ -184,30 +164,16 @@ bool
 checkCorrectness(const Scenario &scenario, const Patch &patch,
                  const RunLimits &limits)
 {
-    // Apply the repair, extract the patched DUT modules, and pair them
-    // with the held-out verification testbench.
-    auto patched = applyPatch(*scenario.faulty, patch);
-    std::string dut_src;
-    auto tb_file = parse(scenario.verifySource);
-    for (auto &m : patched->modules) {
-        if (!tb_file->findModule(m->name))
-            dut_src += print(*m) + "\n";
-    }
-    auto combined = std::shared_ptr<const SourceFile>(
-        parse(dut_src + "\n" + scenario.verifySource));
-    Trace t;
-    try {
-        t = simulateAndRecord(combined, scenario.verifyModule,
-                              scenario.verifyProbe, limits);
-    } catch (const std::exception &) {
-        // Same containment contract as candidate evaluation: any
-        // failure of the verification simulation (elaboration error,
-        // abort escaping a non-process context, OOM) means the
-        // candidate is not a correct repair — never a crashed run.
-        return false;
-    }
-    FitnessResult fit = evaluateFitness(t, scenario.verifyOracle);
-    return fit.plausible();
+    // Same containment contract as candidate evaluation: a verification
+    // run that ends in anything but ok means the candidate is not a
+    // correct repair — never a crashed run.
+    GuardedRun run =
+        runGuarded(parse(patchedDutSource(scenario, patch) + "\n" +
+                         scenario.verifySource),
+                   scenario.verifyModule, scenario.verifyProbe, {},
+                   limits);
+    return run.outcome == EvalOutcome::Ok &&
+           evaluateFitness(run.trace, scenario.verifyOracle).plausible();
 }
 
 } // namespace cirfix::core

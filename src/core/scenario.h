@@ -131,11 +131,16 @@ std::string patchedDutSource(const Scenario &scenario,
                              const Patch &patch);
 
 /**
- * Simulate the golden project under its repair testbench and return
- * the recorded oracle trace (also used to sanity-check projects).
+ * Simulate the golden project under its repair (or, with
+ * @p verify_bench, its verification) testbench and return the recorded
+ * oracle trace (also used to sanity-check projects). @p probe_out, when
+ * given, receives the probe configuration the trace was recorded with.
+ * @throws std::runtime_error when the golden run ends in anything but
+ * EvalOutcome::Ok.
  */
 Trace recordGoldenTrace(const ProjectSpec &project, bool verify_bench,
-                        const sim::RunLimits &limits = {});
+                        const sim::RunLimits &limits = {},
+                        sim::ProbeConfig *probe_out = nullptr);
 
 /**
  * Correctness check for a plausible patch: re-simulate the patched

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "lint/netgraph.h"
-#include "sim/elaborate.h"
 #include "verilog/parser.h"
 
 namespace cirfix::core {
@@ -149,16 +148,12 @@ witnessProbe(const WitnessInterface &iface)
     return probe;
 }
 
-Trace
+GuardedRun
 runWitnessBench(const std::string &dut_src, const OracleBench &bench,
                 const sim::RunLimits &limits)
 {
-    auto file = std::shared_ptr<const SourceFile>(
-        verilog::parse(dut_src + "\n" + bench.source));
-    auto design = sim::elaborate(std::move(file), bench.module);
-    sim::TraceRecorder rec(*design, bench.probe);
-    design->run(limits);
-    return rec.takeTrace();
+    return runGuarded(verilog::parse(dut_src + "\n" + bench.source),
+                      bench.module, bench.probe, {}, limits);
 }
 
 StepMatrix
@@ -255,26 +250,21 @@ findWitness(const std::string &golden_dut_src,
     auto verdict = [&](const StepMatrix &steps,
                        Trace *patched_out) -> int {
         OracleBench b = benchFor(steps);
-        Trace golden;
-        try {
-            golden = runWitnessBench(golden_dut_src, b, opts.simLimits);
-        } catch (const std::exception &) {
+        GuardedRun golden =
+            runWitnessBench(golden_dut_src, b, opts.simLimits);
+        if (golden.outcome != EvalOutcome::Ok ||
+            golden.trace.rows().empty())
             return -1;
-        }
-        if (golden.rows().empty())
-            return -1;
-        Trace patched;
-        try {
-            patched =
-                runWitnessBench(patched_dut_src, b, opts.simLimits);
-        } catch (const std::exception &) {
+        GuardedRun patched =
+            runWitnessBench(patched_dut_src, b, opts.simLimits);
+        if (patched.outcome != EvalOutcome::Ok)
             return 1;
-        }
+        const bool agrees =
+            evaluateFitness(patched.trace, golden.trace, opts.fitness)
+                .plausible();
         if (patched_out)
-            *patched_out = patched;
-        return evaluateFitness(patched, golden, opts.fitness).plausible()
-                   ? 0
-                   : 1;
+            *patched_out = std::move(patched.trace);
+        return agrees ? 0 : 1;
     };
 
     std::mt19937_64 rng(opts.seed);
@@ -361,7 +351,7 @@ findWitness(const std::string &golden_dut_src,
     res.bench = benchFor(res.steps);
     res.bench.provenance = provenance;
     res.bench.oracle =
-        runWitnessBench(golden_dut_src, res.bench, opts.simLimits);
+        runWitnessBench(golden_dut_src, res.bench, opts.simLimits).trace;
     res.found = true;
     return res;
 }

@@ -126,14 +126,14 @@ std::string makeWitnessBenchSource(const WitnessInterface &iface,
 sim::ProbeConfig witnessProbe(const WitnessInterface &iface);
 
 /**
- * Simulate @p dut_src under @p bench and return the recorded trace.
- * @throws on parse/elaboration failure; simulation pathologies
- * (budget exhaustion inside a process) end the run and return the
- * partial trace, exactly as candidate evaluation would observe it.
+ * Simulate @p dut_src under @p bench through runGuarded (no memory
+ * budget): the outcome, the recorded (on a pathology, partial) trace
+ * and the error, classified exactly as candidate evaluation classifies
+ * them. @throws when the sources do not parse.
  */
-Trace runWitnessBench(const std::string &dut_src,
-                      const OracleBench &bench,
-                      const sim::RunLimits &limits = {});
+GuardedRun runWitnessBench(const std::string &dut_src,
+                           const OracleBench &bench,
+                           const sim::RunLimits &limits = {});
 
 /**
  * Delta-debugging minimization of a discriminating stimulus: greedily

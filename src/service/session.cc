@@ -4,7 +4,6 @@
 
 #include "core/island.h"
 #include "core/snapshot.h"
-#include "sim/elaborate.h"
 #include "verilog/parser.h"
 #include "verilog/printer.h"
 
@@ -72,12 +71,22 @@ buildJobInputs(const JobSpec &spec)
         std::string golden_src =
             spec.goldenSource + "\n" +
             testbenchOnlySource(*in.faulty, *golden_only);
-        std::shared_ptr<const verilog::SourceFile> golden =
-            verilog::parse(golden_src);
-        auto design = sim::elaborate(golden, spec.tbModule);
-        sim::TraceRecorder rec(*design, in.probe);
-        design->run();
-        in.oracle = rec.takeTrace();
+        // A client's golden is as untrusted as its design: record it
+        // under the job's memory budget and deadline. The run bounds
+        // stay the defaults, so a golden that passes records the same
+        // oracle as an unguarded run.
+        sim::SimGuards guards;
+        guards.memBudgetBytes = spec.params.evalMemoryBudget;
+        sim::RunLimits limits;
+        limits.maxWallSeconds = spec.params.evalDeadlineSeconds;
+        core::GuardedRun run = core::runGuarded(
+            verilog::parse(golden_src), spec.tbModule, in.probe, guards,
+            limits);
+        if (run.outcome != core::EvalOutcome::Ok)
+            throw std::runtime_error(
+                "golden design under '" + spec.tbModule + "' ended " +
+                core::evalOutcomeName(run.outcome) + ": " + run.error);
+        in.oracle = std::move(run.trace);
     }
     return in;
 }

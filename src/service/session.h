@@ -15,7 +15,8 @@
  *  - buildJobInputs() parses the design, derives the probe config and
  *    materializes the expected-behavior oracle (from the submitted CSV
  *    or by re-simulating the golden source under the design's own
- *    testbench).
+ *    testbench, through core::runGuarded under the job's memory budget
+ *    and deadline).
  *  - runRepairJob() wires checkpointing to the job's snapshot path:
  *    if the snapshot exists the engine resume()s (daemon restart, or a
  *    rerun `cirfix repair --snapshot`), otherwise it run()s fresh; each
@@ -44,8 +45,11 @@ struct JobInputs
  *  callbacks; callers attach those). */
 core::EngineConfig engineConfigFromSpec(const JobSpec &spec);
 
-/** Parse + oracle materialization. @throws std::runtime_error on a
- *  design that does not parse, a missing module, or a bad oracle. */
+/** Parse + oracle materialization. The golden is recorded under the
+ *  job's evalMemoryBudget and evalDeadlineSeconds with default run
+ *  bounds. @throws std::runtime_error on a design that does not parse,
+ *  a missing module, a bad oracle CSV, or a golden run that ends in
+ *  anything but ok (the message names the golden and the outcome). */
 JobInputs buildJobInputs(const JobSpec &spec);
 
 /** The modules of @p design that @p golden does not redefine: the

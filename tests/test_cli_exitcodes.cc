@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "service/session.h"
+#include "sim/trace.h"
 
 namespace {
 
@@ -414,6 +415,63 @@ TEST(CliExitCodes, IslandRepairPrintsTheJobFingerprint)
     EXPECT_NE(out.find("  fingerprint: " + fingerprint + "\n"),
               std::string::npos)
         << out;
+}
+
+const char *kCounter = R"(
+module counter (clk, reset, enable, counter_out, overflow_out);
+    input clk;
+    input reset;
+    input enable;
+    output [3:0] counter_out;
+    output overflow_out;
+    reg [3:0] counter_out;
+    reg overflow_out;
+    always @(posedge clk)
+    begin
+        if (reset == 1'b1) begin
+            counter_out <= #1 4'b0000;
+            overflow_out <= #1 1'b0;
+        end
+        else if (enable == 1'b1) begin
+            counter_out <= #1 counter_out + 1;
+        end
+        if (counter_out == 4'b1111) begin
+            overflow_out <= #1 1'b1;
+        end
+    end
+endmodule
+)";
+
+TEST(CliExitCodes, WitnessJsonParsesAndCarriesTheOracle)
+{
+    // The patched counter's overflow fires at 7 instead of 15.
+    std::string early = kCounter;
+    early.replace(early.find("4'b1111"), 7, "4'b0111");
+    std::string golden = tmpFile("cli_witness_g.v", kCounter);
+    std::string patched = tmpFile("cli_witness_p.v", early);
+    int code = -1;
+    std::string out = cliOutput("witness --golden " + golden +
+                                    " --patched " + patched +
+                                    " --dut counter --seed 7 --tries 4000 "
+                                    "--cycles 24 --json",
+                                &code);
+    ASSERT_EQ(code, 0) << out;
+    cirfix::service::Json j = cirfix::service::Json::parse(out);
+    EXPECT_TRUE(j.flag("found"));
+    EXPECT_GT(j.num("tries"), 0);
+    EXPECT_GE(j.num("steps_before_min"), j.num("steps"));
+    EXPECT_EQ(j.str("module"), "__cirfix_witness0");
+    EXPECT_EQ(j.str("clock"), "__wclk");
+    ASSERT_NE(j.find("signals"), nullptr);
+    ASSERT_EQ(j.find("signals")->size(), 2u);
+    EXPECT_EQ(j.find("signals")->items()[0].asString(), "counter_out");
+    EXPECT_NE(j.str("bench_source").find("module __cirfix_witness0"),
+              std::string::npos);
+    cirfix::sim::Trace oracle =
+        cirfix::sim::Trace::fromCsv(j.str("oracle_csv"));
+    EXPECT_EQ(static_cast<int64_t>(oracle.rows().size()),
+              j.num("oracle_rows"));
+    EXPECT_EQ(oracle.toCsv(), j.str("oracle_csv"));
 }
 
 } // namespace

@@ -150,6 +150,71 @@ TEST(FaultInjection, MemoryBudgetExhaustionDegradesToOom)
 }
 
 // ------------------------------------------------------------------
+// Witness benches run under the same containment as the candidate's
+// own bench, and a failure names the bench it came from.
+// ------------------------------------------------------------------
+
+/** A witness bench around the toggle DUT with @p extra declared in its
+ *  testbench module. */
+OracleBench
+toggleWitnessBench(const std::string &module, const std::string &extra)
+{
+    OracleBench b;
+    b.module = module;
+    b.source = "module " + module + ";\n"
+               "    reg clk, rst;\n"
+               "    wire q;\n" +
+               extra +
+               "    dut d (.clk(clk), .rst(rst), .q(q));\n"
+               "    initial begin\n"
+               "        clk = 0;\n"
+               "        rst = 1;\n"
+               "        #12 rst = 0;\n"
+               "        #40 $finish;\n"
+               "    end\n"
+               "    always #5 clk = !clk;\n"
+               "endmodule\n";
+    b.probe.clock = "clk";
+    b.probe.signals = {"q"};
+    return b;
+}
+
+TEST(FaultInjection, WitnessBenchOverTheMemoryBudgetDegradesToOom)
+{
+    MiniScenario sc;
+    EngineConfig cfg;
+    // ~4M 8-bit words: far over the default 64 MiB budget, refused
+    // before a word is allocated.
+    cfg.witnessBenches.push_back(toggleWitnessBench(
+        "wtb_big", "    reg [7:0] big [0:4194303];\n"));
+    auto engine = sc.engine(cfg);
+    Variant v = engine.evaluate(Patch{});
+    EXPECT_EQ(v.outcome, EvalOutcome::Oom);
+    EXPECT_FALSE(v.valid);
+    EXPECT_EQ(v.error.rfind("witness bench 'wtb_big': ", 0), 0u)
+        << v.error;
+    EXPECT_NE(v.error.find("memory budget exhausted"), std::string::npos)
+        << v.error;
+}
+
+TEST(FaultInjection, WitnessBenchRunawayKeepsItsOutcomeAndMessage)
+{
+    MiniScenario sc;
+    EngineConfig cfg;
+    // A zero-delay loop inside a process: the statement budget ends
+    // the witness run in-process; the candidate's own bench is fine.
+    cfg.witnessBenches.push_back(toggleWitnessBench(
+        "wtb_spin", "    reg spin;\n"
+                    "    initial forever spin = !spin;\n"));
+    auto engine = sc.engine(cfg);
+    Variant v = engine.evaluate(Patch{});
+    EXPECT_EQ(v.outcome, EvalOutcome::Runaway);
+    EXPECT_FALSE(v.valid);
+    EXPECT_EQ(v.error, "witness bench 'wtb_spin': statement budget "
+                       "exhausted");
+}
+
+// ------------------------------------------------------------------
 // Runaway mutants (statement-budget exhaustion) end-to-end: worst
 // fitness, not a throw — through the serial path, the parallel path,
 // and a repeat lookup answered by the quarantine.

@@ -835,6 +835,27 @@ TEST(ServiceServer, EndToEndKillResumeMatchesUninterruptedRun)
 }
 
 // ---------------------------------------------------------------
+// A client's golden is recorded under the job's memory budget
+// ---------------------------------------------------------------
+
+TEST(ServiceSession, GoldenOverTheMemoryBudgetFailsTheJob)
+{
+    // ~4M 8-bit words: about 140 MB charged against the default
+    // 64 MiB budget, refused before a word is allocated.
+    JobSpec spec = repairableSpec();
+    spec.goldenSource.replace(spec.goldenSource.find("reg q;"), 6,
+                              "reg q;\n    reg [7:0] big [0:4194303];");
+    ASSERT_EQ(spec.params.evalMemoryBudget, 64ull << 20);
+    SessionOutcome out = runRepairJob(spec, "", nullptr, nullptr);
+    EXPECT_EQ(out.state, JobState::Failed);
+    EXPECT_NE(out.error.find("golden"), std::string::npos) << out.error;
+    EXPECT_NE(out.error.find("oom"), std::string::npos) << out.error;
+    EXPECT_NE(out.error.find("memory budget exhausted"),
+              std::string::npos)
+        << out.error;
+}
+
+// ---------------------------------------------------------------
 // Concurrency: two workers really run two jobs at once
 // ---------------------------------------------------------------
 

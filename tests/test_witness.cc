@@ -124,7 +124,7 @@ void
 expectGoldenPasses(const std::string &golden_src,
                    const OracleBench &bench)
 {
-    Trace t = runWitnessBench(golden_src, bench);
+    Trace t = runWitnessBench(golden_src, bench).trace;
     FitnessResult fit = evaluateFitness(t, bench.oracle);
     EXPECT_TRUE(fit.plausible())
         << "witness bench '" << bench.module
@@ -185,7 +185,7 @@ TEST(Witness, GeneratedBenchSimulatesAndSamplesEveryStep)
     bench.module = "wtb";
     bench.source = makeWitnessBenchSource(iface, steps, "wtb", 5);
     bench.probe = witnessProbe(iface);
-    Trace t = runWitnessBench(kGoldenCounter, bench);
+    Trace t = runWitnessBench(kGoldenCounter, bench).trace;
     ASSERT_EQ(t.rows().size(), steps.size());
     // Row k samples the state *entering* posedge k (the DUT's `<= #1`
     // response to step k lands in the next time slot), so the reset
@@ -298,7 +298,7 @@ TEST(WitnessSearch, SeparatesEarlyOverflowCounter)
     // Golden invariance: the bench was recorded from the golden design.
     expectGoldenPasses(kGoldenCounter, ws.bench);
     // ... and it genuinely discriminates: the wrong design fails it.
-    Trace wrong = runWitnessBench(kEarlyOverflowCounter, ws.bench);
+    Trace wrong = runWitnessBench(kEarlyOverflowCounter, ws.bench).trace;
     EXPECT_FALSE(evaluateFitness(wrong, ws.bench.oracle).plausible());
 }
 

@@ -213,7 +213,9 @@ parseArgs(int argc, char **argv)
         }
         std::string key = a.substr(2);
         if (accepted->switches.count(key)) {
-            args.flags[key] = "1";
+            // Not flags[key] = "1": GCC 12 at -O3 warns (-Wrestrict) on
+            // that assignment inlined here, a known false positive.
+            args.flags.insert_or_assign(key, "1");
             continue;
         }
         if (!accepted->values.count(key))
@@ -390,18 +392,21 @@ cmdLocalize(const Args &args)
 {
     service::JobSpec spec = specFromArgs(args, {});
     service::JobInputs in = service::buildJobInputs(spec);
-    auto design = sim::elaborate(in.faulty, spec.tbModule);
-    sim::TraceRecorder rec(*design, in.probe);
-    design->run();
+    // A faulty design that runs away still localizes on what it
+    // recorded; one that recorded nothing has nothing to localize.
+    core::GuardedRun run =
+        core::runGuarded(in.faulty, spec.tbModule, in.probe, {}, {});
+    if (run.outcome != core::EvalOutcome::Ok && run.trace.rows().empty())
+        throw std::runtime_error(run.error);
 
-    auto mismatch = core::outputMismatch(rec.trace(), in.oracle);
+    auto mismatch = core::outputMismatch(run.trace, in.oracle);
     std::cout << "mismatched outputs:";
     for (auto &m : mismatch)
         std::cout << " " << m;
     std::cout << "\n";
 
     const verilog::Module *mod = in.faulty->findModule(spec.dutModule);
-    auto fl = core::faultLocalize(*mod, rec.trace(), in.oracle);
+    auto fl = core::faultLocalize(*mod, run.trace, in.oracle);
     std::cout << "fault localization: " << fl.nodeIds.size()
               << " implicated nodes after " << fl.iterations
               << " iterations\n";
@@ -536,31 +541,6 @@ cmdLintBench(const Args &args)
 // Witness generation
 // ---------------------------------------------------------------
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /** Witness search knobs shared by `witness` and `repair --harden`. */
 core::WitnessOptions
 witnessOptionsFromArgs(const Args &args)
@@ -591,27 +571,27 @@ cmdWitness(const Args &args)
             args.get("patched"));
 
     if (args.flags.count("json")) {
-        std::ostringstream os;
-        os << "{\"found\": " << (ws.found ? "true" : "false")
-           << ", \"tries\": " << ws.tries
-           << ", \"coverage_pool\": " << ws.coveragePool;
+        service::Json j = service::Json::object();
+        j["found"] = ws.found;
+        j["tries"] = ws.tries;
+        j["coverage_pool"] = static_cast<long long>(ws.coveragePool);
         if (ws.found) {
-            os << ", \"steps\": " << ws.steps.size()
-               << ", \"steps_before_min\": " << ws.stepsBeforeMin
-               << ", \"minimize_tests\": " << ws.minimizeTests
-               << ", \"module\": \"" << jsonEscape(ws.bench.module)
-               << "\", \"clock\": \"" << jsonEscape(ws.bench.probe.clock)
-               << "\", \"signals\": [";
-            for (size_t i = 0; i < ws.bench.probe.signals.size(); ++i)
-                os << (i ? ", " : "") << "\""
-                   << jsonEscape(ws.bench.probe.signals[i]) << "\"";
-            os << "], \"oracle_rows\": " << ws.bench.oracle.rows().size()
-               << ", \"bench_source\": \"" << jsonEscape(ws.bench.source)
-               << "\", \"oracle_csv\": \""
-               << jsonEscape(ws.bench.oracle.toCsv()) << "\"";
+            j["steps"] = static_cast<long long>(ws.steps.size());
+            j["steps_before_min"] =
+                static_cast<long long>(ws.stepsBeforeMin);
+            j["minimize_tests"] = ws.minimizeTests;
+            j["module"] = ws.bench.module;
+            j["clock"] = ws.bench.probe.clock;
+            service::Json signals = service::Json::array();
+            for (const std::string &sig : ws.bench.probe.signals)
+                signals.push(sig);
+            j["signals"] = std::move(signals);
+            j["oracle_rows"] =
+                static_cast<long long>(ws.bench.oracle.rows().size());
+            j["bench_source"] = ws.bench.source;
+            j["oracle_csv"] = ws.bench.oracle.toCsv();
         }
-        os << "}\n";
-        std::cout << os.str();
+        std::cout << j.dump() << "\n";
     } else if (ws.found) {
         std::cout << "witness found after " << ws.tries
                   << " stimuli: " << ws.stepsBeforeMin
@@ -633,13 +613,6 @@ cmdWitness(const Args &args)
         }
     }
     return ws.found ? kExitRepairFound : kExitNoRepair;
-}
-
-/** Trial @p trial's seed: trials are independent searches. */
-uint64_t
-trialSeed(uint64_t seed0, int trial)
-{
-    return seed0 + static_cast<uint64_t>(trial) * 7919;
 }
 
 /**
@@ -679,7 +652,7 @@ repairHardened(const Args &args, const service::JobSpec &spec,
         core::buildScenarioFromSources(proj, faulty_dut, cfg.simLimits);
     core::WitnessOptions wo = witnessOptionsFromArgs(args);
     for (int trial = 0; trial < trials; ++trial) {
-        cfg.seed = trialSeed(spec.params.seed, trial);
+        cfg.seed = core::trialSeed(spec.params.seed, trial);
         wo.seed = cfg.seed;
         std::cout << "trial " << trial + 1 << "/" << trials << " (seed "
                   << cfg.seed << ", hardened)...\n";
@@ -732,7 +705,7 @@ cmdRepair(const Args &args)
         // A finished trial's checkpoint must not resume the next one.
         if (trial > 0 && !snapshot.empty())
             service::removeCheckpoint(snapshot);
-        spec.params.seed = trialSeed(seed0, trial);
+        spec.params.seed = core::trialSeed(seed0, trial);
         std::cout << "trial " << trial + 1 << "/" << trials << " (seed "
                   << spec.params.seed;
         if (spec.params.islands > 1)
