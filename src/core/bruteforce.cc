@@ -13,7 +13,7 @@ using namespace verilog;
 
 BruteForceResult
 bruteForceRepair(RepairEngine &engine, const SourceFile &faulty,
-                 const std::string &dut_module, double max_seconds,
+                 const std::string &dut_module, long max_candidates,
                  uint64_t seed)
 {
     using Clock = std::chrono::steady_clock;
@@ -86,7 +86,7 @@ bruteForceRepair(RepairEngine &engine, const SourceFile &faulty,
     std::shuffle(candidates.begin(), candidates.end(), rng);
 
     for (const Patch &p : candidates) {
-        if (elapsed() >= max_seconds)
+        if (result.candidatesTried >= max_candidates)
             break;
         ++result.candidatesTried;
         Variant v = engine.evaluate(p);

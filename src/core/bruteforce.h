@@ -28,11 +28,11 @@ struct BruteForceResult
  * Enumerate uniform single edits (every template at every site, every
  * statement deletion, and random replace/insert pairs) in shuffled
  * order and evaluate each with @p engine until a plausible repair
- * appears or @p max_seconds elapses.
+ * appears or @p max_candidates have been evaluated.
  */
 BruteForceResult bruteForceRepair(RepairEngine &engine,
                                   const verilog::SourceFile &faulty,
                                   const std::string &dut_module,
-                                  double max_seconds, uint64_t seed);
+                                  long max_candidates, uint64_t seed);
 
 } // namespace cirfix::core

@@ -30,6 +30,11 @@ namespace {
 /** LRU bound of the patch-keyed fitness cache. */
 constexpr size_t kFitnessCacheSize = 512;
 
+// GP parameters of paper Section 4.2.
+constexpr double kMutThreshold = 0.7;  //!< mutation (vs crossover)
+constexpr int kTournamentSize = 5;
+constexpr double kElitism = 0.05;      //!< top fraction carried over
+
 /** @p patch scored by a cache entry (local or fleet). The trace is
  *  shared with the entry, not copied. */
 Variant
@@ -447,7 +452,7 @@ const Variant &
 RepairEngine::tournament(const std::vector<Variant> &popn)
 {
     const Variant *best = nullptr;
-    for (int i = 0; i < config_.tournamentSize; ++i) {
+    for (int i = 0; i < kTournamentSize; ++i) {
         const Variant &cand = popn[uniformIndex(rng_, popn.size())];
         if (!best || cand.fit.fitness > best->fit.fitness)
             best = &cand;
@@ -788,7 +793,7 @@ RepairEngine::runInternal(const EngineState *restore)
             // that read the parent's AST: repair templates and
             // mutation operators.
             const bool use_template = uniform(rng_) <= config_.rtThreshold;
-            if (use_template || uniform(rng_) <= config_.mutThreshold) {
+            if (use_template || uniform(rng_) <= kMutThreshold) {
                 auto parent_ast = applyPatch(*faulty_, parent.patch);
                 const Module &dut = *parent_ast->findModule(dutModule_);
                 const auto &sites = parentFl(parent, dut).nodeIds;
@@ -836,7 +841,7 @@ RepairEngine::runInternal(const EngineState *restore)
                              return a.fit.fitness > b.fit.fitness;
                          });
         int elites = std::max(
-            1, static_cast<int>(config_.elitism *
+            1, static_cast<int>(kElitism *
                                 static_cast<double>(popn.size())));
         std::vector<Variant> next;
         for (int i = 0; i < elites &&

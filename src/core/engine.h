@@ -9,8 +9,8 @@
  * each generation, tournament-select parents, re-run fault
  * localization on each parent (supporting dependent multi-edit
  * repairs), and produce children via repair templates (probability
- * rtThreshold), mutation (mutThreshold of the remainder) or single-
- * point crossover. Candidates are scored by the hardware fitness
+ * rtThreshold), mutation (kMutThreshold of the remainder, engine.cc)
+ * or single-point crossover. Candidates are scored by the hardware fitness
  * function against the expected-behavior oracle; a candidate with
  * fitness 1.0 is a plausible repair, which is then minimized with
  * delta debugging before being reported.
@@ -78,10 +78,7 @@ struct EngineConfig
     int popSize = 40;
     int maxGenerations = 8;
     double rtThreshold = 0.2;   //!< repair-template probability
-    double mutThreshold = 0.7;  //!< mutation (vs crossover) probability
     MutationConfig mutation;    //!< delete/insert/replace = .3/.3/.4
-    int tournamentSize = 5;
-    double elitism = 0.05;      //!< top fraction carried over unchanged
     FitnessParams fitness;      //!< phi = 2
     uint64_t seed = 1;
     double maxSeconds = 60.0;   //!< wall-clock bound for the trial

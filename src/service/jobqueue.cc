@@ -1,6 +1,7 @@
 #include "service/jobqueue.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "service/session.h"
 
@@ -9,16 +10,40 @@ namespace cirfix::service {
 std::variant<long, Rejection>
 JobQueue::submit(JobSpec spec, const std::string &requestId)
 {
-    long evals = static_cast<long>(spec.params.popSize) *
-                 static_cast<long>(std::max(1, spec.params.maxGenerations));
-    if (evals > limits_.maxEvalBudget)
+    const JobParams &p = spec.params;
+    const long islands = std::max(1, p.islands);
+    // Every island runs a whole population. Dividing the cap keeps
+    // the product from overflowing.
+    const long evals = static_cast<long>(p.popSize) *
+                       static_cast<long>(std::max(1, p.maxGenerations));
+    if (evals > limits_.maxEvalBudget / islands)
         return Rejection{
             errc::kBudgetTooLarge,
-            "requested evaluation budget (pop " +
-                std::to_string(spec.params.popSize) + " x gens " +
-                std::to_string(spec.params.maxGenerations) + " = " +
-                std::to_string(evals) + ") exceeds the per-job cap of " +
+            "requested evaluation budget (islands " +
+                std::to_string(islands) + " x pop " +
+                std::to_string(p.popSize) + " x gens " +
+                std::to_string(p.maxGenerations) +
+                ") exceeds the per-job cap of " +
                 std::to_string(limits_.maxEvalBudget)};
+    const long threads =
+        p.numThreads > 0
+            ? p.numThreads
+            : std::max(1L, static_cast<long>(
+                               std::thread::hardware_concurrency()));
+    if (islands * threads > kMaxJobThreads)
+        return Rejection{
+            errc::kBudgetTooLarge,
+            "requested threads (islands " + std::to_string(islands) +
+                " x threads " + std::to_string(threads) +
+                ") exceed the per-job cap of " +
+                std::to_string(kMaxJobThreads)};
+    if (p.evalMemoryBudget == 0 || p.evalMemoryBudget > kMaxJobMemoryBudget)
+        return Rejection{
+            errc::kBudgetTooLarge,
+            "requested per-evaluation memory budget of " +
+                std::to_string(p.evalMemoryBudget) +
+                " bytes is unlimited or exceeds the per-job cap of " +
+                std::to_string(kMaxJobMemoryBudget)};
     if (spec.params.maxSeconds > limits_.maxBudgetSeconds)
         return Rejection{
             errc::kBudgetTooLarge,

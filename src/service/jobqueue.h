@@ -64,14 +64,24 @@ namespace cirfix::service {
  *  fleet chaos tests' every-13th-write drops needs up to 8. */
 inline constexpr int kMaxJobAttempts = 32;
 
+/** Cap on islands x threads of one job: every island runs on a thread
+ *  of its own, and its EvalPool starts threads - 1 more (threads <= 0
+ *  counts as hardware_concurrency()). Larger requests are rejected
+ *  with budget_too_large. */
+inline constexpr long kMaxJobThreads = 64;
+/** Cap on a job's per-evaluation memory budget; 0 (unlimited) is
+ *  rejected with budget_too_large too. */
+inline constexpr uint64_t kMaxJobMemoryBudget = 1ull << 30;
+
 /** Admission-control policy knobs. */
 struct AdmissionLimits
 {
     /** Max jobs waiting to run (running/terminal jobs don't count).
      *  Submissions beyond this are rejected with queue_full. */
     int queueDepth = 64;
-    /** Cap on popSize * maxGenerations (the job's evaluation budget);
-     *  larger requests are rejected with budget_too_large. */
+    /** Cap on islands * popSize * max(1, maxGenerations) (the job's
+     *  evaluation budget); larger requests are rejected with
+     *  budget_too_large. */
     long maxEvalBudget = 2'000'000;
     /** Cap on a job's wall-clock budget in seconds. */
     double maxBudgetSeconds = 3600.0;

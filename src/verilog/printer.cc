@@ -1,5 +1,6 @@
 #include "verilog/printer.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace cirfix::verilog {
@@ -226,8 +227,8 @@ class PrintVisitor
           }
           case NodeKind::For: {
             auto *f = s.as<For>();
-            os << pad << "for (" << plainAssign(*f->init) << "; "
-               << expr(*f->cond) << "; " << plainAssign(*f->step)
+            os << pad << "for (" << forClause(f->init.get()) << "; "
+               << expr(*f->cond) << "; " << forClause(f->step.get())
                << ")\n";
             stmtOrNull(os, f->body.get(), ind + 1);
             break;
@@ -351,12 +352,26 @@ class PrintVisitor
         }
     }
 
+    /** A for loop's init or step: an assignment as parsed, but a
+     *  replace or delete edit can leave any statement there (the rest
+     *  of the pipeline takes a generic statement), printed on one line. */
     std::string
-    plainAssign(const Stmt &s)
+    forClause(const Stmt *s)
     {
-        auto *a = s.as<Assign>();
-        return expr(*a->lhs) + (a->blocking ? " = " : " <= ") +
-               expr(*a->rhs);
+        if (!s)
+            return "";
+        if (s->kind == NodeKind::Assign) {
+            auto *a = s->as<Assign>();
+            return expr(*a->lhs) + (a->blocking ? " = " : " <= ") +
+                   expr(*a->rhs);
+        }
+        std::ostringstream os;
+        stmt(os, *s, 0);
+        std::string text = os.str();
+        std::replace(text.begin(), text.end(), '\n', ' ');
+        while (!text.empty() && (text.back() == ' ' || text.back() == ';'))
+            text.pop_back();
+        return text;
     }
 
     static std::string

@@ -9,6 +9,8 @@
 
 #include "benchmarks/registry.h"
 #include "core/scenario.h"
+#include "service/session.h"
+#include "verilog/printer.h"
 
 using namespace cirfix;
 using namespace cirfix::core;
@@ -149,6 +151,30 @@ TEST_P(DefectScenario, GoldenPassesVerificationOracle)
     nodefect.rewrites.clear();
     Scenario golden_sc = buildScenario(p, nodefect);
     EXPECT_TRUE(checkCorrectness(golden_sc, Patch{})) << d.id;
+}
+
+TEST_P(DefectScenario, JobInputsMatchTheScenario)
+{
+    // The job a client would send for this defect: the faulty DUT with
+    // the repair testbench as its design, the golden source as oracle.
+    const DefectSpec &d =
+        bench::allDefects()[static_cast<size_t>(GetParam())];
+    const ProjectSpec &p = bench::getProject(d.project);
+    service::JobSpec spec;
+    spec.designSource = applyRewrites(p.goldenSource, d.rewrites) + "\n" +
+                        p.testbenchSource;
+    spec.tbModule = p.tbModule;
+    spec.dutModule = d.repairModule.empty() ? p.dutModule : d.repairModule;
+    spec.goldenSource = p.goldenSource;
+    service::JobInputs in = service::buildJobInputs(spec);
+
+    Scenario sc = buildScenario(p, d);
+    EXPECT_EQ(verilog::print(*in.faulty), verilog::print(*sc.faulty))
+        << d.id;
+    EXPECT_EQ(in.probe.clock, sc.probe.clock) << d.id;
+    EXPECT_EQ(in.probe.signals, sc.probe.signals) << d.id;
+    EXPECT_EQ(in.probe.startTime, sc.probe.startTime) << d.id;
+    EXPECT_EQ(in.oracle.toCsv(), sc.oracle.toCsv()) << d.id;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDefects, DefectScenario,

@@ -232,7 +232,7 @@ TEST(Engine, BruteForceFindsSingleEditRepair)
     EngineConfig cfg;
     auto engine = sc.engine("tb", "dut", cfg);
     BruteForceResult res =
-        bruteForceRepair(engine, *sc.faulty, "dut", 30.0, 5);
+        bruteForceRepair(engine, *sc.faulty, "dut", 100000, 5);
     EXPECT_TRUE(res.found);
     EXPECT_GT(res.candidatesTried, 0);
 }
@@ -377,15 +377,17 @@ TEST(Engine, ReportsCacheStatsInResult)
     EXPECT_EQ(res.cache.evictions, engine.counters().cache.evictions);
 }
 
-TEST(Engine, BruteForceRespectsTimeBudget)
+TEST(Engine, BruteForceRespectsCandidateBudget)
 {
     MiniScenario sc(kGoldenToggle, faultyToggle(), "tb");
     EngineConfig cfg;
     auto engine = sc.engine("tb", "dut", cfg);
     BruteForceResult res =
-        bruteForceRepair(engine, *sc.faulty, "dut", 0.0, 5);
+        bruteForceRepair(engine, *sc.faulty, "dut", 0, 5);
     EXPECT_FALSE(res.found);
     EXPECT_EQ(res.candidatesTried, 0);
+    res = bruteForceRepair(engine, *sc.faulty, "dut", 1, 5);
+    EXPECT_EQ(res.candidatesTried, 1);
 }
 
 } // namespace

@@ -1096,14 +1096,21 @@ TEST(FleetServer, SustainedChaosLosesNothingDuplicatesNothing)
 
     // Submit under chaos: a dropped reply forces a retry of the SAME
     // request id; the id that comes back must be the original job.
+    // The plan can drop every worker link at once, and admission then
+    // answers no_workers until one reconnects: retry that code too.
     auto submitWithRetry = [&](const JobSpec &spec) -> long {
         std::string requestId = Client::newRequestId();
         for (int attempt = 0;; ++attempt) {
             try {
                 Client c(address);
                 return c.submit(spec, requestId);
-            } catch (const ServiceError &) {
-                throw;  // structured rejection: not a transport fault
+            } catch (const ServiceError &e) {
+                // Any other structured rejection is not a fault of
+                // the transport.
+                if (e.code() != errc::kNoWorkers || attempt > 50)
+                    throw;
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(20));
             } catch (const std::exception &) {
                 if (attempt > 50)
                     throw;

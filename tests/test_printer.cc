@@ -158,6 +158,32 @@ TEST(Printer, StringEscapes)
         "endmodule");
 }
 
+TEST(Printer, ForClauseThatIsNoAssignmentPrints)
+{
+    // A replace or delete edit can put any statement in a for loop's
+    // init or step (crossover carries edit targets between parents),
+    // and a loop printed as a donor must not read it as an Assign.
+    auto file = parse(R"(
+module m;
+    integer i;
+    reg [3:0] q;
+    initial for (i = 0; i < 4; i = i + 1) begin q = i; end
+endmodule
+)");
+    For *loop = nullptr;
+    visitAll(*file, [&](Node &n) {
+        if (n.kind == NodeKind::For)
+            loop = n.as<For>();
+    });
+    ASSERT_NE(loop, nullptr);
+    auto body = loop->body->cloneStmt();
+    loop->init = std::make_unique<NullStmt>();
+    loop->step = std::move(body);
+    std::string text = printStmt(*loop);
+    EXPECT_EQ(text.substr(0, text.find('\n')),
+              "for (; (i < 4); begin     q = i; end)");
+}
+
 TEST(Printer, ExprPrinterStandalone)
 {
     auto file = parse(

@@ -455,6 +455,65 @@ TEST(ServiceQueue, RejectsOverloadWithStructuredReason)
     EXPECT_TRUE(std::holds_alternative<long>(q.submit(spec)));
 }
 
+// Each admission rule below is checked on a bare queue with no
+// workers: a rejected job is never run, and an admitted one never
+// starts a thread.
+bool
+tooLarge(const std::variant<long, Rejection> &r)
+{
+    return std::holds_alternative<Rejection>(r) &&
+           std::get<Rejection>(r).code == errc::kBudgetTooLarge;
+}
+
+TEST(ServiceQueue, CountsEveryIslandAgainstTheEvalBudget)
+{
+    AdmissionLimits limits;
+    limits.maxEvalBudget = 1000;
+    JobQueue q(limits);
+    JobSpec spec = unrepairableSpec(10);
+    spec.params.popSize = 10;  // 10 x 10 = 100 evals per island
+    spec.params.islands = 10;
+    EXPECT_TRUE(std::holds_alternative<long>(q.submit(spec)));
+    spec.params.islands = 11;  // 11 x 100 > 1000
+    EXPECT_TRUE(tooLarge(q.submit(spec)));
+    spec.params.maxGenerations = 0;  // counts as one generation
+    spec.params.islands = 101;
+    EXPECT_TRUE(tooLarge(q.submit(spec)));
+}
+
+TEST(ServiceQueue, RejectsMoreThreadsThanTheCap)
+{
+    JobQueue q(AdmissionLimits{});
+    JobSpec spec = unrepairableSpec(1);
+    spec.params.popSize = 1;
+    spec.params.islands = 8;
+    spec.params.numThreads = 8;  // 8 x 8 = kMaxJobThreads
+    EXPECT_TRUE(std::holds_alternative<long>(q.submit(spec)));
+    spec.params.numThreads = 9;
+    EXPECT_TRUE(tooLarge(q.submit(spec)));
+    spec.params.numThreads = 1;
+    spec.params.islands = 1'000'000;  // within the eval budget
+    EXPECT_TRUE(tooLarge(q.submit(spec)));
+
+    // threads 0 counts as one per hardware thread.
+    spec.params.numThreads = 0;
+    spec.params.islands = static_cast<int>(kMaxJobThreads);
+    EXPECT_TRUE(tooLarge(q.submit(spec)) ==
+                (std::thread::hardware_concurrency() > 1));
+}
+
+TEST(ServiceQueue, RejectsUnlimitedOrOversizedMemoryBudget)
+{
+    JobQueue q(AdmissionLimits{});
+    JobSpec spec = unrepairableSpec(1);
+    spec.params.evalMemoryBudget = kMaxJobMemoryBudget;
+    EXPECT_TRUE(std::holds_alternative<long>(q.submit(spec)));
+    spec.params.evalMemoryBudget = 0;  // unlimited
+    EXPECT_TRUE(tooLarge(q.submit(spec)));
+    spec.params.evalMemoryBudget = kMaxJobMemoryBudget + 1;
+    EXPECT_TRUE(tooLarge(q.submit(spec)));
+}
+
 TEST(ServiceQueue, CancelQueuedIsImmediatelyTerminal)
 {
     JobQueue q(AdmissionLimits{});
